@@ -103,6 +103,16 @@ def _parse_alpha(text: str) -> Fraction:
     return alpha
 
 
+def _parse_eps(text: str) -> Fraction:
+    try:
+        eps = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise PreconditionError(f"--eps: cannot parse fraction {text!r}")
+    if eps < 0:
+        raise PreconditionError(f"--eps must be >= 0, got {eps}")
+    return eps
+
+
 def _add_certificate(report: RunReport, cert: ApproxCertificate) -> None:
     report.add("alpha", cert.alpha)
     report.add("oracle_size", len(cert.reference))
@@ -272,6 +282,7 @@ def _cmd_maxatsp(args) -> RunReport:
         else ("contract-match-expand+wrapper" if args.wrapper else "contract-match-expand")
     )
     report = RunReport("maxatsp", algorithm)
+    eps = _parse_eps(args.eps)
     text = Path(args.infile).read_text(encoding="ascii")
     g = parse_graph(text)
     report.add("instance", "sha256:" + digest(text))
@@ -283,9 +294,7 @@ def _cmd_maxatsp(args) -> RunReport:
         out = maxatsp_half_wrapper(g, budget=args.budget, threads=args.threads)
     else:
         report.add("eps", args.eps)
-        out = maxatsp_approx(
-            g, Fraction(args.eps), budget=args.budget, threads=args.threads
-        )
+        out = maxatsp_approx(g, eps, budget=args.budget, threads=args.threads)
     report.add("output_size", len(out))
     report.add("output_weights", _fmt_weights(out) or "-")
     report.note("output", f"{len(out)} Pareto candidate(s)")
@@ -298,6 +307,7 @@ def _cmd_maxatsp(args) -> RunReport:
 
 
 def _cmd_certify(args) -> RunReport:
+    eps = _parse_eps(args.eps)
     text = Path(args.infile).read_text(encoding="ascii")
     kind = detect_kind(text)
     if kind == "balance":
@@ -323,9 +333,7 @@ def _cmd_certify(args) -> RunReport:
     if args.wrapper:
         out = maxatsp_half_wrapper(g, budget=args.budget, threads=args.threads)
     else:
-        out = maxatsp_approx(
-            g, Fraction(args.eps), budget=args.budget, threads=args.threads
-        )
+        out = maxatsp_approx(g, eps, budget=args.budget, threads=args.threads)
     report.add("output_size", len(out))
     cert = is_alpha_approx_set(out, tsp_oracle(g), _parse_alpha(args.alpha))
     _add_certificate(report, cert)

@@ -1,10 +1,13 @@
 """Vector-weighted complete digraphs with path contraction and expansion.
 
 Contracting an edge (u, v) merges v into u: u keeps its own incoming
-edges and takes over v's outgoing weights, and v disappears.  A path is
-contracted edge-by-edge starting at its last edge, a set of pairwise
-vertex-disjoint paths path-by-path; the result is independent of the
-path order.  Expansion is the inverse rewriting on a Hamiltonian cycle T
+edges and takes over v's outgoing weights, and v disappears.  Doing
+that for every edge of a path, from its last edge back to its head h,
+leaves h with the outgoing row of the path's last vertex and every
+other surviving edge with its own weight.  A set of pairwise
+vertex-disjoint paths is contracted in one pass by that rule,
+w'(h, z) = w(last, z) for each head h, so the path order is
+irrelevant.  Expansion is the inverse rewriting on a Hamiltonian cycle T
 of the contracted graph: reinserting (u, v) replaces the unique outgoing
 edge (u, x) of T by the detour (u, v), (v, x).  Expanding a cycle through
 the contracted path set adds back exactly the contracted weight.
@@ -224,24 +227,32 @@ class ContractionRecord:
 def contract(g: LabeledDigraph, q: Iterable[Edge]) -> ContractionRecord:
     """Contract a set of pairwise vertex-disjoint paths of g.
 
-    Paths are processed in head order, each edge-by-edge from its last
-    edge; any order yields the same graph.
+    Built in one pass: the tails of every path vanish, each head h takes
+    the outgoing row of its path's last vertex, w'(h, z) = w(last, z),
+    and every other surviving edge keeps its weight.  This is the graph
+    that contracting each path edge-by-edge from its last edge yields,
+    in any path order; only the final graph is validated.
     """
     q_edges = set(q)
     for e in q_edges:
         if e not in g.weight_map:
             raise PreconditionError(f"edge {e} not in graph")
     paths = path_decomposition(q_edges)
-    current = g
-    for path in paths:
-        for e in reversed(path):
-            current = contract_edge(current, e)
     vertex_map = {x: x for x in g.vertices}
+    source: dict[int, int] = {}  # head -> last vertex of its path
     for path in paths:
         head = path[0][0]
         for _, tail in path:
             vertex_map[tail] = head
-    return ContractionRecord(g, paths, current, vertex_map)
+        source[head] = path[-1][1]
+    verts = tuple(x for x in g.vertices if vertex_map[x] == x)
+    wm = g.weight_map
+    contracted = LabeledDigraph(
+        verts,
+        {(a, b): wm[(source.get(a, a), b)] for a in verts for b in verts if a != b},
+        g.dimension,
+    )
+    return ContractionRecord(g, paths, contracted, vertex_map)
 
 
 def expand_edge(t: frozenset[Edge], edge: Edge) -> frozenset[Edge]:

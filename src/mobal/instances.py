@@ -332,7 +332,10 @@ def parse_graph(text: str) -> LabeledDigraph:
             raise InstanceFormatError(f"bad edge ({u}, {v}) for n={n}", no)
         if (u, v) in wm:
             raise InstanceFormatError(f"duplicate edge ({u}, {v})", no)
-        wm[(u, v)] = tuple(values[2:])
+        w = tuple(values[2:])
+        if any(c < 0 for c in w):
+            raise InstanceFormatError(f"edge ({u}, {v}) weight {w} is negative", no)
+        wm[(u, v)] = w
     try:
         return LabeledDigraph(tuple(range(n)), wm, dim)
     except PreconditionError as exc:

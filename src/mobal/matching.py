@@ -1,22 +1,41 @@
 """Pareto-optimal matchings of complete digraphs.
 
-The shipped backend enumerates every matching, so its output is the
-exact Pareto front and trivially meets the (1 - eps) contract for any
-eps.  The backend interface carries a failure probability so that a
-randomized approximation scheme could be plugged in without touching the
-callers; the exact backend reports 0.
+The shipped backend is an exact Pareto dynamic program over vertex
+subsets.  For a subset S with lowest vertex v, every matching of S
+either leaves v uncovered or pairs it with some u in S - v through
+(v, u) or (u, v), so
+
+    f(S) = ND( f(S - v) union { w(e) + f(S - v - u) : u in S - v,
+                                       e in {(v, u), (u, v)} } )
+
+where ND drops entries whose weight another entry's weight dominates
+(a dominated partial matching stays dominated after the same edges are
+added to it and its dominator).  Witnesses follow one rule: every state
+keeps, per key (weight, edge count), the smallest sorted edge tuple.
+Keying by weight alone would not be exact: inserting one edge into two
+sorted tuples keeps their order when they have equal length, but can
+reverse it when one is a proper prefix of the other.  At the root the
+smallest tuple per front weight is the witness, which is the canonical
+one an exhaustive enumeration would pick.
+
+The output is the exact Pareto front, so it trivially meets the
+(1 - eps) contract for any eps.  The backend interface carries a
+failure probability so that a randomized approximation scheme could be
+plugged in without touching the callers; the exact backend reports 0.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
+from operator import add
 from typing import Protocol
 
 from .errors import BudgetExceededError
 from .graphs import Edge, LabeledDigraph
-from .pareto import SolutionSet, Weight, nondominated
+from .pareto import SolutionSet, Weight, nondominated, pareto_front_witnesses
 
 
 class MatchingBackend(Protocol):
@@ -35,9 +54,13 @@ def matching_count(n: int) -> int:
     )
 
 
+# one DP state: (weight, edge count) -> smallest sorted edge tuple
+_State = dict[tuple[Weight, int], tuple[Edge, ...]]
+
+
 @dataclass
 class ExactMatchingBackend:
-    """Exhaustive enumeration, one canonical witness per front weight."""
+    """Pareto subset DP, one canonical witness per front weight."""
 
     vertex_cap: int = 10
     failure_probability: Fraction = field(default=Fraction(0))
@@ -50,44 +73,41 @@ class ExactMatchingBackend:
                 f"exact matching backend refuses {g.num_vertices} vertices "
                 f"(cap {self.vertex_cap})"
             )
-        verts = list(g.vertices)
-        dim = g.dimension
-        best: dict[Weight, tuple[Edge, ...]] = {}
-        used: set[int] = set()
-        chosen: list[Edge] = []
+        verts = g.vertices
+        wm = g.weight_map
+        # subsets of verts as bitmasks; the memo lives for this call only
+        memo: dict[int, _State] = {0: {((0,) * g.dimension, 0): ()}}
 
-        def record(weight: tuple[int, ...]):
-            enc = tuple(sorted(chosen))
-            cur = best.get(weight)
-            if cur is None or enc < cur:
-                best[weight] = enc
-
-        def visit(idx: int, weight: tuple[int, ...]):
-            while idx < len(verts) and verts[idx] in used:
-                idx += 1
-            if idx == len(verts):
-                record(weight)
-                return
-            v = verts[idx]
-            # v stays uncovered
-            visit(idx + 1, weight)
-            used.add(v)
-            for jdx in range(idx + 1, len(verts)):
-                u = verts[jdx]
-                if u in used:
-                    continue
-                used.add(u)
+        def solve(mask: int) -> _State:
+            state = memo.get(mask)
+            if state is not None:
+                return state
+            low = mask & -mask
+            v = verts[low.bit_length() - 1]
+            rest = mask ^ low
+            best = dict(solve(rest))  # v uncovered
+            others = rest
+            while others:
+                bit = others & -others
+                others ^= bit
+                u = verts[bit.bit_length() - 1]
+                sub = solve(rest ^ bit)
                 for e in ((v, u), (u, v)):
-                    w = g.weight_map[e]
-                    chosen.append(e)
-                    visit(idx + 1, tuple(a + b for a, b in zip(weight, w)))
-                    chosen.pop()
-                used.discard(u)
-            used.discard(v)
+                    we = wm[e]
+                    for (w, count), enc in sub.items():
+                        key = (tuple(map(add, w, we)), count + 1)
+                        i = bisect(enc, e)
+                        cand = enc[:i] + (e,) + enc[i:]
+                        cur = best.get(key)
+                        if cur is None or cand < cur:
+                            best[key] = cand
+            front = nondominated(w for w, _ in best)
+            state = {k: enc for k, enc in best.items() if k[0] in front}
+            memo[mask] = state
+            return state
 
-        visit(0, (0,) * dim)
-        front = nondominated(best.keys())
-        return SolutionSet.build((best[w], w) for w in front)
+        root = solve((1 << len(verts)) - 1)
+        return pareto_front_witnesses((enc, w) for (w, _), enc in root.items())
 
 
 def matching_pareto(

@@ -20,7 +20,6 @@ matching backend, so the 1/2 guarantee survives plugging in one.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,19 +42,12 @@ from .graphs import (
     iter_hamiltonian_cycles,
 )
 from .matching import ExactMatchingBackend, MatchingBackend, matching_count
+from .maxsat import resolve_budget
 from .pareto import SolutionSet, Weight, nondominated, pareto_front_witnesses
 
 DEFAULT_MAXATSP_BUDGET = 10**6
-BUDGET_ENV_VAR = "MOBAL_BUDGET"
 
 Cycle = tuple[Edge, ...]
-
-
-def _resolve_budget(budget: int | None) -> int:
-    if budget is not None:
-        return budget
-    env = os.environ.get(BUDGET_ENV_VAR)
-    return int(env) if env else DEFAULT_MAXATSP_BUDGET
 
 
 def even_objectives(dim: int) -> int:
@@ -111,7 +103,11 @@ def extend_matching(g: LabeledDigraph, matching: Iterable[Edge]) -> Cycle:
 
 
 def approx_cost_estimate(num_vertices: int, two_k: int) -> int:
-    """Upper bound on matchings enumerated by the core F-loop."""
+    """Matchings of every contracted graph the core F-loop visits.
+
+    The budget guard's yardstick: it counts what an exhaustive matching
+    enumeration would visit; the subset DP's own cost is not modelled.
+    """
     n = num_vertices
     num_edges = n * (n - 1)
     return sum(
@@ -165,7 +161,9 @@ def maxatsp_approx(
         raise PreconditionError(
             "even vertex count required; use maxatsp_half_wrapper for odd graphs"
         )
-    budget = _resolve_budget(budget)
+    if eps < 0:
+        raise PreconditionError(f"eps must be >= 0, got {eps}")
+    budget = resolve_budget(budget, DEFAULT_MAXATSP_BUDGET)
     two_k = even_objectives(g.dimension)
     estimate = approx_cost_estimate(g.num_vertices, two_k)
     if estimate > budget:
@@ -216,7 +214,7 @@ def maxatsp_half_wrapper(
     """
     if g.num_vertices < 2:
         raise PreconditionError("need at least two vertices")
-    budget = _resolve_budget(budget)
+    budget = resolve_budget(budget, DEFAULT_MAXATSP_BUDGET)
     two_k = even_objectives(g.dimension)
     n = g.num_vertices
     estimate = wrapper_cost_estimate(n, two_k)

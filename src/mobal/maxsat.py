@@ -47,10 +47,21 @@ BUDGET_ENV_VAR = "MOBAL_BUDGET"
 
 
 def resolve_budget(budget: int | None, default: int) -> int:
+    """`budget` if given, else the MOBAL_BUDGET value, else `default`."""
     if budget is not None:
         return budget
     env = os.environ.get(BUDGET_ENV_VAR)
-    return int(env) if env else default
+    if not env:
+        return default
+    try:
+        value = int(env)
+        if value < 0:
+            raise ValueError
+    except ValueError:
+        raise PreconditionError(
+            f"{BUDGET_ENV_VAR} must be a nonnegative integer, got {env!r}"
+        ) from None
+    return value
 
 
 @dataclass(frozen=True)

@@ -139,11 +139,15 @@ def nondominated(weights: Iterable[Weight]) -> set[Weight]:
                 front.add(w)
                 best = w[1]
         return front
-    return {
-        w
-        for w in distinct
-        if not any(dominates(v, w) for v in distinct if v != w)
-    }
+    # Descending lexicographic sweep (Kung, Luccio & Preparata 1975):
+    # whatever dominates w sorts before it, and a dominated dominator is
+    # itself dominated by a front member, so checking the front suffices.
+    distinct.sort(reverse=True)
+    kept: list[Weight] = []
+    for w in distinct:
+        if not any(all(x >= y for x, y in zip(v, w)) for v in kept):
+            kept.append(w)
+    return set(kept)
 
 
 def pareto_filter(s: SolutionSet) -> SolutionSet:

@@ -11,6 +11,7 @@ from itertools import combinations, permutations, product
 from mobal.graphs import LabeledDigraph, cycle_edges, is_matching
 from mobal.instances import GeneratorSpec, generate
 from mobal.maxsat import CnfInstance
+from mobal.pareto import SolutionSet, nondominated
 from mobal.rng import SplitMix64
 
 
@@ -62,6 +63,51 @@ def matchings_by_subset_filter(g: LabeledDigraph, max_edges: int | None = None):
             if is_matching(combo):
                 found.append((tuple(sorted(combo)), g.edge_set_weight(combo)))
     return found
+
+
+def enumerated_pareto_matchings(g: LabeledDigraph) -> SolutionSet:
+    """Pareto matchings by visiting every matching once.
+
+    Reference for the backend's subset DP, which must reproduce it
+    exactly: one smallest sorted edge tuple per nondominated weight.
+    """
+    verts = list(g.vertices)
+    best = {}
+    used = set()
+    chosen = []
+
+    def record(weight):
+        enc = tuple(sorted(chosen))
+        cur = best.get(weight)
+        if cur is None or enc < cur:
+            best[weight] = enc
+
+    def visit(idx, weight):
+        while idx < len(verts) and verts[idx] in used:
+            idx += 1
+        if idx == len(verts):
+            record(weight)
+            return
+        v = verts[idx]
+        # v stays uncovered
+        visit(idx + 1, weight)
+        used.add(v)
+        for jdx in range(idx + 1, len(verts)):
+            u = verts[jdx]
+            if u in used:
+                continue
+            used.add(u)
+            for e in ((v, u), (u, v)):
+                w = g.weight_map[e]
+                chosen.append(e)
+                visit(idx + 1, tuple(a + b for a, b in zip(weight, w)))
+                chosen.pop()
+            used.discard(u)
+        used.discard(v)
+
+    visit(0, (0,) * g.dimension)
+    front = nondominated(best.keys())
+    return SolutionSet.build((best[w], w) for w in front)
 
 
 def all_cycles_with_weights(g: LabeledDigraph):

@@ -1,3 +1,5 @@
+import pytest
+
 from mobal.cli import main
 
 # frozen: generated cnf instance whose interval sweep misses an exact
@@ -183,3 +185,39 @@ def test_threads_flag_keeps_report_stable(capsys, tmp_path):
     base = run(capsys, "maxsat", "--in", str(path))
     threaded = run(capsys, "maxsat", "--in", str(path), "--threads", "3")
     assert machine_section(base[1]) == machine_section(threaded[1])
+
+
+# Bad input, one row each: (argv before --in, file, environment, what the
+# error line must name).  Every row must exit 2 with a single `error:`
+# line and no traceback; exit 1 is reserved for a failed certificate.
+BAD_INPUT_TABLE = [
+    (["maxatsp", "--eps", "abc"], "graph", {}, "--eps"),
+    (["maxatsp", "--eps=-1/2"], "graph", {}, "--eps"),
+    (["certify", "--eps", "abc"], "graph", {}, "--eps"),
+    (["certify", "--eps=-1/2"], "graph", {}, "--eps"),
+    (["maxatsp"], "graph", {"MOBAL_BUDGET": "xyz"}, "MOBAL_BUDGET"),
+    (["maxatsp"], "graph", {"MOBAL_BUDGET": "-1"}, "MOBAL_BUDGET"),
+    (["maxsat"], "cnf", {"MOBAL_BUDGET": "xyz"}, "MOBAL_BUDGET"),
+    (["maxsat"], "cnf", {"MOBAL_BUDGET": "-1"}, "MOBAL_BUDGET"),
+    (["maxatsp"], "negative-graph", {}, "line 2"),
+]
+
+
+@pytest.mark.parametrize("argv, infile, env, names", BAD_INPUT_TABLE)
+def test_bad_input_exits_two_with_one_error_line(
+    capsys, tmp_path, monkeypatch, argv, infile, env, names
+):
+    files = {
+        "graph": gen_file(capsys, tmp_path, "g.txt", kind="graph", seed=5, vertices=4),
+        "cnf": gen_file(capsys, tmp_path, "t.wcnf", kind="cnf", seed=8, m=6, clauses=8),
+        "negative-graph": tmp_path / "neg.txt",
+    }
+    files["negative-graph"].write_text("moatsp k=1 n=2\n0 1 -4\n1 0 1\n")
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    code, out, err = run(capsys, *argv, "--in", str(files[infile]))
+    assert code == 2
+    error_lines = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(error_lines) == 1 and names in error_lines[0]
+    assert "Traceback" not in err
+    assert "report-begin" not in out

@@ -5,6 +5,7 @@ import pytest
 from helpers import random_cycle, random_path_set
 from mobal.errors import PreconditionError
 from mobal.graphs import (
+    ContractionRecord,
     LabeledDigraph,
     contract,
     contract_edge,
@@ -96,6 +97,35 @@ def test_contraction_order_independence():
         first = results[0]
         assert all(r == first for r in results.values())
         assert contract(g, q).contracted == first
+
+
+def _contract_edge_by_edge(g, q):
+    """Reference record: every path contracted edge-by-edge from its last
+    edge, as `contract_edge` defines a single contraction."""
+    paths = path_decomposition(q)
+    vertex_map = {x: x for x in g.vertices}
+    for path in paths:
+        for _, tail in path:
+            vertex_map[tail] = path[0][0]
+    return ContractionRecord(g, paths, _contract_in_order(g, paths), vertex_map)
+
+
+def test_one_pass_contraction_matches_edge_by_edge():
+    rng = SplitMix64(2024)
+    checked = 0
+    for n in (5, 6, 7, 8):
+        for g in graphs(4, vertices=n, seed0=42_000 + 100 * n, dim=3):
+            for size in (1, 2, 3, 4):
+                # `size` edges of a Hamiltonian cycle: one to four paths
+                cycle = random_cycle(g, rng)
+                q = tuple(cycle[i] for i in rng.sample(0, n - 1, size))
+                got = contract(g, q)
+                want = _contract_edge_by_edge(g, q)
+                assert got.contracted == want.contracted
+                assert got.paths == want.paths
+                assert got.vertex_map == want.vertex_map
+                checked += 1
+    assert checked == 4 * 4 * 4
 
 
 def test_expand_round_trip_weight_identity():

@@ -151,6 +151,14 @@ def test_truncated_graph_file():
         parse_graph("\n".join(lines[:-1]) + "\n")
 
 
+def test_negative_graph_weight_names_its_line():
+    text = "moatsp k=1 n=3\n0 1 1\n0 2 1\n1 0 1\n1 2 -4\n2 0 1\n2 1 1\n"
+    with pytest.raises(InstanceFormatError) as err:
+        parse_graph(text)
+    assert err.value.line == 5
+    assert "negative" in str(err.value)
+
+
 def test_cnf_syntax_errors():
     with pytest.raises(InstanceFormatError):
         parse_cnf("c k 2\np cnf 2 1\nw 1 2 1\n")  # missing closing 0

@@ -2,12 +2,17 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import matchings_by_subset_filter
+from helpers import enumerated_pareto_matchings, matchings_by_subset_filter
 from mobal.errors import BudgetExceededError
 from mobal.graphs import LabeledDigraph, is_matching
 from mobal.instances import GeneratorSpec, generate
 from mobal.matching import ExactMatchingBackend, matching_count, matching_pareto
-from mobal.pareto import SolutionSet, nondominated, pareto_filter
+from mobal.pareto import (
+    SolutionSet,
+    nondominated,
+    pareto_filter,
+    pareto_front_witnesses,
+)
 
 
 def two_vertex_graph():
@@ -70,3 +75,49 @@ def test_eps_is_irrelevant_for_exact_backend():
 
 def test_failure_probability_field():
     assert ExactMatchingBackend().failure_probability == Fraction(0)
+
+
+def differential_corpus():
+    """Seeded graphs for every n in 2..8 (odd n too), dim 1..3 and
+    weight bound 0, 1, 2, 30; small bounds make many weights tie."""
+    for n in range(2, 9):
+        for dim in (1, 2, 3):
+            for bound in (0, 1, 2, 30):
+                yield generate(
+                    GeneratorSpec(
+                        kind="graph",
+                        seed=52_000 + 100 * n + 10 * dim + bound,
+                        vertices=n,
+                        dim=dim,
+                        bound=bound,
+                    )
+                )
+
+
+def test_subset_dp_matches_enumerators_with_witnesses():
+    backend = ExactMatchingBackend()
+    checked = 0
+    for g in differential_corpus():
+        out = backend.pareto_matchings(g)
+        # SolutionSet equality compares every weight and every witness
+        assert out == enumerated_pareto_matchings(g)
+        # the subset filter walks every edge subset, ~400k per graph at
+        # n = 8, so it stops at n = 7
+        if g.num_vertices <= 7:
+            assert out == pareto_front_witnesses(matchings_by_subset_filter(g))
+        checked += 1
+    assert checked == 7 * 3 * 4
+
+
+def test_prefix_witness_counterexample():
+    # Every edge weighs 0 except (3, 0).  The matchings of weight 5 are
+    # ((3, 0),) and ((1, 2), (3, 0)) / ((2, 1), (3, 0)).  Below the root,
+    # () and ((1, 2),) tie on weight and () is smaller, yet adding (3, 0)
+    # reverses their order; a DP keeping one witness per weight alone
+    # would answer ((3, 0),).
+    wm = {(u, v): (0,) for u in range(4) for v in range(4) if u != v}
+    wm[(3, 0)] = (5,)
+    g = LabeledDigraph.from_weights(4, wm)
+    expected = SolutionSet.build([(((1, 2), (3, 0)), (5,))])
+    assert enumerated_pareto_matchings(g) == expected
+    assert ExactMatchingBackend().pareto_matchings(g) == expected

@@ -74,6 +74,11 @@ def test_requires_even_vertex_count():
         maxatsp_approx(g)
 
 
+def test_negative_eps_rejected():
+    with pytest.raises(PreconditionError):
+        maxatsp_approx(graph(1), Fraction(-1, 2))
+
+
 def test_budget_guard():
     g = graph(2, vertices=8)
     with pytest.raises(BudgetExceededError):

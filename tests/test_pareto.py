@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import naive_pareto_entries
+from helpers import naive_dominates, naive_pareto_entries
 from mobal.errors import DimensionMismatchError, PreconditionError
 from mobal.pareto import (
     SolutionSet,
@@ -12,12 +12,17 @@ from mobal.pareto import (
     covers,
     dominates,
     is_alpha_approx_set,
+    nondominated,
     pareto_filter,
     pareto_front_witnesses,
 )
 from mobal.rng import SplitMix64
 
 vec3 = st.tuples(st.integers(0, 30), st.integers(0, 30), st.integers(0, 30))
+# dims 3 and 4 over a small range, so ties and repeated points are common
+small_weight_lists = st.integers(3, 4).flatmap(
+    lambda d: st.lists(st.tuples(*[st.integers(0, 5)] * d), max_size=40)
+)
 
 
 def test_dominates_examples():
@@ -161,3 +166,13 @@ def test_front_witnesses_dedupes_by_weight():
         [("b", (1, 1)), ("a", (1, 1)), ("c", (0, 0))]
     )
     assert front.entries == (("a", (1, 1)),)
+
+
+@given(small_weight_lists)
+def test_nondominated_sweep_matches_all_pairs_definition(weights):
+    weights = weights + weights[::2]  # every other point repeated
+    distinct = set(weights)
+    expected = {
+        w for w in distinct if not any(naive_dominates(v, w) for v in distinct)
+    }
+    assert nondominated(weights) == expected
