@@ -113,6 +113,18 @@ def _parse_eps(text: str) -> Fraction:
     return eps
 
 
+def _parse_budget(text: str | None) -> int | None:
+    if text is None:
+        return None
+    try:
+        budget = int(text)
+    except ValueError:
+        raise PreconditionError(f"--budget: cannot parse integer {text!r}")
+    if budget < 0:
+        raise PreconditionError(f"--budget must be >= 0, got {budget}")
+    return budget
+
+
 def _add_certificate(report: RunReport, cert: ApproxCertificate) -> None:
     report.add("alpha", cert.alpha)
     report.add("oracle_size", len(cert.reference))
@@ -254,6 +266,7 @@ def _cmd_balance(args) -> RunReport:
 
 def _cmd_maxsat(args) -> RunReport:
     report = RunReport("maxsat", "maxsat-oracle" if args.oracle else "interval-sweep")
+    budget = _parse_budget(args.budget)
     text = Path(args.infile).read_text(encoding="ascii")
     inst = parse_cnf(text)
     report.add("instance", "sha256:" + digest(text))
@@ -263,7 +276,7 @@ def _cmd_maxsat(args) -> RunReport:
     if args.oracle:
         out = maxsat_oracle(inst)
     else:
-        out = maxsat_approx(inst, budget=args.budget, threads=args.threads)
+        out = maxsat_approx(inst, budget=budget)
     report.add("output_size", len(out))
     report.add("output_weights", _fmt_weights(out) or "-")
     report.note("output", f"{len(out)} Pareto candidate(s)")
@@ -283,6 +296,7 @@ def _cmd_maxatsp(args) -> RunReport:
     )
     report = RunReport("maxatsp", algorithm)
     eps = _parse_eps(args.eps)
+    budget = _parse_budget(args.budget)
     text = Path(args.infile).read_text(encoding="ascii")
     g = parse_graph(text)
     report.add("instance", "sha256:" + digest(text))
@@ -291,10 +305,10 @@ def _cmd_maxatsp(args) -> RunReport:
     if args.oracle:
         out = tsp_oracle(g)
     elif args.wrapper:
-        out = maxatsp_half_wrapper(g, budget=args.budget, threads=args.threads)
+        out = maxatsp_half_wrapper(g, budget=budget)
     else:
         report.add("eps", args.eps)
-        out = maxatsp_approx(g, eps, budget=args.budget, threads=args.threads)
+        out = maxatsp_approx(g, eps, budget=budget)
     report.add("output_size", len(out))
     report.add("output_weights", _fmt_weights(out) or "-")
     report.note("output", f"{len(out)} Pareto candidate(s)")
@@ -308,6 +322,7 @@ def _cmd_maxatsp(args) -> RunReport:
 
 def _cmd_certify(args) -> RunReport:
     eps = _parse_eps(args.eps)
+    budget = _parse_budget(args.budget)
     text = Path(args.infile).read_text(encoding="ascii")
     kind = detect_kind(text)
     if kind == "balance":
@@ -320,7 +335,7 @@ def _cmd_certify(args) -> RunReport:
         report = RunReport("certify", "interval-sweep")
         inst = parse_cnf(text)
         report.add("instance", "sha256:" + digest(text))
-        out = maxsat_approx(inst, budget=args.budget, threads=args.threads)
+        out = maxsat_approx(inst, budget=budget)
         report.add("output_size", len(out))
         cert = is_alpha_approx_set(out, maxsat_oracle(inst), _parse_alpha(args.alpha))
         _add_certificate(report, cert)
@@ -331,9 +346,9 @@ def _cmd_certify(args) -> RunReport:
     g = parse_graph(text)
     report.add("instance", "sha256:" + digest(text))
     if args.wrapper:
-        out = maxatsp_half_wrapper(g, budget=args.budget, threads=args.threads)
+        out = maxatsp_half_wrapper(g, budget=budget)
     else:
-        out = maxatsp_approx(g, eps, budget=args.budget, threads=args.threads)
+        out = maxatsp_approx(g, eps, budget=budget)
     report.add("output_size", len(out))
     cert = is_alpha_approx_set(out, tsp_oracle(g), _parse_alpha(args.alpha))
     _add_certificate(report, cert)
@@ -343,6 +358,7 @@ def _cmd_certify(args) -> RunReport:
 def _cmd_bench(args) -> RunReport:
     report = RunReport("bench", f"bench-{args.kind}")
     alpha = _parse_alpha(args.alpha)
+    budget = _parse_budget(args.budget)
     for key in ("kind", "count", "seed", "bound", "dim"):
         report.add(key, getattr(args, key))
     if args.kind in BALANCE_KINDS:
@@ -379,7 +395,7 @@ def _cmd_bench(args) -> RunReport:
             _, _, ratio = _balance_deviation(variant, instance, result)
             worst_ratio = max(worst_ratio, ratio)
         elif args.kind == "cnf":
-            out = maxsat_approx(instance, budget=args.budget, threads=args.threads)
+            out = maxsat_approx(instance, budget=budget)
             cert = is_alpha_approx_set(out, maxsat_oracle(instance), alpha)
             successes += 1
             certified += cert.ok
@@ -387,7 +403,7 @@ def _cmd_bench(args) -> RunReport:
                 if r is not None:
                     cover_min = r if cover_min is None else min(cover_min, r)
         else:
-            out = maxatsp_approx(instance, budget=args.budget, threads=args.threads)
+            out = maxatsp_approx(instance, budget=budget)
             cert = is_alpha_approx_set(out, tsp_oracle(instance), alpha)
             successes += 1
             certified += cert.ok
@@ -424,8 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common(p, certifiable=True):
-        p.add_argument("--budget", type=int, default=None, help="operation budget override")
-        p.add_argument("--threads", type=int, default=1, help="worker threads")
+        p.add_argument("--budget", default=None, help="operation budget override")
         if certifiable:
             p.add_argument("--certify", action="store_true", help="compare against the oracle")
             p.add_argument("--alpha", default="1/2", help="exact cover fraction p/q")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from .errors import PreconditionError, SearchInvariantError
-from .pareto import Weight, vec_add, vec_zero
+from .pareto import Weight, vec_total
 
 Edge = tuple[int, int]
 
@@ -80,10 +80,7 @@ class LabeledDigraph:
         return tuple(sorted(self.weight_map))
 
     def edge_set_weight(self, edges: Iterable[Edge]) -> Weight:
-        total = vec_zero(self.dimension)
-        for e in edges:
-            total = vec_add(total, self.weight_map[e])
-        return total
+        return vec_total(map(self.weight_map.__getitem__, edges), self.dimension)
 
 
 def is_matching(edges: Iterable[Edge]) -> bool:

@@ -1,7 +1,7 @@
 """Pareto-optimal matchings of complete digraphs.
 
 The shipped backend is an exact Pareto dynamic program over vertex
-subsets.  For a subset S with lowest vertex v, every matching of S
+subsets.  For a subset S and a vertex v of S, every matching of S
 either leaves v uncovered or pairs it with some u in S - v through
 (v, u) or (u, v), so
 
@@ -17,6 +17,22 @@ sorted tuples keeps their order when they have equal length, but can
 reverse it when one is a proper prefix of the other.  At the root the
 smallest tuple per front weight is the witness, which is the canonical
 one an exhaustive enumeration would pick.
+
+A state f(S) so defined depends only on the weights of the edges inside
+S, not on which vertex v the DP removes.  The backend therefore keeps
+one memo across calls, keyed by vertex subsets of the graph it is bound
+to (the first graph it sees).  A later graph whose vertices all belong
+to the bound graph, in the same dimension, reuses it: a vertex is dirty
+when any of its outgoing weights differs from the bound graph's (every
+edge lies in exactly one outgoing row, so a dirty-free subset has the
+bound graph's weights).  The DP removes the lowest dirty vertex of S
+while there is one, else the lowest vertex; the states of subsets
+holding a dirty vertex stay local to the call, and every dirty-free
+subset is read from and written to the shared memo.  Any other graph
+rebinds the backend, dropping the memo.  Contracting a path set
+rewrites only the outgoing rows of the path heads, so the sweep over
+path sets of one graph shares all head-free states.  An instance must
+not serve concurrent callers.
 
 The output is the exact Pareto front, so it trivially meets the
 (1 - eps) contract for any eps.  The backend interface carries a
@@ -60,10 +76,36 @@ _State = dict[tuple[Weight, int], tuple[Edge, ...]]
 
 @dataclass
 class ExactMatchingBackend:
-    """Pareto subset DP, one canonical witness per front weight."""
+    """Pareto subset DP, one canonical witness per front weight.
+
+    DP states of the bound graph's vertex subsets (as bitmasks) persist
+    across calls; see the module docstring for the reuse rule.
+    """
 
     vertex_cap: int = 10
     failure_probability: Fraction = field(default=Fraction(0))
+    _bound: LabeledDigraph | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _bit: dict[int, int] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _memo: dict[int, _State] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def _bind(self, g: LabeledDigraph) -> LabeledDigraph:
+        """The bound graph, rebinding to g when g does not fit it."""
+        bound = self._bound
+        if (
+            bound is None
+            or bound.dimension != g.dimension
+            or any(v not in self._bit for v in g.vertices)
+        ):
+            bound = self._bound = g
+            self._bit = {v: 1 << i for i, v in enumerate(g.vertices)}
+            self._memo = {0: {((0,) * g.dimension, 0): ()}}
+        return bound
 
     def pareto_matchings(
         self, g: LabeledDigraph, eps: Fraction = Fraction(0)
@@ -73,25 +115,34 @@ class ExactMatchingBackend:
                 f"exact matching backend refuses {g.num_vertices} vertices "
                 f"(cap {self.vertex_cap})"
             )
+        bound = self._bind(g)
+        bound_wm = bound.weight_map
+        labels = bound.vertices
+        bit = self._bit
         verts = g.vertices
         wm = g.weight_map
-        # subsets of verts as bitmasks; the memo lives for this call only
-        memo: dict[int, _State] = {0: {((0,) * g.dimension, 0): ()}}
+        dirty = 0
+        for v in verts:
+            if any(wm[(v, z)] != bound_wm[(v, z)] for z in verts if z != v):
+                dirty |= bit[v]
+        shared = self._memo
+        local: dict[int, _State] = {}
 
-        def solve(mask: int) -> _State:
-            state = memo.get(mask)
-            if state is not None:
-                return state
-            low = mask & -mask
-            v = verts[low.bit_length() - 1]
+        def candidates(mask: int) -> _State:
+            """Every key reachable from the states below mask, unfiltered."""
+            # remove a dirty vertex while one is left, so that every
+            # dirty-free subset below is solved with the bound weights
+            pick = (mask & dirty) or mask
+            low = pick & -pick
+            v = labels[low.bit_length() - 1]
             rest = mask ^ low
             best = dict(solve(rest))  # v uncovered
             others = rest
             while others:
-                bit = others & -others
-                others ^= bit
-                u = verts[bit.bit_length() - 1]
-                sub = solve(rest ^ bit)
+                b = others & -others
+                others ^= b
+                u = labels[b.bit_length() - 1]
+                sub = solve(rest ^ b)
                 for e in ((v, u), (u, v)):
                     we = wm[e]
                     for (w, count), enc in sub.items():
@@ -101,12 +152,20 @@ class ExactMatchingBackend:
                         cur = best.get(key)
                         if cur is None or cand < cur:
                             best[key] = cand
-            front = nondominated(w for w, _ in best)
-            state = {k: enc for k, enc in best.items() if k[0] in front}
-            memo[mask] = state
+            return best
+
+        def solve(mask: int) -> _State:
+            memo = local if mask & dirty else shared
+            state = memo.get(mask)
+            if state is None:
+                best = candidates(mask)
+                front = nondominated(w for w, _ in best)
+                state = {k: enc for k, enc in best.items() if k[0] in front}
+                memo[mask] = state
             return state
 
-        root = solve((1 << len(verts)) - 1)
+        # the root is filtered once, by pareto_front_witnesses
+        root = candidates(sum(bit[v] for v in verts))
         return pareto_front_witnesses((enc, w) for (w, _), enc in root.items())
 
 

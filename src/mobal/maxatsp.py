@@ -20,12 +20,11 @@ matching backend, so the 1/2 guarantee survives plugging in one.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .balancing import BalancingInstance, balance_combinatorial
 from .errors import BudgetExceededError, PreconditionError
@@ -42,16 +41,12 @@ from .graphs import (
     iter_hamiltonian_cycles,
 )
 from .matching import ExactMatchingBackend, MatchingBackend, matching_count
-from .maxsat import resolve_budget
+from .maxsat import even_objectives, resolve_budget
 from .pareto import SolutionSet, Weight, nondominated, pareto_front_witnesses
 
 DEFAULT_MAXATSP_BUDGET = 10**6
 
 Cycle = tuple[Edge, ...]
-
-
-def even_objectives(dim: int) -> int:
-    return dim + (dim % 2)
 
 
 def path_set_candidates(
@@ -135,18 +130,12 @@ def _pool_to_set(pool: dict[Weight, set[Cycle]]) -> SolutionSet:
     )
 
 
-def _merge_pools(dst: dict[Weight, set[Cycle]], src: dict[Weight, set[Cycle]]):
-    for w, encs in src.items():
-        dst.setdefault(w, set()).update(encs)
-
-
 def maxatsp_approx(
     g: LabeledDigraph,
     eps: Fraction = Fraction(0),
     *,
     backend: MatchingBackend | None = None,
     budget: int | None = None,
-    threads: int = 1,
 ) -> SolutionSet:
     """Contract-match-extend-expand sweep over all small path sets.
 
@@ -174,27 +163,15 @@ def maxatsp_approx(
     if backend is None:
         backend = ExactMatchingBackend()
 
-    candidates = list(path_set_candidates(g, range(two_k + 1)))
-
-    def run(chunk: Sequence[tuple[Edge, ...]]) -> dict[Weight, set[Cycle]]:
-        pool: dict[Weight, set[Cycle]] = {}
-        for f in chunk:
-            rec = contract(g, f)
-            for m_enc, _ in backend.pareto_matchings(rec.contracted, eps):
-                t_prime = extend_matching(rec.contracted, m_enc)
-                t = expand(rec, t_prime)
-                pool.setdefault(g.edge_set_weight(t), set()).add(t)
-        return pool
-
-    if threads > 1:
-        chunks = [candidates[i::threads] for i in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as tp:
-            results = list(tp.map(run, chunks))
-        pool: dict[Weight, set[Cycle]] = {}
-        for res in results:
-            _merge_pools(pool, res)
-    else:
-        pool = run(candidates)
+    # one backend serves the whole sweep, so the exact backend's memo is
+    # shared by every path set (contraction rewrites only head rows)
+    pool: dict[Weight, set[Cycle]] = {}
+    for f in path_set_candidates(g, range(two_k + 1)):
+        rec = contract(g, f)
+        for m_enc, _ in backend.pareto_matchings(rec.contracted, eps):
+            t_prime = extend_matching(rec.contracted, m_enc)
+            t = expand(rec, t_prime)
+            pool.setdefault(g.edge_set_weight(t), set()).add(t)
     return _pool_to_set(pool)
 
 
@@ -203,7 +180,6 @@ def maxatsp_half_wrapper(
     *,
     backend: MatchingBackend | None = None,
     budget: int | None = None,
-    threads: int = 1,
 ) -> SolutionSet:
     """Outer enumeration of heavy-edge candidate sets around the core.
 
@@ -233,27 +209,13 @@ def maxatsp_half_wrapper(
             f"no admissible outer path set for {n} vertices at {two_k} objectives"
         )
 
-    def run(chunk: Sequence[tuple[Edge, ...]]) -> dict[Weight, set[Cycle]]:
-        pool: dict[Weight, set[Cycle]] = {}
-        for f in chunk:
-            rec = contract(g, f)
-            inner = maxatsp_approx(
-                rec.contracted, eps, backend=backend, budget=budget
-            )
-            for t_enc, _ in inner:
-                t = expand(rec, t_enc)
-                pool.setdefault(g.edge_set_weight(t), set()).add(t)
-        return pool
-
-    if threads > 1:
-        chunks = [candidates[i::threads] for i in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as tp:
-            results = list(tp.map(run, chunks))
-        pool: dict[Weight, set[Cycle]] = {}
-        for res in results:
-            _merge_pools(pool, res)
-    else:
-        pool = run(candidates)
+    pool: dict[Weight, set[Cycle]] = {}
+    for f in candidates:
+        rec = contract(g, f)
+        inner = maxatsp_approx(rec.contracted, eps, backend=backend, budget=budget)
+        for t_enc, _ in inner:
+            t = expand(rec, t_enc)
+            pool.setdefault(g.edge_set_weight(t), set()).add(t)
     return _pool_to_set(pool)
 
 
@@ -362,7 +324,6 @@ __all__ = [
     "Cycle",
     "DEFAULT_MAXATSP_BUDGET",
     "approx_cost_estimate",
-    "even_objectives",
     "extend_matching",
     "matching_claim_witness",
     "maxatsp_approx",

@@ -24,7 +24,6 @@ Deduplicated and Pareto-filtered, the emitted assignments contain a
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
@@ -270,9 +269,7 @@ def _emit_masks(state: SatState, half_k: int) -> set[int]:
     return out
 
 
-def maxsat_approx(
-    inst: CnfInstance, *, budget: int | None = None, threads: int = 1
-) -> SolutionSet:
+def maxsat_approx(inst: CnfInstance, *, budget: int | None = None) -> SolutionSet:
     """Deduplicated, Pareto-filtered sweep of the interval assignments.
 
     The scan grows like m^((2k)^2 + 2k); instances over the budget are
@@ -293,27 +290,9 @@ def maxsat_approx(
             f"at most {limit} variables fit this budget at {two_k} objectives"
         )
 
-    cap = min(two_k * two_k, m)
-    v0_sets = [
-        v0
-        for size in range(cap + 1)
-        for v0 in combinations(range(1, m + 1), size)
-    ]
-
-    def run(chunk) -> set[int]:
-        masks: set[int] = set()
-        for v0 in chunk:
-            state = sat_state(inst, v0, two_k)
-            masks |= _emit_masks(state, half_k)
-        return masks
-
-    if threads > 1:
-        chunks = [v0_sets[i::threads] for i in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, chunks))
-        masks = set().union(*results)
-    else:
-        masks = run(v0_sets)
+    masks: set[int] = set()
+    for state in iter_sat_states(inst, two_k):
+        masks |= _emit_masks(state, half_k)
 
     pos, neg = inst._masks
     full = (1 << m) - 1

@@ -40,14 +40,6 @@ def vec_sub(a: Weight, b: Weight) -> Weight:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def vec_scale(c: int, a: Weight) -> Weight:
-    return tuple(c * x for x in a)
-
-
-def vec_abs(a: Weight) -> Weight:
-    return tuple(abs(x) for x in a)
-
-
 def vec_leq(a: Weight, b: Weight) -> bool:
     """Componentwise a <= b."""
     _require_same_dim(a, b)

@@ -180,13 +180,6 @@ def test_budget_env_var(capsys, tmp_path, monkeypatch):
     assert code == 0
 
 
-def test_threads_flag_keeps_report_stable(capsys, tmp_path):
-    path = gen_file(capsys, tmp_path, "t.wcnf", kind="cnf", seed=8, m=6, clauses=8)
-    base = run(capsys, "maxsat", "--in", str(path))
-    threaded = run(capsys, "maxsat", "--in", str(path), "--threads", "3")
-    assert machine_section(base[1]) == machine_section(threaded[1])
-
-
 # Bad input, one row each: (argv before --in, file, environment, what the
 # error line must name).  Every row must exit 2 with a single `error:`
 # line and no traceback; exit 1 is reserved for a failed certificate.
@@ -200,6 +193,10 @@ BAD_INPUT_TABLE = [
     (["maxsat"], "cnf", {"MOBAL_BUDGET": "xyz"}, "MOBAL_BUDGET"),
     (["maxsat"], "cnf", {"MOBAL_BUDGET": "-1"}, "MOBAL_BUDGET"),
     (["maxatsp"], "negative-graph", {}, "line 2"),
+    (["maxatsp", "--budget", "-5"], "graph", {}, "--budget"),
+    (["maxatsp", "--budget", "abc"], "graph", {}, "--budget"),
+    (["maxsat", "--budget", "-5"], "cnf", {}, "--budget"),
+    (["maxsat", "--budget", "abc"], "cnf", {}, "--budget"),
 ]
 
 

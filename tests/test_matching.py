@@ -2,9 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import enumerated_pareto_matchings, matchings_by_subset_filter
+from helpers import (
+    enumerated_pareto_matchings,
+    matchings_by_subset_filter,
+    random_path_set,
+)
 from mobal.errors import BudgetExceededError
-from mobal.graphs import LabeledDigraph, is_matching
+from mobal.graphs import LabeledDigraph, contract, is_matching
 from mobal.instances import GeneratorSpec, generate
 from mobal.matching import ExactMatchingBackend, matching_count, matching_pareto
 from mobal.pareto import (
@@ -13,6 +17,7 @@ from mobal.pareto import (
     pareto_filter,
     pareto_front_witnesses,
 )
+from mobal.rng import SplitMix64
 
 
 def two_vertex_graph():
@@ -121,3 +126,69 @@ def test_prefix_witness_counterexample():
     expected = SolutionSet.build([(((1, 2), (3, 0)), (5,))])
     assert enumerated_pareto_matchings(g) == expected
     assert ExactMatchingBackend().pareto_matchings(g) == expected
+
+
+def _reweighted(g, rows, seed):
+    """g with fresh weights on the outgoing rows of `rows`."""
+    rng = SplitMix64(seed)
+    wm = dict(g.weight_map)
+    for (u, v), w in g.weight_map.items():
+        if u in rows:
+            wm[(u, v)] = tuple(rng.randint(0, 3) for _ in w)
+    return LabeledDigraph(g.vertices, wm, g.dimension)
+
+
+def _induced(g, keep):
+    keep = set(keep)
+    wm = {e: w for e, w in g.weight_map.items() if keep >= set(e)}
+    return LabeledDigraph(tuple(sorted(keep)), wm, g.dimension)
+
+
+def reuse_sequence():
+    """Graphs that share vertex labels but not always weights or dimension.
+
+    Each group starts from a graph the backend may bind to and follows it
+    with contractions of several path sets (dirty heads), reweighted
+    rows (dirty vertices, heads or not), induced subgraphs (no dirty
+    vertex), and graphs that force a rebind (a new vertex, another
+    dimension) or make every vertex dirty (fresh weights, same labels).
+    """
+    rng = SplitMix64(8_123)
+    for n, dim, bound in ((6, 2, 3), (6, 2, 1), (7, 3, 2), (6, 1, 30), (8, 2, 2)):
+        g = generate(
+            GeneratorSpec(
+                kind="graph", seed=54_000 + 10 * n + dim + bound,
+                vertices=n, dim=dim, bound=bound,
+            )
+        )
+        yield g
+        for _ in range(6):
+            yield contract(g, random_path_set(g, rng, max_edges=3)).contracted
+        yield _reweighted(g, {0}, 1)
+        yield _reweighted(g, {1, n - 1}, 2)
+        yield _induced(g, range(1, n, 2))
+        yield _induced(g, range(n - 1))
+        yield contract(_reweighted(g, {2}, 3), random_path_set(g, rng, 2)).contracted
+        yield g
+
+
+def test_reused_backend_matches_enumeration_with_witnesses():
+    backend = ExactMatchingBackend()
+    graphs = list(reuse_sequence())
+    for g in graphs:
+        # SolutionSet equality compares every weight and every witness
+        assert backend.pareto_matchings(g) == enumerated_pareto_matchings(g)
+    # the same backend, asked again in reverse order, still agrees
+    for g in reversed(graphs):
+        assert backend.pareto_matchings(g) == enumerated_pareto_matchings(g)
+
+
+def test_reused_backend_rebinds_on_new_vertex_or_dimension():
+    backend = ExactMatchingBackend()
+    small = generate(GeneratorSpec(kind="graph", seed=3, vertices=4, dim=2, bound=5))
+    large = generate(GeneratorSpec(kind="graph", seed=4, vertices=6, dim=2, bound=5))
+    other_dim = generate(GeneratorSpec(kind="graph", seed=5, vertices=4, dim=3, bound=5))
+    for g in (small, large, small, other_dim, large, _induced(large, (0, 3, 5))):
+        assert backend.pareto_matchings(g) == enumerated_pareto_matchings(g)
+    # the last two calls share labels and weights, so no rebind happened
+    assert backend._bound is large

@@ -15,6 +15,7 @@ from mobal.graphs import (
 )
 from mobal.instances import GeneratorSpec, generate
 from mobal.matching import ExactMatchingBackend
+from mobal.maxsat import even_objectives
 from mobal.maxatsp import (
     extend_matching,
     matching_claim_witness,
@@ -85,11 +86,6 @@ def test_budget_guard():
         maxatsp_approx(g, budget=1000)
 
 
-def test_threads_do_not_change_output():
-    g = graph(62_000)
-    assert maxatsp_approx(g) == maxatsp_approx(g, threads=3)
-
-
 def test_custom_backend_plugs_in():
     calls = []
 
@@ -101,6 +97,67 @@ def test_custom_backend_plugs_in():
     g = graph(63_000)
     out = maxatsp_approx(g, backend=CountingBackend())
     assert calls and out == maxatsp_approx(g)
+
+
+class RecordingBackend:
+    """Keeps every answer of `backend`, or of a new exact backend per call
+    (no shared memo) when `backend` is None."""
+
+    failure_probability = Fraction(0)
+
+    def __init__(self, backend=None):
+        self.backend = backend
+        self.answers = []
+
+    def pareto_matchings(self, g, eps=Fraction(0)):
+        backend = ExactMatchingBackend() if self.backend is None else self.backend
+        out = backend.pareto_matchings(g, eps)
+        self.answers.append(out)
+        return out
+
+
+def shared_memo_corpus():
+    """Seeded graphs, n in {4, 6, 8}, dim 1-3, weight bound 0/1/2/30.
+
+    n = 4 covers the whole grid.  Larger sweeps cost up to two seconds
+    each (n = 8 at three objectives sweeps 71793 path sets and exceeds
+    the default budget), so n = 6 takes a spread of the grid and n = 8
+    the 2-objective case of the `atsp-n8` benchmark workload.
+    """
+    cases = [(4, dim, bound) for dim in (1, 2, 3) for bound in (0, 1, 2, 30)]
+    cases += [(6, 1, 30), (6, 2, 0), (6, 2, 2), (6, 3, 2)]
+    cases += [(8, 2, 30)]
+    for n, dim, bound in cases:
+        yield generate(
+            GeneratorSpec(
+                kind="graph", seed=53_000 + 100 * n + 10 * dim + bound,
+                vertices=n, dim=dim, bound=bound,
+            )
+        )
+
+
+def test_shared_memo_sweep_matches_fresh_backends():
+    for g in shared_memo_corpus():
+        shared = RecordingBackend(ExactMatchingBackend())
+        fresh = RecordingBackend()
+        # SolutionSet equality compares every weight and every witness
+        assert maxatsp_approx(g, backend=shared) == maxatsp_approx(g, backend=fresh)
+        # the pooled output can hide a wrong matching front behind other
+        # path sets' cycles, so every answer is compared on its own too
+        sizes = range(even_objectives(g.dimension) + 1)
+        assert len(shared.answers) == len(list(path_set_candidates(g, sizes)))
+        assert shared.answers == fresh.answers
+
+
+def test_wrapper_output_unchanged_by_shared_memo():
+    cases = [graph(66_000 + s) for s in range(4)]
+    cases += [graph(67_000 + s) for s in range(4)]
+    cases += [graph(68_000 + s, vertices=5, bound=20) for s in range(4)]
+    cases += [uniform_graph(4, 3)]
+    for g in cases:
+        assert maxatsp_half_wrapper(g) == maxatsp_half_wrapper(
+            g, backend=RecordingBackend()
+        )
 
 
 def test_path_set_candidates_are_valid_and_ordered():
@@ -175,11 +232,6 @@ def test_wrapper_budget_refuses_default_eight_vertices():
     g = graph(4, vertices=8)
     with pytest.raises(BudgetExceededError):
         maxatsp_half_wrapper(g)
-
-
-def test_wrapper_threads_do_not_change_output():
-    g = graph(66_500)
-    assert maxatsp_half_wrapper(g) == maxatsp_half_wrapper(g, threads=2)
 
 
 def test_wrapper_odd_vertex_count_experimental():

@@ -229,11 +229,6 @@ def test_odd_objective_count_padding():
     ]
 
 
-def test_threads_do_not_change_output():
-    inst = next(iter(corpus(1, seed0=24_000)))
-    assert maxsat_approx(inst) == maxsat_approx(inst, threads=3)
-
-
 def test_oracle_unit_clause():
     inst = cnf(1, ({1}, (1,)))
     orc = maxsat_oracle(inst)
