@@ -23,7 +23,6 @@ from .graphs import (
     ContractionRecord,
     LabeledDigraph,
     contract,
-    contract_edge,
     expand,
     is_hamiltonian_cycle,
     is_matching,
@@ -41,13 +40,12 @@ from .instances import (
     serialize_cnf,
     serialize_graph,
 )
-from .matching import ExactMatchingBackend, MatchingBackend, matching_pareto
+from .matching import ExactMatchingBackend, MatchingBackend
 from .maxatsp import (
     ClaimWitness,
     extend_matching,
     matching_claim_witness,
     maxatsp_approx,
-    maxatsp_half_wrapper,
     tsp_oracle,
 )
 from .maxsat import (

@@ -45,7 +45,7 @@ from .instances import (
     serialize_cnf,
     serialize_graph,
 )
-from .maxatsp import maxatsp_approx, maxatsp_half_wrapper, tsp_oracle
+from .maxatsp import maxatsp_approx, tsp_oracle
 from .maxsat import maxsat_approx, maxsat_oracle
 from .pareto import ApproxCertificate, SolutionSet, is_alpha_approx_set
 
@@ -101,16 +101,6 @@ def _parse_alpha(text: str) -> Fraction:
     if not 0 < alpha <= 1:
         raise PreconditionError(f"alpha must be in (0, 1], got {alpha}")
     return alpha
-
-
-def _parse_eps(text: str) -> Fraction:
-    try:
-        eps = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise PreconditionError(f"--eps: cannot parse fraction {text!r}")
-    if eps < 0:
-        raise PreconditionError(f"--eps must be >= 0, got {eps}")
-    return eps
 
 
 def _parse_budget(text: str | None) -> int | None:
@@ -289,13 +279,9 @@ def _cmd_maxsat(args) -> RunReport:
 
 
 def _cmd_maxatsp(args) -> RunReport:
-    algorithm = (
-        "tsp-oracle"
-        if args.oracle
-        else ("contract-match-expand+wrapper" if args.wrapper else "contract-match-expand")
+    report = RunReport(
+        "maxatsp", "tsp-oracle" if args.oracle else "contract-match-expand"
     )
-    report = RunReport("maxatsp", algorithm)
-    eps = _parse_eps(args.eps)
     budget = _parse_budget(args.budget)
     text = Path(args.infile).read_text(encoding="ascii")
     g = parse_graph(text)
@@ -304,11 +290,8 @@ def _cmd_maxatsp(args) -> RunReport:
     report.add("objectives", g.dimension)
     if args.oracle:
         out = tsp_oracle(g)
-    elif args.wrapper:
-        out = maxatsp_half_wrapper(g, budget=budget)
     else:
-        report.add("eps", args.eps)
-        out = maxatsp_approx(g, eps, budget=budget)
+        out = maxatsp_approx(g, budget=budget)
     report.add("output_size", len(out))
     report.add("output_weights", _fmt_weights(out) or "-")
     report.note("output", f"{len(out)} Pareto candidate(s)")
@@ -321,7 +304,6 @@ def _cmd_maxatsp(args) -> RunReport:
 
 
 def _cmd_certify(args) -> RunReport:
-    eps = _parse_eps(args.eps)
     budget = _parse_budget(args.budget)
     text = Path(args.infile).read_text(encoding="ascii")
     kind = detect_kind(text)
@@ -340,15 +322,10 @@ def _cmd_certify(args) -> RunReport:
         cert = is_alpha_approx_set(out, maxsat_oracle(inst), _parse_alpha(args.alpha))
         _add_certificate(report, cert)
         return report
-    report = RunReport(
-        "certify", "contract-match-expand" + ("+wrapper" if args.wrapper else "")
-    )
+    report = RunReport("certify", "contract-match-expand")
     g = parse_graph(text)
     report.add("instance", "sha256:" + digest(text))
-    if args.wrapper:
-        out = maxatsp_half_wrapper(g, budget=budget)
-    else:
-        out = maxatsp_approx(g, eps, budget=budget)
+    out = maxatsp_approx(g, budget=budget)
     report.add("output_size", len(out))
     cert = is_alpha_approx_set(out, tsp_oracle(g), _parse_alpha(args.alpha))
     _add_certificate(report, cert)
@@ -431,8 +408,16 @@ def _cmd_bench(args) -> RunReport:
 # -- parser -------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as one `error:` line, without the
+    usage block, and exits 2; subcommand parsers inherit this class."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mobal",
         description="Vector balancing and 1/2-approximate Pareto sets "
         "for multi-objective MaxSAT / MaxATSP",
@@ -472,16 +457,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("maxatsp", help="approximate or enumerate a tour instance")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--oracle", action="store_true", help="exact Pareto front instead")
-    p.add_argument("--eps", default="0", help="matching backend accuracy parameter")
-    p.add_argument("--wrapper", action="store_true", help="heavy-edge outer enumeration")
     common(p)
     p.set_defaults(handler=_cmd_maxatsp)
 
     p = sub.add_parser("certify", help="algorithm vs oracle on any instance file")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--alpha", default="1/2")
-    p.add_argument("--eps", default="0")
-    p.add_argument("--wrapper", action="store_true")
     common(p, certifiable=False)
     p.set_defaults(handler=_cmd_certify)
 

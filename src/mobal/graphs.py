@@ -183,23 +183,6 @@ def cycle_vertex_order(edges: Iterable[Edge], start: int | None = None) -> tuple
     return tuple(order)
 
 
-def contract_edge(g: LabeledDigraph, edge: Edge) -> LabeledDigraph:
-    """Merge v into u for edge (u, v).
-
-    v and its incident edges vanish; u keeps its incoming weights and
-    adopts v's outgoing ones: w'(u, z) = w(v, z).
-    """
-    u, v = edge
-    if edge not in g.weight_map:
-        raise PreconditionError(f"edge {edge} not in graph")
-    wm: dict[Edge, Weight] = {}
-    for (a, b), w in g.weight_map.items():
-        if v in (a, b):
-            continue
-        wm[(a, b)] = g.weight_map[(v, b)] if a == u else w
-    return LabeledDigraph(tuple(x for x in g.vertices if x != v), wm, g.dimension)
-
-
 @dataclass(frozen=True)
 class ContractionRecord:
     """Everything needed to undo a path-set contraction.
@@ -301,14 +284,6 @@ def contract_edge_set(
         for e in reversed(path):
             current = contract_edge_in_set(current, e)
     return current
-
-
-def relabel(g: LabeledDigraph, mapping: Mapping[int, int]) -> LabeledDigraph:
-    """Graph with vertices renamed through a bijection (test helper)."""
-    if sorted(mapping) != list(g.vertices) or len(set(mapping.values())) != len(mapping):
-        raise PreconditionError("mapping must be a bijection on the vertices")
-    wm = {(mapping[u], mapping[v]): w for (u, v), w in g.weight_map.items()}
-    return LabeledDigraph(tuple(sorted(mapping.values())), wm, g.dimension)
 
 
 def iter_hamiltonian_cycles(g: LabeledDigraph) -> Iterator[tuple[Edge, ...]]:

@@ -33,18 +33,12 @@ rebinds the backend, dropping the memo.  Contracting a path set
 rewrites only the outgoing rows of the path heads, so the sweep over
 path sets of one graph shares all head-free states.  An instance must
 not serve concurrent callers.
-
-The output is the exact Pareto front, so it trivially meets the
-(1 - eps) contract for any eps.  The backend interface carries a
-failure probability so that a randomized approximation scheme could be
-plugged in without touching the callers; the exact backend reports 0.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb, factorial
 from operator import add
 from typing import Protocol
@@ -55,11 +49,9 @@ from .pareto import SolutionSet, Weight, nondominated, pareto_front_witnesses
 
 
 class MatchingBackend(Protocol):
-    """Producer of (1 - eps)-approximate Pareto sets of matchings."""
+    """Producer of exact Pareto sets of matchings."""
 
-    failure_probability: Fraction
-
-    def pareto_matchings(self, g: LabeledDigraph, eps: Fraction) -> SolutionSet:
+    def pareto_matchings(self, g: LabeledDigraph) -> SolutionSet:
         ...
 
 
@@ -83,7 +75,6 @@ class ExactMatchingBackend:
     """
 
     vertex_cap: int = 10
-    failure_probability: Fraction = field(default=Fraction(0))
     _bound: LabeledDigraph | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -107,9 +98,7 @@ class ExactMatchingBackend:
             self._memo = {0: {((0,) * g.dimension, 0): ()}}
         return bound
 
-    def pareto_matchings(
-        self, g: LabeledDigraph, eps: Fraction = Fraction(0)
-    ) -> SolutionSet:
+    def pareto_matchings(self, g: LabeledDigraph) -> SolutionSet:
         if g.num_vertices > self.vertex_cap:
             raise BudgetExceededError(
                 f"exact matching backend refuses {g.num_vertices} vertices "
@@ -168,18 +157,3 @@ class ExactMatchingBackend:
         root = candidates(sum(bit[v] for v in verts))
         return pareto_front_witnesses((enc, w) for (w, _), enc in root.items())
 
-
-def matching_pareto(
-    g: LabeledDigraph,
-    eps: Fraction = Fraction(0),
-    backend: MatchingBackend | None = None,
-) -> SolutionSet:
-    """(1 - eps)-approximate Pareto set of matchings of g.
-
-    The default exact backend ignores eps and returns the true front.
-    """
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
-    if backend is None:
-        backend = ExactMatchingBackend()
-    return backend.pareto_matchings(g, eps)

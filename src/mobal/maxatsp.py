@@ -10,18 +10,20 @@ the matching backend is exact: every cycle T hides a small path set F
 and a matching of weight at least w(T)/2 - w(F) in the F-contracted
 graph, and expansion adds w(F) back.
 
-The heavy-edge wrapper repeats the construction one level up: it
-enumerates small path sets of even size (odd size when the vertex count
-is odd, which also fixes the parity for the core), contracts them first,
-and runs the core with eps = 1/|V| on the remainder.  The contracted
-weight it adds back absorbs the (1 - eps) loss of an approximate
-matching backend, so the 1/2 guarantee survives plugging in one.
+An odd vertex count is reduced to even ones: every path set of odd size
+at most 2k, single edges included, is contracted first, the core runs
+on each even remainder, and the expanded outputs are pooled.  The 1/2
+guarantee carries over.  Every tour T of G has an edge e, and T/e is a
+tour of G/e with w'(T/e) = w(T) - w(e).  The core returns a tour C' of
+G/e with w'(C') >= w'(T/e)/2 componentwise, so expanding C' through e
+gives a tour of G of weight w'(C') + w(e) >= w(T)/2 + w(e)/2 >= w(T)/2.
+Odd sizes >= 3 only add candidates to the pool, and the final filter
+drops a tour only for one that dominates it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator
@@ -98,28 +100,25 @@ def extend_matching(g: LabeledDigraph, matching: Iterable[Edge]) -> Cycle:
 
 
 def approx_cost_estimate(num_vertices: int, two_k: int) -> int:
-    """Matchings of every contracted graph the core F-loop visits.
+    """Matchings of every contracted graph the F-loop visits.
 
     The budget guard's yardstick: it counts what an exhaustive matching
     enumeration would visit; the subset DP's own cost is not modelled.
+    For an odd vertex count it sums the even estimate over the
+    remainders of the odd-size path sets contracted first.
     """
     n = num_vertices
     num_edges = n * (n - 1)
+    if n % 2:
+        return sum(
+            comb(num_edges, size) * approx_cost_estimate(n - size, two_k)
+            for size in range(1, two_k + 1, 2)
+            if n - size >= 2
+        )
     return sum(
         comb(num_edges, size) * matching_count(n - size)
         for size in range(two_k + 1)
         if n - size >= 2
-    )
-
-
-def wrapper_cost_estimate(num_vertices: int, two_k: int) -> int:
-    n = num_vertices
-    num_edges = n * (n - 1)
-    sizes = [s for s in range(two_k + 1) if s % 2 == n % 2]
-    return sum(
-        comb(num_edges, s) * approx_cost_estimate(n - s, two_k)
-        for s in sizes
-        if n - s >= 2
     )
 
 
@@ -132,26 +131,18 @@ def _pool_to_set(pool: dict[Weight, set[Cycle]]) -> SolutionSet:
 
 def maxatsp_approx(
     g: LabeledDigraph,
-    eps: Fraction = Fraction(0),
     *,
     backend: MatchingBackend | None = None,
     budget: int | None = None,
 ) -> SolutionSet:
     """Contract-match-extend-expand sweep over all small path sets.
 
-    Needs an even vertex count (the wrapper handles odd ones).  With the
-    exact matching backend the output is a 1/2-approximate Pareto set of
-    Hamiltonian cycles; with a (1 - eps)-approximate backend the factor
-    degrades to (1/2 - eps) and the wrapper restores it.
+    The output 1/2-covers every Hamiltonian cycle of g.  An odd vertex
+    count first contracts each odd-size path set and runs the sweep on
+    the even remainder (see the module docstring for the proof).
     """
     if g.num_vertices < 2:
         raise PreconditionError("need at least two vertices")
-    if g.num_vertices % 2:
-        raise PreconditionError(
-            "even vertex count required; use maxatsp_half_wrapper for odd graphs"
-        )
-    if eps < 0:
-        raise PreconditionError(f"eps must be >= 0, got {eps}")
     budget = resolve_budget(budget, DEFAULT_MAXATSP_BUDGET)
     two_k = even_objectives(g.dimension)
     estimate = approx_cost_estimate(g.num_vertices, two_k)
@@ -166,55 +157,19 @@ def maxatsp_approx(
     # one backend serves the whole sweep, so the exact backend's memo is
     # shared by every path set (contraction rewrites only head rows)
     pool: dict[Weight, set[Cycle]] = {}
+    if g.num_vertices % 2:
+        for f in path_set_candidates(g, range(1, two_k + 1, 2)):
+            rec = contract(g, f)
+            inner = maxatsp_approx(rec.contracted, backend=backend, budget=budget)
+            for t_enc, _ in inner:
+                t = expand(rec, t_enc)
+                pool.setdefault(g.edge_set_weight(t), set()).add(t)
+        return _pool_to_set(pool)
     for f in path_set_candidates(g, range(two_k + 1)):
         rec = contract(g, f)
-        for m_enc, _ in backend.pareto_matchings(rec.contracted, eps):
+        for m_enc, _ in backend.pareto_matchings(rec.contracted):
             t_prime = extend_matching(rec.contracted, m_enc)
             t = expand(rec, t_prime)
-            pool.setdefault(g.edge_set_weight(t), set()).add(t)
-    return _pool_to_set(pool)
-
-
-def maxatsp_half_wrapper(
-    g: LabeledDigraph,
-    *,
-    backend: MatchingBackend | None = None,
-    budget: int | None = None,
-) -> SolutionSet:
-    """Outer enumeration of heavy-edge candidate sets around the core.
-
-    Path sets whose size matches the vertex-count parity (even sizes for
-    even |V|, odd for odd -- experimental) are contracted up front, the
-    core runs with eps = 1/|V| on each remainder, and all expanded
-    outputs are pooled and filtered.
-    """
-    if g.num_vertices < 2:
-        raise PreconditionError("need at least two vertices")
-    budget = resolve_budget(budget, DEFAULT_MAXATSP_BUDGET)
-    two_k = even_objectives(g.dimension)
-    n = g.num_vertices
-    estimate = wrapper_cost_estimate(n, two_k)
-    if estimate > budget:
-        raise BudgetExceededError(
-            f"~{estimate} matchings to enumerate exceed budget {budget} "
-            f"({n} vertices, {two_k} objectives, wrapper)"
-        )
-    if backend is None:
-        backend = ExactMatchingBackend()
-    eps = Fraction(1, n)
-    sizes = [s for s in range(two_k + 1) if s % 2 == n % 2]
-    candidates = list(path_set_candidates(g, sizes))
-    if not candidates:
-        raise PreconditionError(
-            f"no admissible outer path set for {n} vertices at {two_k} objectives"
-        )
-
-    pool: dict[Weight, set[Cycle]] = {}
-    for f in candidates:
-        rec = contract(g, f)
-        inner = maxatsp_approx(rec.contracted, eps, backend=backend, budget=budget)
-        for t_enc, _ in inner:
-            t = expand(rec, t_enc)
             pool.setdefault(g.edge_set_weight(t), set()).add(t)
     return _pool_to_set(pool)
 
@@ -327,8 +282,6 @@ __all__ = [
     "extend_matching",
     "matching_claim_witness",
     "maxatsp_approx",
-    "maxatsp_half_wrapper",
     "path_set_candidates",
     "tsp_oracle",
-    "wrapper_cost_estimate",
 ]

@@ -159,18 +159,12 @@ def clause_bucket(
 
 @dataclass(frozen=True)
 class SatState:
-    """Per-iteration record of one V0 choice.
-
-    `g` is the clause set G; `gprime` the clauses not yet satisfied by
-    the forced assignment but still satisfiable through V' (bookkeeping
-    only; the emission loop never reads it).
-    """
+    """Per-iteration record of one V0 choice; `g` is the clause set G."""
 
     v0: frozenset[int]
     v1: frozenset[int]
     vprime: frozenset[int]
     g: tuple[int, ...]
-    gprime: tuple[int, ...]
 
 
 def even_objectives(dim: int) -> int:
@@ -190,7 +184,6 @@ def sat_state(inst: CnfInstance, v0: Iterable[int], two_k: int | None = None) ->
         for ci, clause in enumerate(inst.clauses)
         if not any(-v in clause for v in v0)
     )
-    in_g = set(g)
     rest = vec_sub(
         vec_total(inst.weights, dim),
         vec_total((inst.weights[ci] for ci in g), dim),
@@ -213,13 +206,7 @@ def sat_state(inst: CnfInstance, v0: Iterable[int], two_k: int | None = None) ->
     vprime = frozenset(
         v for v in range(1, inst.num_vars + 1) if v not in v0 and v not in v1
     )
-    gprime = tuple(
-        ci
-        for ci in g
-        if not any(v in inst.clauses[ci] for v in v1)
-        and any(v in inst.clauses[ci] or -v in inst.clauses[ci] for v in vprime)
-    )
-    return SatState(v0, v1, vprime, g, gprime)
+    return SatState(v0, v1, vprime, g)
 
 
 def iter_sat_states(inst: CnfInstance, two_k: int | None = None) -> Iterator[SatState]:

@@ -7,11 +7,22 @@ against the library's internals, so the cross-checks stay meaningful.
 from __future__ import annotations
 
 from itertools import combinations, permutations, product
+from typing import Mapping
 
-from mobal.graphs import LabeledDigraph, cycle_edges, is_matching
+from mobal.errors import PreconditionError
+from mobal.graphs import (
+    Edge,
+    LabeledDigraph,
+    contract,
+    cycle_edges,
+    expand,
+    is_matching,
+)
 from mobal.instances import GeneratorSpec, generate
-from mobal.maxsat import CnfInstance
-from mobal.pareto import SolutionSet, nondominated
+from mobal.matching import ExactMatchingBackend
+from mobal.maxatsp import DEFAULT_MAXATSP_BUDGET, maxatsp_approx, path_set_candidates
+from mobal.maxsat import CnfInstance, even_objectives, resolve_budget
+from mobal.pareto import SolutionSet, Weight, nondominated
 from mobal.rng import SplitMix64
 
 
@@ -108,6 +119,66 @@ def enumerated_pareto_matchings(g: LabeledDigraph) -> SolutionSet:
     visit(0, (0,) * g.dimension)
     front = nondominated(best.keys())
     return SolutionSet.build((best[w], w) for w in front)
+
+
+def odd_wrapper_reference(g: LabeledDigraph, *, backend=None, budget=None) -> SolutionSet:
+    """The heavy-edge wrapper's odd vertex-count branch, as it stood
+    before `maxatsp_approx` took odd graphs over.
+
+    Odd-size path sets are contracted first and the sweep runs on each
+    even remainder.  The wrapper's `eps = 1/n` argument is left out: the
+    exact matching backend ignored it.
+    """
+    if g.num_vertices < 2:
+        raise PreconditionError("need at least two vertices")
+    budget = resolve_budget(budget, DEFAULT_MAXATSP_BUDGET)
+    two_k = even_objectives(g.dimension)
+    n = g.num_vertices
+    assert n % 2, "reference for odd vertex counts only"
+    if backend is None:
+        backend = ExactMatchingBackend()
+    sizes = [s for s in range(two_k + 1) if s % 2 == n % 2]
+    candidates = list(path_set_candidates(g, sizes))
+    if not candidates:
+        raise PreconditionError(
+            f"no admissible outer path set for {n} vertices at {two_k} objectives"
+        )
+
+    pool = {}
+    for f in candidates:
+        rec = contract(g, f)
+        inner = maxatsp_approx(rec.contracted, backend=backend, budget=budget)
+        for t_enc, _ in inner:
+            t = expand(rec, t_enc)
+            pool.setdefault(g.edge_set_weight(t), set()).add(t)
+    front = nondominated(pool.keys())
+    return SolutionSet.build((enc, w) for w in front for enc in pool[w])
+
+
+def contract_edge(g: LabeledDigraph, edge: Edge) -> LabeledDigraph:
+    """Merge v into u for edge (u, v).
+
+    v and its incident edges vanish; u keeps its incoming weights and
+    adopts v's outgoing ones: w'(u, z) = w(v, z).  Reference for the
+    one-pass `contract`.
+    """
+    u, v = edge
+    if edge not in g.weight_map:
+        raise PreconditionError(f"edge {edge} not in graph")
+    wm: dict[Edge, Weight] = {}
+    for (a, b), w in g.weight_map.items():
+        if v in (a, b):
+            continue
+        wm[(a, b)] = g.weight_map[(v, b)] if a == u else w
+    return LabeledDigraph(tuple(x for x in g.vertices if x != v), wm, g.dimension)
+
+
+def relabel(g: LabeledDigraph, mapping: Mapping[int, int]) -> LabeledDigraph:
+    """Graph with vertices renamed through a bijection."""
+    if sorted(mapping) != list(g.vertices) or len(set(mapping.values())) != len(mapping):
+        raise PreconditionError("mapping must be a bijection on the vertices")
+    wm = {(mapping[u], mapping[v]): w for (u, v), w in g.weight_map.items()}
+    return LabeledDigraph(tuple(sorted(mapping.values())), wm, g.dimension)
 
 
 def all_cycles_with_weights(g: LabeledDigraph):

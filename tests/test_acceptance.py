@@ -26,7 +26,7 @@ from mobal.balancing import (
 )
 from mobal.graphs import LabeledDigraph, contract, expand, is_hamiltonian_cycle
 from mobal.instances import GeneratorSpec, generate
-from mobal.matching import matching_pareto
+from mobal.matching import ExactMatchingBackend
 from mobal.maxatsp import matching_claim_witness, maxatsp_approx, tsp_oracle
 from mobal.maxsat import maxsat_approx, maxsat_oracle
 from mobal.pareto import (
@@ -222,7 +222,7 @@ def test_criterion_6_oracle_cross_checks():
                 bound=9,
             )
         )
-        ours = matching_pareto(g)
+        ours = ExactMatchingBackend().pareto_matchings(g)
         independent = matchings_by_subset_filter(g)
         front = set(nondominated(w for _, w in independent))
         if set(ours.weights()) == front and all(

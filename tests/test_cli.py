@@ -82,9 +82,17 @@ def test_alpha_one_certificate_failure_exit_one(capsys, tmp_path):
     assert "uncovered_weight=" in out
 
 
-def test_unknown_flag_exit_two(capsys):
-    code, _, _ = run(capsys, "maxsat", "--nonsense")
+def test_unknown_flag_exit_two(capsys, tmp_path):
+    # a bad command line is one `error:` line, without the usage block
+    code, _, err = run(capsys, "maxsat", "--nonsense")
     assert code == 2
+    assert err == "error: the following arguments are required: --in\n"
+    path = gen_file(capsys, tmp_path, "g.txt", kind="graph", seed=5, vertices=4)
+    code, out, err = run(capsys, "maxatsp", "--in", str(path), "--bogus", "1")
+    assert code == 2 and out == ""
+    assert err == "error: unrecognized arguments: --bogus 1\n"
+    code, out, _ = run(capsys, "maxatsp", "-h")
+    assert code == 0 and "usage:" in out
 
 
 def test_missing_file_exit_two(capsys):
@@ -111,18 +119,9 @@ def test_maxatsp_certify_and_oracle(capsys, tmp_path):
     assert code == 0 and "algorithm=tsp-oracle" in out
 
 
-def test_maxatsp_eps_flag(capsys, tmp_path):
-    path = gen_file(capsys, tmp_path, "g.txt", kind="graph", seed=6, vertices=4, dim=2)
-    code, out, _ = run(capsys, "maxatsp", "--in", str(path), "--eps", "1/10")
-    assert code == 0
-    assert "eps=1/10" in out
-
-
-def test_maxatsp_wrapper_flag(capsys, tmp_path):
-    path = gen_file(capsys, tmp_path, "g.txt", kind="graph", seed=6, vertices=4, dim=2)
-    code, out, _ = run(
-        capsys, "maxatsp", "--in", str(path), "--wrapper", "--certify"
-    )
+def test_maxatsp_certifies_odd_vertex_count(capsys, tmp_path):
+    path = gen_file(capsys, tmp_path, "g.txt", kind="graph", seed=6, vertices=5, dim=2)
+    code, out, _ = run(capsys, "maxatsp", "--in", str(path), "--certify")
     assert code == 0 and "certified=yes" in out
 
 
@@ -197,6 +196,8 @@ BAD_INPUT_TABLE = [
     (["maxatsp", "--budget", "abc"], "graph", {}, "--budget"),
     (["maxsat", "--budget", "-5"], "cnf", {}, "--budget"),
     (["maxsat", "--budget", "abc"], "cnf", {}, "--budget"),
+    (["maxatsp", "--wrapper"], "graph", {}, "--wrapper"),
+    (["certify", "--wrapper"], "graph", {}, "--wrapper"),
 ]
 
 

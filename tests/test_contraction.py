@@ -2,13 +2,12 @@ from itertools import permutations
 
 import pytest
 
-from helpers import random_cycle, random_path_set
+from helpers import contract_edge, random_cycle, random_path_set, relabel
 from mobal.errors import PreconditionError
 from mobal.graphs import (
     ContractionRecord,
     LabeledDigraph,
     contract,
-    contract_edge,
     contract_edge_set,
     cycle_edges,
     expand,
@@ -16,7 +15,6 @@ from mobal.graphs import (
     is_matching,
     is_vertex_disjoint_paths,
     path_decomposition,
-    relabel,
 )
 from mobal.instances import GeneratorSpec, generate
 from mobal.rng import SplitMix64

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from helpers import (
@@ -10,7 +8,7 @@ from helpers import (
 from mobal.errors import BudgetExceededError
 from mobal.graphs import LabeledDigraph, contract, is_matching
 from mobal.instances import GeneratorSpec, generate
-from mobal.matching import ExactMatchingBackend, matching_count, matching_pareto
+from mobal.matching import ExactMatchingBackend, matching_count
 from mobal.pareto import (
     SolutionSet,
     nondominated,
@@ -25,7 +23,7 @@ def two_vertex_graph():
 
 
 def test_two_vertex_example():
-    out = matching_pareto(two_vertex_graph())
+    out = ExactMatchingBackend().pareto_matchings(two_vertex_graph())
     assert set(out.weights()) == {(3, 1), (1, 3)}
     solutions = {sol for sol, _ in out}
     assert solutions == {((0, 1),), ((1, 0),)}
@@ -35,7 +33,7 @@ def test_two_vertex_example():
 
 def test_all_zero_weights_single_representative():
     g = LabeledDigraph.from_weights(2, {(0, 1): (0, 0), (1, 0): (0, 0)})
-    out = matching_pareto(g)
+    out = ExactMatchingBackend().pareto_matchings(g)
     assert len(out) == 1
     assert out.entries[0][1] == (0, 0)
     assert out.entries[0][0] == ()  # smallest encoding: the empty matching
@@ -47,7 +45,7 @@ def test_backend_agrees_with_subset_filter_enumerator():
         g = generate(
             GeneratorSpec(kind="graph", seed=50_000 + i, vertices=vertices, dim=2, bound=9)
         )
-        ours = matching_pareto(g)
+        ours = ExactMatchingBackend().pareto_matchings(g)
         independent = matchings_by_subset_filter(g)
         assert set(ours.weights()) == set(nondominated(w for _, w in independent))
         filtered = pareto_filter(SolutionSet.build(independent))
@@ -71,15 +69,6 @@ def test_vertex_cap():
     backend = ExactMatchingBackend(vertex_cap=5)
     with pytest.raises(BudgetExceededError):
         backend.pareto_matchings(g)
-
-
-def test_eps_is_irrelevant_for_exact_backend():
-    g = two_vertex_graph()
-    assert matching_pareto(g, Fraction(0)) == matching_pareto(g, Fraction(1, 3))
-
-
-def test_failure_probability_field():
-    assert ExactMatchingBackend().failure_probability == Fraction(0)
 
 
 def differential_corpus():

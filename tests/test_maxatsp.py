@@ -3,7 +3,13 @@ from itertools import combinations
 
 import pytest
 
-from helpers import all_cycles_with_weights, matchings_by_subset_filter, random_cycle
+from helpers import (
+    all_cycles_with_weights,
+    matchings_by_subset_filter,
+    odd_wrapper_reference,
+    random_cycle,
+    relabel,
+)
 from mobal.errors import BudgetExceededError, PreconditionError
 from mobal.graphs import (
     LabeledDigraph,
@@ -11,7 +17,6 @@ from mobal.graphs import (
     is_hamiltonian_cycle,
     is_matching,
     is_vertex_disjoint_paths,
-    relabel,
 )
 from mobal.instances import GeneratorSpec, generate
 from mobal.matching import ExactMatchingBackend
@@ -20,12 +25,10 @@ from mobal.maxatsp import (
     extend_matching,
     matching_claim_witness,
     maxatsp_approx,
-    maxatsp_half_wrapper,
     path_set_candidates,
     tsp_oracle,
 )
 from mobal.pareto import (
-    dominates,
     is_alpha_approx_set,
     nondominated,
     pareto_front_witnesses,
@@ -70,29 +73,25 @@ def test_half_cover_six_vertices():
 
 
 def test_requires_even_vertex_count():
+    # an odd graph is accepted, and its output 1/2-covers the oracle front
     g = graph(1, vertices=5)
-    with pytest.raises(PreconditionError):
-        maxatsp_approx(g)
-
-
-def test_negative_eps_rejected():
-    with pytest.raises(PreconditionError):
-        maxatsp_approx(graph(1), Fraction(-1, 2))
+    cert = is_alpha_approx_set(maxatsp_approx(g), tsp_oracle(g), Fraction(1, 2))
+    assert cert.ok
 
 
 def test_budget_guard():
-    g = graph(2, vertices=8)
-    with pytest.raises(BudgetExceededError):
-        maxatsp_approx(g, budget=1000)
+    for g in (graph(2, vertices=8), graph(2, vertices=7)):
+        with pytest.raises(BudgetExceededError):
+            maxatsp_approx(g, budget=1000)
 
 
 def test_custom_backend_plugs_in():
     calls = []
 
     class CountingBackend(ExactMatchingBackend):
-        def pareto_matchings(self, g, eps=Fraction(0)):
+        def pareto_matchings(self, g):
             calls.append(g.num_vertices)
-            return super().pareto_matchings(g, eps)
+            return super().pareto_matchings(g)
 
     g = graph(63_000)
     out = maxatsp_approx(g, backend=CountingBackend())
@@ -103,15 +102,13 @@ class RecordingBackend:
     """Keeps every answer of `backend`, or of a new exact backend per call
     (no shared memo) when `backend` is None."""
 
-    failure_probability = Fraction(0)
-
     def __init__(self, backend=None):
         self.backend = backend
         self.answers = []
 
-    def pareto_matchings(self, g, eps=Fraction(0)):
+    def pareto_matchings(self, g):
         backend = ExactMatchingBackend() if self.backend is None else self.backend
-        out = backend.pareto_matchings(g, eps)
+        out = backend.pareto_matchings(g)
         self.answers.append(out)
         return out
 
@@ -149,15 +146,31 @@ def test_shared_memo_sweep_matches_fresh_backends():
         assert shared.answers == fresh.answers
 
 
-def test_wrapper_output_unchanged_by_shared_memo():
-    cases = [graph(66_000 + s) for s in range(4)]
-    cases += [graph(67_000 + s) for s in range(4)]
-    cases += [graph(68_000 + s, vertices=5, bound=20) for s in range(4)]
-    cases += [uniform_graph(4, 3)]
-    for g in cases:
-        assert maxatsp_half_wrapper(g) == maxatsp_half_wrapper(
-            g, backend=RecordingBackend()
+def test_odd_output_unchanged_by_shared_memo():
+    for s in range(4):
+        g = graph(68_000 + s, vertices=5, bound=20)
+        assert maxatsp_approx(g) == maxatsp_approx(g, backend=RecordingBackend())
+
+
+def odd_corpus():
+    """Seeded graphs, n in {3, 5} over dim 1-3 and weight bound 0/1/30,
+    plus one n = 7 case (each n = 7 sweep takes about two seconds, and
+    three objectives exceed the default budget there)."""
+    cases = [(n, dim, bound) for n in (3, 5) for dim in (1, 2, 3) for bound in (0, 1, 30)]
+    cases += [(7, 2, 1)]
+    for n, dim, bound in cases:
+        yield generate(
+            GeneratorSpec(
+                kind="graph", seed=54_000 + 100 * n + 10 * dim + bound,
+                vertices=n, dim=dim, bound=bound,
+            )
         )
+
+
+def test_odd_vertex_count_matches_wrapper_reference():
+    for g in odd_corpus():
+        # SolutionSet equality compares every weight and every witness
+        assert maxatsp_approx(g) == odd_wrapper_reference(g)
 
 
 def test_path_set_candidates_are_valid_and_ordered():
@@ -203,41 +216,10 @@ def test_extend_matching_rejects_non_matching():
         extend_matching(g, [(0, 1), (1, 2)])
 
 
-def test_wrapper_dominates_core_output():
-    for seed in range(4):
-        g = graph(66_000 + seed)
-        core = maxatsp_approx(g)
-        wrapped = maxatsp_half_wrapper(g)
-        wrapped_weights = set(wrapped.weights())
-        for _, w in core:
-            assert w in wrapped_weights or any(
-                dominates(v, w) for v in wrapped_weights
-            )
-
-
-def test_wrapper_half_cover_four_vertices():
-    for seed in range(4):
-        g = graph(67_000 + seed)
-        cert = is_alpha_approx_set(maxatsp_half_wrapper(g), tsp_oracle(g), Fraction(1, 2))
-        assert cert.ok
-
-
-def test_wrapper_uniform_weights():
-    g = uniform_graph(4, 3)
-    cert = is_alpha_approx_set(maxatsp_half_wrapper(g), tsp_oracle(g), Fraction(1))
-    assert cert.ok
-
-
-def test_wrapper_budget_refuses_default_eight_vertices():
-    g = graph(4, vertices=8)
-    with pytest.raises(BudgetExceededError):
-        maxatsp_half_wrapper(g)
-
-
-def test_wrapper_odd_vertex_count_experimental():
+def test_odd_vertex_count_half_cover():
     for seed in range(4):
         g = graph(68_000 + seed, vertices=5, bound=20)
-        out = maxatsp_half_wrapper(g)
+        out = maxatsp_approx(g)
         for sol, _ in out:
             assert is_hamiltonian_cycle(g, sol)
         cert = is_alpha_approx_set(out, tsp_oracle(g), Fraction(1, 2))
