@@ -303,6 +303,13 @@ def _cmd_maxatsp(args) -> RunReport:
     return report
 
 
+# kind -> (algorithm name, parser, approximation, oracle)
+_SOLVERS = {
+    "cnf": ("interval-sweep", parse_cnf, maxsat_approx, maxsat_oracle),
+    "graph": ("contract-match-expand", parse_graph, maxatsp_approx, tsp_oracle),
+}
+
+
 def _cmd_certify(args) -> RunReport:
     budget = _parse_budget(args.budget)
     text = Path(args.infile).read_text(encoding="ascii")
@@ -313,21 +320,13 @@ def _cmd_certify(args) -> RunReport:
         report.add("instance", "sha256:" + digest(text))
         _run_balance(variant, inst, True, report)
         return report
-    if kind == "cnf":
-        report = RunReport("certify", "interval-sweep")
-        inst = parse_cnf(text)
-        report.add("instance", "sha256:" + digest(text))
-        out = maxsat_approx(inst, budget=budget)
-        report.add("output_size", len(out))
-        cert = is_alpha_approx_set(out, maxsat_oracle(inst), _parse_alpha(args.alpha))
-        _add_certificate(report, cert)
-        return report
-    report = RunReport("certify", "contract-match-expand")
-    g = parse_graph(text)
+    algorithm, parse, approx, oracle = _SOLVERS[kind]
+    report = RunReport("certify", algorithm)
+    inst = parse(text)
     report.add("instance", "sha256:" + digest(text))
-    out = maxatsp_approx(g, budget=budget)
+    out = approx(inst, budget=budget)
     report.add("output_size", len(out))
-    cert = is_alpha_approx_set(out, tsp_oracle(g), _parse_alpha(args.alpha))
+    cert = is_alpha_approx_set(out, oracle(inst), _parse_alpha(args.alpha))
     _add_certificate(report, cert)
     return report
 
@@ -371,17 +370,10 @@ def _cmd_bench(args) -> RunReport:
                 verified += 1
             _, _, ratio = _balance_deviation(variant, instance, result)
             worst_ratio = max(worst_ratio, ratio)
-        elif args.kind == "cnf":
-            out = maxsat_approx(instance, budget=budget)
-            cert = is_alpha_approx_set(out, maxsat_oracle(instance), alpha)
-            successes += 1
-            certified += cert.ok
-            for r in cert.cover_ratios():
-                if r is not None:
-                    cover_min = r if cover_min is None else min(cover_min, r)
         else:
-            out = maxatsp_approx(instance, budget=budget)
-            cert = is_alpha_approx_set(out, tsp_oracle(instance), alpha)
+            _, _, approx, oracle = _SOLVERS[args.kind]
+            out = approx(instance, budget=budget)
+            cert = is_alpha_approx_set(out, oracle(instance), alpha)
             successes += 1
             certified += cert.ok
             for r in cert.cover_ratios():

@@ -1,24 +1,32 @@
 """Half-approximate Pareto sets for maximum asymmetric TSP with vector weights.
 
-The core routine enumerates every vertex-disjoint path set F of at most
-2k edges (2k = objective count, rounded up to even), contracts it, asks
-a matching backend for Pareto-optimal matchings of the contracted graph,
-completes each matching deterministically to a Hamiltonian cycle, and
-expands it back through F.  Pooled, deduplicated and Pareto-filtered,
-the emitted cycles 1/2-cover every Hamiltonian cycle of the input when
-the matching backend is exact: every cycle T hides a small path set F
-and a matching of weight at least w(T)/2 - w(F) in the F-contracted
-graph, and expansion adds w(F) back.
+One sweep serves every vertex count n.  With 2k the objective count
+rounded up to even, it enumerates every vertex-disjoint path set F of
+0..2k edges when n is even, or of 1..2k+1 edges when n is odd,
+contracts it, asks a matching backend for Pareto-optimal matchings of
+the contracted graph G/F, completes each matching deterministically to
+a Hamiltonian cycle, and expands it back through F.  Pooled,
+deduplicated and Pareto-filtered, the emitted cycles 1/2-cover every
+Hamiltonian cycle of the input when the matching backend is exact.
 
-An odd vertex count is reduced to even ones: every path set of odd size
-at most 2k, single edges included, is contracted first, the core runs
-on each even remainder, and the expanded outputs are pooled.  The 1/2
-guarantee carries over.  Every tour T of G has an edge e, and T/e is a
-tour of G/e with w'(T/e) = w(T) - w(e).  The core returns a tour C' of
-G/e with w'(C') >= w'(T/e)/2 componentwise, so expanding C' through e
-gives a tour of G of weight w'(C') + w(e) >= w(T)/2 + w(e)/2 >= w(T)/2.
-Odd sizes >= 3 only add candidates to the pool, and the final filter
-drops a tour only for one that dominates it.
+Even n: every cycle T hides a path set F of at most 2k edges and a
+matching of G/F of weight at least w(T)/2 - w(F), componentwise, and
+expansion adds w(F) back.
+
+Odd n: every tour T of G has an edge e, and T/e is a tour of the even
+graph G/e with w'(T/e) = w(T) - w(e).  By the even case, G/e has a path
+set F' of at most 2k edges and a matching M of (G/e)/F' with
+w'(M) >= w'(T/e)/2 - w'(F').  Let F = {e} + lift(F'), the edges of G
+that e and F' stand for: a path set of G with 1..2k+1 edges whose
+contraction G/F equals (G/e)/F', labels and weights included, and
+w(F) = w(e) + w'(F').  The sweep meets M at F, and expansion gives a
+tour of G of weight at least w'(M) + w(F) >= w(T)/2 + w(e)/2 >= w(T)/2.
+Conversely, every path set of G with 1..2k+1 edges is {e} + lift(F')
+for each of its edges e, so the sweep asks the backend exactly what
+contracting one edge and sweeping the even remainder would ask, once
+per path set instead of once per edge of it.  Contracting larger odd
+path sets first would also reach path sets of 2k+2..n-2 edges; the
+proof needs none of them, and none exists when n <= 2k+3.
 """
 
 from __future__ import annotations
@@ -104,28 +112,17 @@ def approx_cost_estimate(num_vertices: int, two_k: int) -> int:
 
     The budget guard's yardstick: it counts what an exhaustive matching
     enumeration would visit; the subset DP's own cost is not modelled.
-    For an odd vertex count it sums the even estimate over the
-    remainders of the odd-size path sets contracted first.
+    Path sets of each size the sweep takes (0..2k edges for an even
+    vertex count, 1..2k+1 for an odd one) are bounded by the edge
+    subsets of that size, each contracted graph by its matching count.
     """
     n = num_vertices
     num_edges = n * (n - 1)
-    if n % 2:
-        return sum(
-            comb(num_edges, size) * approx_cost_estimate(n - size, two_k)
-            for size in range(1, two_k + 1, 2)
-            if n - size >= 2
-        )
+    odd = n % 2
     return sum(
         comb(num_edges, size) * matching_count(n - size)
-        for size in range(two_k + 1)
+        for size in range(odd, two_k + odd + 1)
         if n - size >= 2
-    )
-
-
-def _pool_to_set(pool: dict[Weight, set[Cycle]]) -> SolutionSet:
-    front = nondominated(pool.keys())
-    return SolutionSet.build(
-        (enc, w) for w in front for enc in pool[w]
     )
 
 
@@ -137,9 +134,9 @@ def maxatsp_approx(
 ) -> SolutionSet:
     """Contract-match-extend-expand sweep over all small path sets.
 
-    The output 1/2-covers every Hamiltonian cycle of g.  An odd vertex
-    count first contracts each odd-size path set and runs the sweep on
-    the even remainder (see the module docstring for the proof).
+    The output 1/2-covers every Hamiltonian cycle of g.  Path sets have
+    0..2k edges for an even vertex count and 1..2k+1 for an odd one;
+    the module docstring proves the guarantee for both.
     """
     if g.num_vertices < 2:
         raise PreconditionError("need at least two vertices")
@@ -156,22 +153,16 @@ def maxatsp_approx(
 
     # one backend serves the whole sweep, so the exact backend's memo is
     # shared by every path set (contraction rewrites only head rows)
+    odd = g.num_vertices % 2
     pool: dict[Weight, set[Cycle]] = {}
-    if g.num_vertices % 2:
-        for f in path_set_candidates(g, range(1, two_k + 1, 2)):
-            rec = contract(g, f)
-            inner = maxatsp_approx(rec.contracted, backend=backend, budget=budget)
-            for t_enc, _ in inner:
-                t = expand(rec, t_enc)
-                pool.setdefault(g.edge_set_weight(t), set()).add(t)
-        return _pool_to_set(pool)
-    for f in path_set_candidates(g, range(two_k + 1)):
+    for f in path_set_candidates(g, range(odd, two_k + odd + 1)):
         rec = contract(g, f)
         for m_enc, _ in backend.pareto_matchings(rec.contracted):
             t_prime = extend_matching(rec.contracted, m_enc)
             t = expand(rec, t_prime)
             pool.setdefault(g.edge_set_weight(t), set()).add(t)
-    return _pool_to_set(pool)
+    front = nondominated(pool.keys())
+    return SolutionSet.build((enc, w) for w in front for enc in pool[w])
 
 
 def tsp_oracle(g: LabeledDigraph, cap: int = 9) -> SolutionSet:

@@ -19,9 +19,11 @@ from mobal.graphs import (
     is_vertex_disjoint_paths,
 )
 from mobal.instances import GeneratorSpec, generate
-from mobal.matching import ExactMatchingBackend
+from mobal.matching import ExactMatchingBackend, matching_count
 from mobal.maxsat import even_objectives
 from mobal.maxatsp import (
+    DEFAULT_MAXATSP_BUDGET,
+    approx_cost_estimate,
     extend_matching,
     matching_claim_witness,
     maxatsp_approx,
@@ -29,6 +31,7 @@ from mobal.maxatsp import (
     tsp_oracle,
 )
 from mobal.pareto import (
+    SolutionSet,
     is_alpha_approx_set,
     nondominated,
     pareto_front_witnesses,
@@ -72,13 +75,6 @@ def test_half_cover_six_vertices():
         assert cert.ok
 
 
-def test_requires_even_vertex_count():
-    # an odd graph is accepted, and its output 1/2-covers the oracle front
-    g = graph(1, vertices=5)
-    cert = is_alpha_approx_set(maxatsp_approx(g), tsp_oracle(g), Fraction(1, 2))
-    assert cert.ok
-
-
 def test_budget_guard():
     for g in (graph(2, vertices=8), graph(2, vertices=7)):
         with pytest.raises(BudgetExceededError):
@@ -99,16 +95,18 @@ def test_custom_backend_plugs_in():
 
 
 class RecordingBackend:
-    """Keeps every answer of `backend`, or of a new exact backend per call
-    (no shared memo) when `backend` is None."""
+    """Keeps every graph asked about and every answer of `backend`, or of
+    a new exact backend per call (no shared memo) when `backend` is None."""
 
     def __init__(self, backend=None):
         self.backend = backend
+        self.graphs = []
         self.answers = []
 
     def pareto_matchings(self, g):
         backend = ExactMatchingBackend() if self.backend is None else self.backend
         out = backend.pareto_matchings(g)
+        self.graphs.append(g)
         self.answers.append(out)
         return out
 
@@ -173,6 +171,56 @@ def test_odd_vertex_count_matches_wrapper_reference():
         assert maxatsp_approx(g) == odd_wrapper_reference(g)
 
 
+def test_odd_sweep_contracts_each_path_set_once():
+    # one contraction per path set of 1..2k+1 edges, in candidate order
+    for n in (3, 5):
+        for dim in (1, 2, 3):
+            g = graph(74_000 + 10 * n + dim, vertices=n, dim=dim)
+            rec = RecordingBackend(ExactMatchingBackend())
+            maxatsp_approx(g, backend=rec)
+            sizes = range(1, even_objectives(dim) + 2)
+            assert rec.graphs == [
+                contract(g, f).contracted for f in path_set_candidates(g, sizes)
+            ]
+
+
+class SilentBackend:
+    """Records each contracted graph's vertex count and finds no matching,
+    so a sweep costs only its path sets and contractions."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def pareto_matchings(self, g):
+        self.sizes.append(g.num_vertices)
+        return SolutionSet.build(())
+
+
+def test_cost_estimate_bounds_the_sweep():
+    cases = [(n, dim) for n in (3, 4, 5, 6) for dim in (2, 4)] + [(7, 2)]
+    for n, dim in cases:
+        g = graph(75_000 + 10 * n + dim, vertices=n, dim=dim)
+        silent = SilentBackend()
+        assert len(maxatsp_approx(g, backend=silent, budget=10**9)) == 0
+        work = sum(matching_count(h) for h in silent.sizes)
+        assert silent.sizes and approx_cost_estimate(n, even_objectives(dim)) >= work
+
+
+def test_default_budget_verdicts_for_odd_vertex_counts(monkeypatch):
+    monkeypatch.delenv("MOBAL_BUDGET", raising=False)
+    admitted = {(3, 2), (5, 2), (7, 2), (3, 4), (5, 4)}
+    for n in (3, 5, 7, 9, 11):
+        for two_k in (2, 4):
+            fits = approx_cost_estimate(n, two_k) <= DEFAULT_MAXATSP_BUDGET
+            assert fits == ((n, two_k) in admitted)
+            if not fits:
+                # the guard refuses before the backend is asked anything
+                silent = SilentBackend()
+                with pytest.raises(BudgetExceededError):
+                    maxatsp_approx(graph(76_000 + n, vertices=n, dim=two_k), backend=silent)
+                assert silent.sizes == []
+
+
 def test_path_set_candidates_are_valid_and_ordered():
     g = graph(64_000)
     cands = list(path_set_candidates(g, range(3)))
@@ -217,8 +265,8 @@ def test_extend_matching_rejects_non_matching():
 
 
 def test_odd_vertex_count_half_cover():
-    for seed in range(4):
-        g = graph(68_000 + seed, vertices=5, bound=20)
+    graphs = [graph(68_000 + seed, vertices=5, bound=20) for seed in range(4)]
+    for g in graphs + [graph(1, vertices=5)]:
         out = maxatsp_approx(g)
         for sol, _ in out:
             assert is_hamiltonian_cycle(g, sol)
