@@ -254,7 +254,14 @@ def _cmd_balance(args) -> RunReport:
     return report
 
 
+def _refuse_oracle_certify(args) -> None:
+    # checked before any work: the oracle alone can take seconds
+    if args.oracle and args.certify:
+        raise PreconditionError("--certify and --oracle are mutually exclusive")
+
+
 def _cmd_maxsat(args) -> RunReport:
+    _refuse_oracle_certify(args)
     report = RunReport("maxsat", "maxsat-oracle" if args.oracle else "interval-sweep")
     budget = _parse_budget(args.budget)
     text = Path(args.infile).read_text(encoding="ascii")
@@ -271,14 +278,13 @@ def _cmd_maxsat(args) -> RunReport:
     report.add("output_weights", _fmt_weights(out) or "-")
     report.note("output", f"{len(out)} Pareto candidate(s)")
     if args.certify:
-        if args.oracle:
-            raise PreconditionError("--certify and --oracle are mutually exclusive")
         cert = is_alpha_approx_set(out, maxsat_oracle(inst), _parse_alpha(args.alpha))
         _add_certificate(report, cert)
     return report
 
 
 def _cmd_maxatsp(args) -> RunReport:
+    _refuse_oracle_certify(args)
     report = RunReport(
         "maxatsp", "tsp-oracle" if args.oracle else "contract-match-expand"
     )
@@ -296,8 +302,6 @@ def _cmd_maxatsp(args) -> RunReport:
     report.add("output_weights", _fmt_weights(out) or "-")
     report.note("output", f"{len(out)} Pareto candidate(s)")
     if args.certify:
-        if args.oracle:
-            raise PreconditionError("--certify and --oracle are mutually exclusive")
         cert = is_alpha_approx_set(out, tsp_oracle(g), _parse_alpha(args.alpha))
         _add_certificate(report, cert)
     return report

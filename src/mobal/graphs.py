@@ -7,10 +7,13 @@ leaves h with the outgoing row of the path's last vertex and every
 other surviving edge with its own weight.  A set of pairwise
 vertex-disjoint paths is contracted in one pass by that rule,
 w'(h, z) = w(last, z) for each head h, so the path order is
-irrelevant.  Expansion is the inverse rewriting on a Hamiltonian cycle T
-of the contracted graph: reinserting (u, v) replaces the unique outgoing
-edge (u, x) of T by the detour (u, v), (v, x).  Expanding a cycle through
-the contracted path set adds back exactly the contracted weight.
+irrelevant.  Expansion inverts it in one pass on a Hamiltonian cycle T
+of the contracted graph: each edge (h, x) leaving a head becomes
+(last, x), every other edge of T stays, and the path edges are added
+back, which adds back exactly the contracted weight.  A contracted graph
+is built without re-validation, since its rows are copied from a graph
+that was validated when it was built; graphs built through the public
+constructor are always validated.
 
 Edge sets double as solutions in three roles: matchings (no two edges
 share any endpoint), path sets, and Hamiltonian cycles.  They are kept
@@ -60,6 +63,18 @@ class LabeledDigraph:
                 raise PreconditionError(f"edge {e} weight has wrong dimension")
             if any(c < 0 for c in w):
                 raise PreconditionError(f"edge {e} weight {w} is negative")
+
+    @classmethod
+    def _trusted(
+        cls, vertices: tuple[int, ...], weight_map: dict[Edge, Weight], dimension: int
+    ) -> "LabeledDigraph":
+        """Build without `__post_init__`: for callers whose sorted vertices
+        and weights are copied from a graph that was already validated."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "vertices", vertices)
+        object.__setattr__(g, "weight_map", weight_map)
+        object.__setattr__(g, "dimension", dimension)
+        return g
 
     @classmethod
     def from_weights(cls, n: int, weights: Mapping[Edge, Weight]) -> "LabeledDigraph":
@@ -136,30 +151,30 @@ def is_vertex_disjoint_paths(edges: Iterable[Edge]) -> bool:
 
 
 def is_hamiltonian_cycle(g: LabeledDigraph, edges: Iterable[Edge]) -> bool:
-    """One directed cycle visiting every vertex of g exactly once."""
+    """One directed cycle visiting every vertex of g exactly once.
+
+    n edges of g with n distinct tails give every vertex one successor;
+    they form one cycle iff the walk from a tail first returns to it at
+    step n.  The walk takes at most n steps, so it also ends when two
+    edges share a head and it runs into a cycle that misses its start.
+    """
     edge_list = list(edges)
-    if len(edge_list) != g.num_vertices or g.num_vertices < 2:
+    n = g.num_vertices
+    if len(edge_list) != n or n < 2:
         return False
-    succ: dict[int, int] = {}
+    wm = g.weight_map
     for e in edge_list:
-        if e not in g.weight_map:
+        if e not in wm:
             return False
-        u, v = e
-        if u in succ:
-            return False
-        succ[u] = v
-    if set(succ) != set(g.vertices):
+    succ = dict(edge_list)
+    if len(succ) != n:
         return False
-    if len(set(succ.values())) != g.num_vertices:
-        return False
-    # one cycle, not several: the walk from the start must visit everything
-    start = g.vertices[0]
-    u = succ[start]
-    steps = 1
-    while u != start:
+    start = u = edge_list[0][0]
+    for _ in range(n - 1):
         u = succ[u]
-        steps += 1
-    return steps == g.num_vertices
+        if u == start:
+            return False
+    return succ[u] == start
 
 
 def cycle_edges(order: tuple[int, ...]) -> tuple[Edge, ...]:
@@ -211,7 +226,9 @@ def contract(g: LabeledDigraph, q: Iterable[Edge]) -> ContractionRecord:
     the outgoing row of its path's last vertex, w'(h, z) = w(last, z),
     and every other surviving edge keeps its weight.  This is the graph
     that contracting each path edge-by-edge from its last edge yields,
-    in any path order; only the final graph is validated.
+    in any path order.  The result is not validated again: its vertices
+    are a sorted subset of g's and every weight is copied from g, which
+    was validated when it was built, so no check could fail.
     """
     q_edges = set(q)
     for e in q_edges:
@@ -227,7 +244,7 @@ def contract(g: LabeledDigraph, q: Iterable[Edge]) -> ContractionRecord:
         source[head] = path[-1][1]
     verts = tuple(x for x in g.vertices if vertex_map[x] == x)
     wm = g.weight_map
-    contracted = LabeledDigraph(
+    contracted = LabeledDigraph._trusted(
         verts,
         {(a, b): wm[(source.get(a, a), b)] for a in verts for b in verts if a != b},
         g.dimension,
@@ -235,34 +252,29 @@ def contract(g: LabeledDigraph, q: Iterable[Edge]) -> ContractionRecord:
     return ContractionRecord(g, paths, contracted, vertex_map)
 
 
-def expand_edge(t: frozenset[Edge], edge: Edge) -> frozenset[Edge]:
-    """Reinsert (u, v): reroute the unique outgoing edge (u, x) via v."""
-    u, v = edge
-    out = [e for e in t if e[0] == u]
-    if len(out) != 1:
-        raise PreconditionError(f"cycle has {len(out)} outgoing edges at {u}")
-    _, x = out[0]
-    return frozenset(e for e in t if e[0] != u) | {(u, v), (v, x)}
-
-
 def expand(rec: ContractionRecord, t: Iterable[Edge]) -> tuple[Edge, ...]:
     """Expand a Hamiltonian cycle of the contracted graph back through
     every contracted path.
 
-    The result is a Hamiltonian cycle of the original graph containing
-    all contracted edges, of weight w'(t) + w(paths).
+    One pass, the inverse of `contract`: a head h left the contraction
+    with the outgoing row of its path's last vertex, so an edge (h, x)
+    of t stands for (last, x), while edges entering h stay as they are.
+    The result is the contracted edges plus t with every tail so
+    rewritten: a Hamiltonian cycle of the original graph of weight
+    w'(t) + w(paths).  Both ends are checked: t against the contracted
+    graph (PreconditionError) and the result against the original
+    (SearchInvariantError).
     """
     t = frozenset(t)
     if not is_hamiltonian_cycle(rec.contracted, t):
         raise PreconditionError("t is not a Hamiltonian cycle of the contracted graph")
-    current = t
-    for path in rec.paths:
-        for e in path:
-            current = expand_edge(current, e)
-    result = tuple(sorted(current))
+    last = {path[0][0]: path[-1][1] for path in rec.paths}
+    result = [e for path in rec.paths for e in path]
+    result += [(last.get(u, u), v) for u, v in t]
+    result.sort()
     if not is_hamiltonian_cycle(rec.original, result):
         raise SearchInvariantError("expansion produced a non-Hamiltonian edge set")
-    return result
+    return tuple(result)
 
 
 def contract_edge_in_set(edges: frozenset[Edge], edge: Edge) -> frozenset[Edge]:

@@ -32,7 +32,6 @@ proof needs none of them, and none exists when n <= 2k+3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator
 
@@ -47,7 +46,6 @@ from .graphs import (
     expand,
     is_hamiltonian_cycle,
     is_matching,
-    is_vertex_disjoint_paths,
     iter_hamiltonian_cycles,
 )
 from .matching import ExactMatchingBackend, MatchingBackend, matching_count
@@ -67,14 +65,44 @@ def path_set_candidates(
     Deterministic order: sizes as given, within a size lexicographic
     over the sorted edge list.  Sets leaving fewer than two vertices
     after contraction are skipped (no Hamiltonian cycle would exist).
+
+    Sets grow depth-first in edge order.  An edge (u, v) joins only when
+    u has no successor yet, v has no predecessor yet, and the path
+    starting at v does not end at u (it would close a cycle).  Every
+    subset of a path set is a path set, so this visits exactly the
+    path-set combinations of each size, in combination order.
     """
     edges = g.edges()
+    succ: dict[int, int] = {}
+    has_pred: set[int] = set()
+    chosen: list[Edge] = []
+
+    def grow(first: int, need: int) -> Iterator[tuple[Edge, ...]]:
+        if not need:
+            yield tuple(chosen)
+            return
+        for i in range(first, len(edges) - need + 1):
+            e = edges[i]
+            u, v = e
+            if u in succ or v in has_pred:
+                continue
+            end = v
+            while end in succ:
+                end = succ[end]
+            if end == u:
+                continue
+            succ[u] = v
+            has_pred.add(v)
+            chosen.append(e)
+            yield from grow(i + 1, need - 1)
+            chosen.pop()
+            has_pred.discard(v)
+            del succ[u]
+
     for size in sizes:
         if g.num_vertices - size < 2:
             continue
-        for combo in combinations(edges, size):
-            if is_vertex_disjoint_paths(combo):
-                yield combo
+        yield from grow(0, size)
 
 
 def extend_matching(g: LabeledDigraph, matching: Iterable[Edge]) -> Cycle:
@@ -84,6 +112,12 @@ def extend_matching(g: LabeledDigraph, matching: Iterable[Edge]) -> Cycle:
     chained in order of their smallest start vertex and the cycle is
     closed from the last fragment back to the first.  Any completion
     preserves the matching's weight since edge weights are nonnegative.
+
+    The result is a Hamiltonian cycle without a further check: the
+    fragments partition the vertices (a matching shares no endpoint),
+    each connecting edge joins two distinct fragments (or closes the
+    only fragment, a matching edge, when n = 2), and the graph is
+    complete, so every connecting edge exists.
     """
     m_edges = sorted(matching)
     if not is_matching(m_edges):
@@ -101,10 +135,7 @@ def extend_matching(g: LabeledDigraph, matching: Iterable[Edge]) -> Cycle:
     for (_, end), (nxt, _) in zip(fragments, fragments[1:]):
         cycle.append((end, nxt))
     cycle.append((fragments[-1][1], fragments[0][0]))
-    result = tuple(sorted(cycle))
-    if not is_hamiltonian_cycle(g, result):
-        raise PreconditionError("completion failed; matching incompatible with graph")
-    return result
+    return tuple(sorted(cycle))
 
 
 def approx_cost_estimate(num_vertices: int, two_k: int) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import ge
 from typing import Any, Iterable, Iterator
 
 from .errors import DimensionMismatchError, PreconditionError
@@ -137,7 +138,10 @@ def nondominated(weights: Iterable[Weight]) -> set[Weight]:
     distinct.sort(reverse=True)
     kept: list[Weight] = []
     for w in distinct:
-        if not any(all(x >= y for x, y in zip(v, w)) for v in kept):
+        for v in kept:
+            if all(map(ge, v, w)):
+                break
+        else:
             kept.append(w)
     return set(kept)
 

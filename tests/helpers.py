@@ -17,6 +17,7 @@ from mobal.graphs import (
     cycle_edges,
     expand,
     is_matching,
+    is_vertex_disjoint_paths,
 )
 from mobal.instances import GeneratorSpec, generate
 from mobal.matching import ExactMatchingBackend
@@ -153,6 +154,52 @@ def odd_wrapper_reference(g: LabeledDigraph, *, backend=None, budget=None) -> So
             pool.setdefault(g.edge_set_weight(t), set()).add(t)
     front = nondominated(pool.keys())
     return SolutionSet.build((enc, w) for w in front for enc in pool[w])
+
+
+def combination_path_sets(g: LabeledDigraph, sizes):
+    """Path sets by filtering plain edge combinations, size by size.
+
+    Reference for the depth-first `path_set_candidates`, which must yield
+    the same sets in the same order.
+    """
+    edges = g.edges()
+    for size in sizes:
+        if g.num_vertices - size < 2:
+            continue
+        for combo in combinations(edges, size):
+            if is_vertex_disjoint_paths(combo):
+                yield combo
+
+
+def checked_is_hamiltonian_cycle(g: LabeledDigraph, edges) -> bool:
+    """Hamiltonian-cycle test that checks every property separately.
+
+    Reference for the library's `is_hamiltonian_cycle`, which must give
+    the same answer on every input.
+    """
+    edge_list = list(edges)
+    if len(edge_list) != g.num_vertices or g.num_vertices < 2:
+        return False
+    succ: dict[int, int] = {}
+    for e in edge_list:
+        if e not in g.weight_map:
+            return False
+        u, v = e
+        if u in succ:
+            return False
+        succ[u] = v
+    if set(succ) != set(g.vertices):
+        return False
+    if len(set(succ.values())) != g.num_vertices:
+        return False
+    # one cycle, not several: the walk from the start must visit everything
+    start = g.vertices[0]
+    u = succ[start]
+    steps = 1
+    while u != start:
+        u = succ[u]
+        steps += 1
+    return steps == g.num_vertices
 
 
 def contract_edge(g: LabeledDigraph, edge: Edge) -> LabeledDigraph:

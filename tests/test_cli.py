@@ -198,6 +198,8 @@ BAD_INPUT_TABLE = [
     (["maxsat", "--budget", "abc"], "cnf", {}, "--budget"),
     (["maxatsp", "--wrapper"], "graph", {}, "--wrapper"),
     (["certify", "--wrapper"], "graph", {}, "--wrapper"),
+    (["maxatsp", "--oracle", "--certify"], "graph", {}, "--certify"),
+    (["maxsat", "--oracle", "--certify"], "cnf", {}, "--certify"),
 ]
 
 
@@ -218,4 +220,22 @@ def test_bad_input_exits_two_with_one_error_line(
     error_lines = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(error_lines) == 1 and names in error_lines[0]
     assert "Traceback" not in err
+    assert "report-begin" not in out
+
+
+@pytest.mark.parametrize("command, kind", [("maxatsp", "graph"), ("maxsat", "cnf")])
+def test_oracle_certify_refused_before_any_solver_runs(
+    capsys, tmp_path, monkeypatch, command, kind
+):
+    path = gen_file(capsys, tmp_path, "in.txt", kind=kind, seed=5)
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a solver ran before the flags were checked")
+
+    for name in ("tsp_oracle", "maxsat_oracle", "maxatsp_approx", "maxsat_approx"):
+        monkeypatch.setattr(f"mobal.cli.{name}", must_not_run)
+    code, out, err = run(capsys, command, "--in", str(path), "--oracle", "--certify")
+    assert code == 2
+    error_lines = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(error_lines) == 1 and "--certify" in error_lines[0]
     assert "report-begin" not in out

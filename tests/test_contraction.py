@@ -2,7 +2,13 @@ from itertools import permutations
 
 import pytest
 
-from helpers import contract_edge, random_cycle, random_path_set, relabel
+from helpers import (
+    checked_is_hamiltonian_cycle,
+    contract_edge,
+    random_cycle,
+    random_path_set,
+    relabel,
+)
 from mobal.errors import PreconditionError
 from mobal.graphs import (
     ContractionRecord,
@@ -165,6 +171,64 @@ def test_expand_rejects_non_hamiltonian():
     rec = contract(g, {(0, 1)})
     with pytest.raises(PreconditionError):
         expand(rec, {(0, 2), (2, 3)})
+
+
+def test_expand_checks_its_input_cycle():
+    # (1, 2), (2, 3), (3, 0) is no cycle of the contracted graph on
+    # {0, 2, 3}: vertex 1 is gone.  Rewriting tails without the input
+    # check would return the tour (0, 1), (1, 2), (2, 3), (3, 0) of g.
+    g = figure_graph()
+    rec = contract(g, {(0, 1)})
+    with pytest.raises(PreconditionError):
+        expand(rec, {(1, 2), (2, 3), (3, 0)})
+
+
+def _non_tours(order, n):
+    """Edge lists near the tour through `order` that are no Hamiltonian
+    cycle, by the property they break."""
+    tour = list(cycle_edges(order))
+    out = {
+        "missing edge": tour[1:],
+        "extra edge": tour + [(order[0], order[2 % n])],
+        "self-loop": [(order[0], order[0])] + tour[1:],
+        "foreign vertex": [(order[0], n)] + tour[1:],
+        # order[1] gets a second outgoing edge and order[0] loses its own
+        "repeated tail": [(order[1], order[0])] + tour[1:],
+        # the walk from order[0] runs into the cycle order[1..] and
+        # never returns: order[1] has two incoming edges
+        "rho": tour[:-1] + [(order[-1], order[1])],
+    }
+    if n >= 4:
+        half = n // 2
+        out["two cycles"] = list(cycle_edges(order[:half])) + list(
+            cycle_edges(order[half:])
+        )
+    return out
+
+
+def test_is_hamiltonian_cycle_matches_checked_reference():
+    rng = SplitMix64(77)
+    cases = 0
+    for n in range(2, 8):
+        for g in graphs(3, vertices=n, seed0=43_000 + 10 * n, dim=1 + n % 3):
+            order = list(g.vertices)
+            rng.shuffle(order)
+            order = tuple(order)
+            tour = cycle_edges(order)
+            for edges in (tour, tuple(sorted(tour)), frozenset(tour)):
+                assert is_hamiltonian_cycle(g, edges)
+                assert checked_is_hamiltonian_cycle(g, edges)
+            assert is_hamiltonian_cycle(g, (e for e in tour))
+            assert not is_hamiltonian_cycle(g, (e for e in tour[1:]))
+            for name, edges in _non_tours(order, n).items():
+                if n == 2 and name == "rho":
+                    continue  # no third vertex to run into
+                want = checked_is_hamiltonian_cycle(g, edges)
+                assert not want, name
+                assert is_hamiltonian_cycle(g, edges) == want, name
+                assert is_hamiltonian_cycle(g, iter(edges)) == want, name
+                cases += 1
+    assert cases >= 3 * 6 * 6
 
 
 def test_vertex_map_tracks_heads():

@@ -5,6 +5,8 @@ import pytest
 
 from helpers import (
     all_cycles_with_weights,
+    checked_is_hamiltonian_cycle,
+    combination_path_sets,
     matchings_by_subset_filter,
     odd_wrapper_reference,
     random_cycle,
@@ -235,14 +237,37 @@ def test_path_set_candidates_are_valid_and_ordered():
     assert all(is_vertex_disjoint_paths(f) for f in cands)
     sizes = [len(f) for f in cands]
     assert sizes == sorted(sizes)
-    # every vertex-disjoint path set of size <= 2 leaving >= 2 vertices
-    expected = 0
-    for size in range(3):
-        if g.num_vertices - size < 2:
-            continue
-        for combo in combinations(g.edges(), size):
-            expected += is_vertex_disjoint_paths(combo)
-    assert len(cands) == expected
+    # every vertex-disjoint path set of size <= 2 leaving >= 2 vertices,
+    # in combination order
+    assert cands == list(combination_path_sets(g, range(3)))
+
+
+def test_path_set_candidates_match_combination_filter():
+    # path sets depend on the vertices only, so the reference is built
+    # once per vertex count and size and shared by the three dimensions
+    reference = {}
+
+    def expected(g, sizes):
+        out = []
+        for size in sizes:
+            key = (g.num_vertices, size)
+            if key not in reference:
+                reference[key] = list(combination_path_sets(g, [size]))
+            out += reference[key]
+        return out
+
+    checked = 0
+    for n in range(2, 8):
+        for dim in (1, 2, 3):
+            g = graph(64_100 + 10 * n + dim, vertices=n, dim=dim)
+            two_k = even_objectives(dim)
+            ranges = [range(0, two_k + 1), range(1, two_k + 2)]
+            if n == 7:
+                ranges.append(range(6))
+            for sizes in ranges:
+                assert list(path_set_candidates(g, sizes)) == expected(g, sizes)
+                checked += 1
+    assert checked == 6 * 3 * 2 + 3
 
 
 def test_extend_matching_contains_matching():
@@ -263,6 +288,22 @@ def test_extend_matching_contains_matching():
     assert extend_matching(g, []) == tuple(
         sorted(((i, (i + 1) % 6) for i in range(6)))
     )
+
+
+def test_extend_matching_completes_every_matching():
+    # extend_matching no longer checks its result; the sweep relies on
+    # every matching completing to a Hamiltonian cycle that contains it
+    checked = 0
+    for n in range(2, 8):
+        g = graph(65_100 + n, vertices=n, dim=1 + n % 3)
+        for m_enc, _ in matchings_by_subset_filter(g):
+            t = extend_matching(g, m_enc)
+            assert checked_is_hamiltonian_cycle(g, t)
+            assert set(m_enc) <= set(t)
+            assert t == tuple(sorted(t))
+            checked += 1
+    # matchings of K_n with directed edges, n = 2..7
+    assert checked == sum(matching_count(n) for n in range(2, 8))
 
 
 def test_extend_matching_rejects_non_matching():
