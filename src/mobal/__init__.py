@@ -52,7 +52,6 @@ from .maxsat import (
     CnfInstance,
     SatState,
     assignment_weight,
-    clause_bucket,
     maxsat_approx,
     maxsat_oracle,
 )

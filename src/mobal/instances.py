@@ -251,6 +251,8 @@ def parse_cnf(text: str) -> CnfInstance:
         if tokens[0] == "c":
             if len(tokens) == 3 and tokens[1] == "k" and header is None:
                 dim = _ints(tokens[2:], no, 1)[0]
+                if dim < 1:
+                    raise InstanceFormatError(f"dimension must be >= 1, got {dim}", no)
             continue
         if tokens[0] == "p":
             if header is not None:
@@ -258,6 +260,8 @@ def parse_cnf(text: str) -> CnfInstance:
             if len(tokens) != 4 or tokens[1] != "cnf":
                 raise InstanceFormatError("header must be 'p cnf <vars> <clauses>'", no)
             header = (no, _ints(tokens[2:3], no, 1)[0], _ints(tokens[3:4], no, 1)[0])
+            if header[1] < 1:
+                raise InstanceFormatError("num_vars must be >= 1", no)
             continue
         if tokens[0] == "w":
             if header is None or dim is None:
@@ -273,6 +277,12 @@ def parse_cnf(text: str) -> CnfInstance:
             lits = values[dim:-1]
             if not lits or any(lit == 0 for lit in lits):
                 raise InstanceFormatError("clause needs nonzero literals before the 0", no)
+            ci = len(clause_lines)
+            for lit in lits:
+                if abs(lit) > header[1]:
+                    raise InstanceFormatError(f"clause {ci} has bad literal {lit}", no)
+            if any(c < 0 for c in weight):
+                raise InstanceFormatError(f"weight {ci} = {weight} is negative", no)
             clause_lines.append((no, frozenset(lits), weight))
             continue
         raise InstanceFormatError(f"unrecognized line {line!r}", no)

@@ -19,6 +19,20 @@ treated as carrying one extra, always-zero objective) and enumerates:
 
 Deduplicated and Pareto-filtered, the emitted assignments contain a
 1/2-approximate Pareto set of the instance.
+
+Both the sweep and the 2^m oracle weigh assignments through one clause
+table (`_ClauseTable`).  Each clause's weight vector is packed into a
+single int, objective c in the field at bit c * width, where width is
+one bit more than the bit length of the largest objective total.  A
+field of any sum of clause weights holds at most that objective's total,
+so it never carries into the next field and integer addition of packed
+values is exact vector addition; the spare top bit also lets two packed
+vectors be compared field by field with one subtraction.  The
+satisfied-clause set of an assignment is the union of the sets its two
+variable halves satisfy (Horowitz & Sahni's meet-in-the-middle split,
+J. ACM 21(2), 1974), read from two tables of at most 2^ceil(m/2)
+entries; its packed weight is a sum of lookups, eight clauses at a
+time.  Fields are unpacked only for distinct weights.
 """
 
 from __future__ import annotations
@@ -26,16 +40,16 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations
+from math import comb
+from operator import add
 from typing import Iterable, Iterator
 
 from .errors import BudgetExceededError, PreconditionError
 from .pareto import (
     SolutionSet,
     Weight,
-    pareto_filter,
-    pareto_front_witnesses,
-    vec_sub,
+    nondominated,
     vec_total,
 )
 
@@ -102,28 +116,88 @@ class CnfInstance:
     def dimension(self) -> int:
         return len(self.weights[0])
 
-    def tautological(self) -> tuple[int, ...]:
-        """Indices of clauses containing both a variable and its negation."""
-        return tuple(
-            ci
-            for ci, clause in enumerate(self.clauses)
-            if any(-lit in clause for lit in clause)
-        )
-
     @cached_property
-    def _masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        # bit j-1 holds variable j
-        pos, neg = [], []
-        for clause in self.clauses:
-            p = n = 0
+    def _table(self) -> _ClauseTable:
+        return _ClauseTable(self)
+
+
+class _ClauseTable:
+    """Packed clause weights and satisfied-clause tables of one instance.
+
+    Assignments are masks with bit j-1 holding variable j; clause sets
+    are ints with bit i holding clause i.  The low `low_bits` variables
+    index `lo`, the others index `hi`, and an assignment a satisfies the
+    clause set ``lo[a & low_mask] | hi[a >> low_bits]``.
+    """
+
+    def __init__(self, inst: CnfInstance):
+        m, dim = inst.num_vars, inst.dimension
+        # the spare top bit of each field is the guard bit of `within`
+        width = max(vec_total(inst.weights, dim)).bit_length() + 1
+        self.shifts = tuple(range(0, width * dim, width))
+        self.field_mask = (1 << width) - 1
+        self.guards = sum(1 << (s + width - 1) for s in self.shifts)
+        # clauses holding literal j+1 / -(j+1)
+        self.pos_clauses = [0] * m
+        self.neg_clauses = [0] * m
+        for ci, clause in enumerate(inst.clauses):
             for lit in clause:
                 if lit > 0:
-                    p |= 1 << (lit - 1)
+                    self.pos_clauses[lit - 1] |= 1 << ci
                 else:
-                    n |= 1 << (-lit - 1)
-            pos.append(p)
-            neg.append(n)
-        return tuple(pos), tuple(neg)
+                    self.neg_clauses[-lit - 1] |= 1 << ci
+        self.all_clauses = (1 << len(inst.clauses)) - 1
+        self.low_bits = m // 2
+        self.low_mask = (1 << self.low_bits) - 1
+        self.lo = self._half(range(self.low_bits))
+        self.hi = self._half(range(self.low_bits, m))
+        # chunk t maps the satisfied subset of clauses 8t..8t+7 to its packed weight
+        self.chunks = []
+        for start in range(0, len(inst.clauses), 8):
+            sums = [0]
+            for w in inst.weights[start : start + 8]:
+                packed = self.pack(w)
+                sums += [s + packed for s in sums]
+            self.chunks.append(sums)
+
+    def _half(self, bits: range) -> list[int]:
+        # index bit b (counted from the half's first bit) sets its variable to 1
+        table = [0]
+        for j in bits:
+            table = [t | self.neg_clauses[j] for t in table] + [
+                t | self.pos_clauses[j] for t in table
+            ]
+        return table
+
+    def pack(self, w: Weight) -> int:
+        return sum(c << s for c, s in zip(w, self.shifts))
+
+    def unpack(self, packed: int) -> Weight:
+        fm = self.field_mask
+        return tuple([(packed >> s) & fm for s in self.shifts])
+
+    def within(self, packed: int, bound: int) -> bool:
+        """Whether every field of `packed` is at most that of `bound`.
+
+        Both must be packed vectors whose fields leave the guard bit
+        clear; a field then subtracts without borrowing from the next,
+        and its guard bit survives exactly when the field is in bounds.
+        """
+        return ((bound | self.guards) - packed) & self.guards == self.guards
+
+    def satisfied(self, masks: Iterable[int]) -> list[int]:
+        """Satisfied-clause set of each assignment mask."""
+        lo, hi, low_mask, low_bits = self.lo, self.hi, self.low_mask, self.low_bits
+        return [lo[a & low_mask] | hi[a >> low_bits] for a in masks]
+
+    def weigh(self, clause_sets: list[int]) -> list[int]:
+        """Packed weight of each clause set."""
+        first, *rest = self.chunks
+        total = [first[s & 255] for s in clause_sets]
+        for t, sums in enumerate(rest, start=1):
+            shift = 8 * t
+            total = list(map(add, total, [sums[(s >> shift) & 255] for s in clause_sets]))
+        return total
 
 
 def clause_satisfied(clause: frozenset[int], assignment: Assignment) -> bool:
@@ -149,14 +223,6 @@ def assignment_weight(inst: CnfInstance, assignment: Assignment) -> Weight:
     )
 
 
-def clause_bucket(
-    inst: CnfInstance, literal: int, within: Iterable[int] | None = None
-) -> tuple[int, ...]:
-    """Indices of the clauses (among `within`, default all) containing `literal`."""
-    ids = range(len(inst.clauses)) if within is None else within
-    return tuple(ci for ci in ids if literal in inst.clauses[ci])
-
-
 @dataclass(frozen=True)
 class SatState:
     """Per-iteration record of one V0 choice; `g` is the clause set G."""
@@ -176,36 +242,30 @@ def sat_state(inst: CnfInstance, v0: Iterable[int], two_k: int | None = None) ->
     v0 = frozenset(v0)
     if any(v < 1 or v > inst.num_vars for v in v0):
         raise PreconditionError("V0 contains an out-of-range variable")
-    dim = inst.dimension
     if two_k is None:
-        two_k = even_objectives(dim)
-    g = tuple(
-        ci
-        for ci, clause in enumerate(inst.clauses)
-        if not any(-v in clause for v in v0)
-    )
-    rest = vec_sub(
-        vec_total(inst.weights, dim),
-        vec_total((inst.weights[ci] for ci in g), dim),
-    )
-    neg_weight: dict[int, list[int]] = {}
-    for ci in g:
-        w = inst.weights[ci]
-        for lit in inst.clauses[ci]:
-            if lit < 0:
-                acc = neg_weight.setdefault(-lit, [0] * dim)
-                for c in range(dim):
-                    acc[c] += w[c]
-    v1 = frozenset(
+        two_k = even_objectives(inst.dimension)
+    table = inst._table
+    # G: the clauses without a negated V0 literal
+    discarded = 0
+    for v in v0:
+        discarded |= table.neg_clauses[v - 1]
+    g_set = table.all_clauses & ~discarded
+    g = tuple([ci for ci in range(g_set.bit_length()) if g_set >> ci & 1])
+    free = [
         v
-        for v in range(1, inst.num_vars + 1)
-        if v not in v0
-        and v in neg_weight
-        and any(two_k * neg_weight[v][c] > rest[c] for c in range(dim))
+        for v, neg in enumerate(table.neg_clauses, start=1)
+        if v not in v0 and neg & g_set
+    ]
+    rest, *neg_weights = table.weigh(
+        [discarded] + [table.neg_clauses[v - 1] & g_set for v in free]
     )
-    vprime = frozenset(
-        v for v in range(1, inst.num_vars + 1) if v not in v0 and v not in v1
+    # 2k * w > r  <=>  w > r // 2k, so v stays out of V1 iff its
+    # negative weight is within the per-objective floors
+    floors = table.pack([r // two_k for r in table.unpack(rest)])
+    v1 = frozenset(
+        v for v, packed in zip(free, neg_weights) if not table.within(packed, floors)
     )
+    vprime = frozenset(range(1, inst.num_vars + 1)) - v0 - v1
     return SatState(v0, v1, vprime, g)
 
 
@@ -221,8 +281,14 @@ def iter_sat_states(inst: CnfInstance, two_k: int | None = None) -> Iterator[Sat
 
 
 def maxsat_scan_estimate(num_vars: int, two_k: int) -> int:
-    """Crude emission-count bound used by the budget guard."""
-    return num_vars ** (two_k * two_k + two_k)
+    """Upper bound on the masks the sweep emits, used by the budget guard.
+
+    There is one state per V0 of size at most (2k)^2, and a state with
+    interval variables V' emits at most (|V'|^2 + 1)^k masks: k choices
+    among |V'|^2 endpoint pairs plus the empty interval.
+    """
+    states = sum(comb(num_vars, s) for s in range(min(two_k * two_k, num_vars) + 1))
+    return states * (num_vars * num_vars + 1) ** (two_k // 2)
 
 
 def _emit_masks(state: SatState, half_k: int) -> set[int]:
@@ -247,30 +313,26 @@ def _emit_masks(state: SatState, half_k: int) -> set[int]:
         # a single interval variable admits no a > b tuple, yet the empty
         # interval is still one of the combinations to realize
         pair_masks.append(0)
-    out = set()
-    for combo in product(pair_masks, repeat=half_k):
-        mask = base
-        for pm in combo:
-            mask |= pm
-        out.add(mask)
+    # OR-ing one pair mask per interval, deduplicated after each interval
+    out = {base}
+    for _ in range(half_k):
+        out = {mask | pm for mask in out for pm in pair_masks}
     return out
 
 
 def maxsat_approx(inst: CnfInstance, *, budget: int | None = None) -> SolutionSet:
     """Deduplicated, Pareto-filtered sweep of the interval assignments.
 
-    The scan grows like m^((2k)^2 + 2k); instances over the budget are
+    Instances whose `maxsat_scan_estimate` exceeds the budget are
     refused up front with the largest admissible variable count.
     """
     budget = resolve_budget(budget, DEFAULT_MAXSAT_BUDGET)
-    m, dim = inst.num_vars, inst.dimension
-    two_k = even_objectives(dim)
-    half_k = two_k // 2
-    exponent = two_k * two_k + two_k
+    m = inst.num_vars
+    two_k = even_objectives(inst.dimension)
     estimate = maxsat_scan_estimate(m, two_k)
     if estimate > budget:
-        limit = 1
-        while (limit + 1) ** exponent <= budget:
+        limit = 0
+        while maxsat_scan_estimate(limit + 1, two_k) <= budget:
             limit += 1
         raise BudgetExceededError(
             f"scan of ~{estimate} assignments exceeds budget {budget}; "
@@ -279,21 +341,19 @@ def maxsat_approx(inst: CnfInstance, *, budget: int | None = None) -> SolutionSe
 
     masks: set[int] = set()
     for state in iter_sat_states(inst, two_k):
-        masks |= _emit_masks(state, half_k)
+        masks |= _emit_masks(state, two_k // 2)
 
-    pos, neg = inst._masks
-    full = (1 << m) - 1
-    entries = []
-    for mask in masks:
-        flipped = ~mask & full
-        w = [0] * dim
-        for p, n, cw in zip(pos, neg, inst.weights):
-            if (p & mask) or (n & flipped):
-                for c in range(dim):
-                    w[c] += cw[c]
-        assignment = tuple((mask >> j) & 1 for j in range(m))
-        entries.append((assignment, tuple(w)))
-    return pareto_filter(SolutionSet.build(entries))
+    table = inst._table
+    order = list(masks)
+    by_weight: dict[int, list[int]] = {}
+    for mask, packed in zip(order, table.weigh(table.satisfied(order))):
+        by_weight.setdefault(packed, []).append(mask)
+    weights = {table.unpack(packed): packed for packed in by_weight}
+    return SolutionSet.build(
+        (tuple((mask >> j) & 1 for j in range(m)), w)
+        for w in nondominated(weights)
+        for mask in by_weight[weights[w]]
+    )
 
 
 def maxsat_oracle(inst: CnfInstance, cap: int = 20) -> SolutionSet:
@@ -302,46 +362,35 @@ def maxsat_oracle(inst: CnfInstance, cap: int = 20) -> SolutionSet:
     Returns one witness per nondominated weight, the lexicographically
     smallest assignment tuple.
     """
-    m, dim = inst.num_vars, inst.dimension
+    m = inst.num_vars
     if m > cap:
         raise BudgetExceededError(f"oracle refuses {m} variables (cap {cap})")
-    # encode variable j at bit m - j so that integer order is tuple order
-    pos, neg = [], []
-    for clause in inst.clauses:
-        p = n = 0
-        for lit in clause:
-            if lit > 0:
-                p |= 1 << (m - lit)
-            else:
-                n |= 1 << (m + lit)
-        pos.append(p)
-        neg.append(n)
-    full = (1 << m) - 1
-    weights = inst.weights
-    best: dict[Weight, int] = {}
-    for a in range(1 << m):
-        flipped = ~a & full
-        w = [0] * dim
-        for p, n, cw in zip(pos, neg, weights):
-            if (p & a) or (n & flipped):
-                for c in range(dim):
-                    w[c] += cw[c]
-        key = tuple(w)
-        if key not in best:
-            best[key] = a
-    return pareto_front_witnesses(
-        (tuple((a >> (m - 1 - j)) & 1 for j in range(m)), w)
-        for w, a in best.items()
+    table = inst._table
+    # Variable 1 comes first in tuple order but sits at bit 0 of a mask,
+    # so walking each half in bit-reversed index order, the first half
+    # outside, visits the assignment tuples in ascending order.
+    inner_bits = m - table.low_bits
+    outer = [table.lo[x] for x in _bit_reversed(table.low_bits)]
+    inner = [table.hi[y] for y in _bit_reversed(inner_bits)]
+    best: dict[int, int] = {}
+    for i, sat in enumerate(outer):
+        row = table.weigh([sat | s for s in inner])
+        for j, packed in enumerate(row):
+            if packed not in best:
+                best[packed] = (i << inner_bits) | j
+    firsts = {table.unpack(packed): a for packed, a in best.items()}
+    return SolutionSet.build(
+        (tuple((firsts[w] >> (m - 1 - j)) & 1 for j in range(m)), w)
+        for w in nondominated(firsts)
     )
 
 
-def zero_weight_padding(inst: CnfInstance) -> CnfInstance:
-    """The same formula with one all-zero objective appended (odd k helper)."""
-    return CnfInstance(
-        inst.num_vars,
-        inst.clauses,
-        tuple(w + (0,) for w in inst.weights),
-    )
+def _bit_reversed(bits: int) -> list[int]:
+    """range(2^bits) with each index's bits read in reverse."""
+    order = [0]
+    for _ in range(bits):
+        order = [2 * r for r in order] + [2 * r + 1 for r in order]
+    return order
 
 
 __all__ = [
@@ -349,7 +398,6 @@ __all__ = [
     "CnfInstance",
     "SatState",
     "assignment_weight",
-    "clause_bucket",
     "clause_satisfied",
     "even_objectives",
     "iter_sat_states",
@@ -357,5 +405,4 @@ __all__ = [
     "maxsat_oracle",
     "maxsat_scan_estimate",
     "sat_state",
-    "zero_weight_padding",
 ]

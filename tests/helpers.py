@@ -22,8 +22,22 @@ from mobal.graphs import (
 from mobal.instances import GeneratorSpec, generate
 from mobal.matching import ExactMatchingBackend
 from mobal.maxatsp import DEFAULT_MAXATSP_BUDGET, maxatsp_approx, path_set_candidates
-from mobal.maxsat import CnfInstance, even_objectives, resolve_budget
-from mobal.pareto import SolutionSet, Weight, nondominated
+from mobal.maxsat import (
+    CnfInstance,
+    SatState,
+    _emit_masks,
+    even_objectives,
+    resolve_budget,
+)
+from mobal.pareto import (
+    SolutionSet,
+    Weight,
+    nondominated,
+    pareto_filter,
+    pareto_front_witnesses,
+    vec_sub,
+    vec_total,
+)
 from mobal.rng import SplitMix64
 
 
@@ -55,6 +69,138 @@ def naive_assignment_weight(inst: CnfInstance, assignment):
             for c in range(dim):
                 total[c] += w[c]
     return tuple(total)
+
+
+def clause_bucket(inst: CnfInstance, literal: int, within=None) -> tuple[int, ...]:
+    """Indices of the clauses (among `within`, default all) containing `literal`."""
+    ids = range(len(inst.clauses)) if within is None else within
+    return tuple(ci for ci in ids if literal in inst.clauses[ci])
+
+
+def tautological(inst: CnfInstance) -> tuple[int, ...]:
+    """Indices of clauses containing both a variable and its negation."""
+    return tuple(
+        ci
+        for ci, clause in enumerate(inst.clauses)
+        if any(-lit in clause for lit in clause)
+    )
+
+
+def zero_weight_padding(inst: CnfInstance) -> CnfInstance:
+    """The same formula with one all-zero objective appended (odd k helper)."""
+    return CnfInstance(
+        inst.num_vars,
+        inst.clauses,
+        tuple(w + (0,) for w in inst.weights),
+    )
+
+
+def reference_sat_state(inst: CnfInstance, v0, two_k: int) -> SatState:
+    """`sat_state` as it stood before packed clause weights: G, the
+    discarded weight and the per-variable negative weights rebuilt
+    clause by clause."""
+    v0 = frozenset(v0)
+    dim = inst.dimension
+    g = tuple(
+        ci
+        for ci, clause in enumerate(inst.clauses)
+        if not any(-v in clause for v in v0)
+    )
+    rest = vec_sub(
+        vec_total(inst.weights, dim),
+        vec_total((inst.weights[ci] for ci in g), dim),
+    )
+    neg_weight: dict[int, list[int]] = {}
+    for ci in g:
+        w = inst.weights[ci]
+        for lit in inst.clauses[ci]:
+            if lit < 0:
+                acc = neg_weight.setdefault(-lit, [0] * dim)
+                for c in range(dim):
+                    acc[c] += w[c]
+    v1 = frozenset(
+        v
+        for v in range(1, inst.num_vars + 1)
+        if v not in v0
+        and v in neg_weight
+        and any(two_k * neg_weight[v][c] > rest[c] for c in range(dim))
+    )
+    vprime = frozenset(
+        v for v in range(1, inst.num_vars + 1) if v not in v0 and v not in v1
+    )
+    return SatState(v0, v1, vprime, g)
+
+
+def reference_sweep_masks(inst: CnfInstance) -> set[int]:
+    """Every mask the interval sweep emits, states from `reference_sat_state`."""
+    two_k = even_objectives(inst.dimension)
+    masks: set[int] = set()
+    for size in range(min(two_k * two_k, inst.num_vars) + 1):
+        for v0 in combinations(range(1, inst.num_vars + 1), size):
+            masks |= _emit_masks(reference_sat_state(inst, v0, two_k), two_k // 2)
+    return masks
+
+
+def reference_weigh_and_filter(inst: CnfInstance, masks) -> SolutionSet:
+    """The sweep's weight-and-filter pass before packed clause weights:
+    every mask weighed clause by clause and objective by objective, then
+    `pareto_filter` over all of them."""
+    m, dim = inst.num_vars, inst.dimension
+    pos, neg = [], []
+    for clause in inst.clauses:
+        p = n = 0
+        for lit in clause:
+            if lit > 0:
+                p |= 1 << (lit - 1)
+            else:
+                n |= 1 << (-lit - 1)
+        pos.append(p)
+        neg.append(n)
+    full = (1 << m) - 1
+    entries = []
+    for mask in masks:
+        flipped = ~mask & full
+        w = [0] * dim
+        for p, n, cw in zip(pos, neg, inst.weights):
+            if (p & mask) or (n & flipped):
+                for c in range(dim):
+                    w[c] += cw[c]
+        assignment = tuple((mask >> j) & 1 for j in range(m))
+        entries.append((assignment, tuple(w)))
+    return pareto_filter(SolutionSet.build(entries))
+
+
+def reference_maxsat_oracle(inst: CnfInstance) -> SolutionSet:
+    """`maxsat_oracle` before packed clause weights: all 2^m assignments
+    in ascending tuple order, weighed clause by clause."""
+    m, dim = inst.num_vars, inst.dimension
+    # encode variable j at bit m - j so that integer order is tuple order
+    pos, neg = [], []
+    for clause in inst.clauses:
+        p = n = 0
+        for lit in clause:
+            if lit > 0:
+                p |= 1 << (m - lit)
+            else:
+                n |= 1 << (m + lit)
+        pos.append(p)
+        neg.append(n)
+    full = (1 << m) - 1
+    best: dict[Weight, int] = {}
+    for a in range(1 << m):
+        flipped = ~a & full
+        w = [0] * dim
+        for p, n, cw in zip(pos, neg, inst.weights):
+            if (p & a) or (n & flipped):
+                for c in range(dim):
+                    w[c] += cw[c]
+        key = tuple(w)
+        if key not in best:
+            best[key] = a
+    return pareto_front_witnesses(
+        (tuple((a >> (m - 1 - j)) & 1 for j in range(m)), w)
+        for w, a in best.items()
+    )
 
 
 def brute_force_assignment_front(inst: CnfInstance):

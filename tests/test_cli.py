@@ -200,7 +200,21 @@ BAD_INPUT_TABLE = [
     (["certify", "--wrapper"], "graph", {}, "--wrapper"),
     (["maxatsp", "--oracle", "--certify"], "graph", {}, "--certify"),
     (["maxsat", "--oracle", "--certify"], "cnf", {}, "--certify"),
+    (["maxsat"], "cnf-bad-literal", {}, "line 4"),
+    (["maxsat"], "cnf-negative-weight", {}, "line 4"),
+    (["maxsat"], "cnf-zero-dim", {}, "line 1"),
+    (["maxsat"], "cnf-negative-dim", {}, "line 1"),
+    (["maxsat"], "cnf-no-vars", {}, "line 2"),
 ]
+
+# malformed cnf files, each at fault on the line its BAD_INPUT_TABLE row names
+BAD_CNF = {
+    "cnf-bad-literal": "c k 2\np cnf 3 2\nw 1 2 1 0\nw 3 4 9 0\n",
+    "cnf-negative-weight": "c k 2\np cnf 3 2\nw 1 2 1 0\nw 3 -4 2 0\n",
+    "cnf-zero-dim": "c k 0\np cnf 3 2\nw 1 0\nw 2 0\n",
+    "cnf-negative-dim": "c k -1\np cnf 3 2\nw 1 0\nw 2 0\n",
+    "cnf-no-vars": "c k 1\np cnf 0 1\nw 1 1 0\n",
+}
 
 
 @pytest.mark.parametrize("argv, infile, env, names", BAD_INPUT_TABLE)
@@ -213,6 +227,9 @@ def test_bad_input_exits_two_with_one_error_line(
         "negative-graph": tmp_path / "neg.txt",
     }
     files["negative-graph"].write_text("moatsp k=1 n=2\n0 1 -4\n1 0 1\n")
+    for name, text in BAD_CNF.items():
+        files[name] = tmp_path / f"{name}.wcnf"
+        files[name].write_text(text)
     for key, value in env.items():
         monkeypatch.setenv(key, value)
     code, out, err = run(capsys, *argv, "--in", str(files[infile]))

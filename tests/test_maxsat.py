@@ -5,20 +5,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_assignment_front, naive_assignment_weight
+from helpers import (
+    brute_force_assignment_front,
+    clause_bucket,
+    naive_assignment_weight,
+    reference_maxsat_oracle,
+    reference_sat_state,
+    reference_sweep_masks,
+    reference_weigh_and_filter,
+    tautological,
+    zero_weight_padding,
+)
 from mobal.errors import BudgetExceededError, PreconditionError
-from mobal.instances import GeneratorSpec, generate
+from mobal.instances import GeneratorSpec, generate, parse_cnf
 from mobal.maxsat import (
     CnfInstance,
     _emit_masks,
     assignment_weight,
-    clause_bucket,
     even_objectives,
     iter_sat_states,
     maxsat_approx,
     maxsat_oracle,
+    maxsat_scan_estimate,
     sat_state,
-    zero_weight_padding,
 )
 from mobal.pareto import (
     SolutionSet,
@@ -86,7 +95,7 @@ def test_clause_bucket_matches_scan():
 
 def test_tautological_flagging():
     inst = cnf(2, ({1, -1}, (3,)), ({2}, (1,)))
-    assert inst.tautological() == (0,)
+    assert tautological(inst) == (0,)
     # satisfied by every assignment
     for bits in product((0, 1), repeat=2):
         assert assignment_weight(inst, bits)[0] >= 3
@@ -299,3 +308,85 @@ def test_half_cover_property_tiny_instances(data):
         maxsat_approx(inst), maxsat_oracle(inst), Fraction(1, 2)
     )
     assert cert.ok
+
+
+def differential_corpus():
+    """Instances on every edge of the packed clause table.
+
+    m=1 leaves the low variable half empty and m=20 fills both halves
+    to 1024 entries (with few clauses, as the reference oracle weighs
+    all 2^20 assignments clause by clause); clause counts 1, 7, 8, 9 and
+    17 sit on the eight-clause chunk edges and one instance has 300
+    clauses; bound 0 packs one-bit fields and bound 10^6 wide ones.
+    """
+    def gen(seed, m, clauses, dim, bound=20):
+        return generate(
+            GeneratorSpec(kind="cnf", seed=seed, m=m, clauses=clauses, dim=dim, bound=bound)
+        )
+
+    out = [gen(26_000, 1, 1, 2), gen(26_001, 1, 3, 1)]
+    # both variable halves of m=20 carry literals of every sign
+    out.append(
+        cnf(20, ({1, -11, 20}, (7, 2)), ({-3, 12}, (4, 9)), ({-10, -19}, (6, 6)))
+    )
+    for i, (m, clauses, dim) in enumerate(
+        [
+            (3, 1, 1), (5, 7, 2), (7, 8, 3), (9, 9, 4), (11, 17, 1),
+            (4, 8, 4), (6, 9, 3), (8, 17, 2), (12, 7, 2), (13, 8, 1),
+        ]
+    ):
+        out.append(gen(26_100 + i, m, clauses, dim))
+    out += [gen(26_200 + dim, 5, 9, dim, bound=0) for dim in (1, 2, 3, 4)]
+    out += [gen(26_300, 7, 17, 2, bound=10**6), gen(26_301, 8, 300, 2)]
+    # tautologies, a literal written twice and a clause repeated
+    out.append(
+        parse_cnf(
+            "c k 2\np cnf 4 9\n"
+            "w 3 1 1 -1 0\nw 2 2 2 2 0\nw 1 4 -3 -3 4 0\nw 5 0 -2 0\n"
+            "w 5 0 -2 0\nw 0 3 3 -3 -4 4 0\nw 1 1 -1 -2 0\nw 2 0 4 0\nw 0 2 -4 0\n"
+        )
+    )
+    out.append(cnf(3, ({1, -1}, (3, 1, 2)), ({2, -2}, (1, 3, 0)), ({3, -3}, (0, 0, 4))))
+    return out
+
+
+def test_packed_sweep_matches_reference():
+    for inst in differential_corpus():
+        two_k = even_objectives(inst.dimension)
+        for state in iter_sat_states(inst):
+            assert state == reference_sat_state(inst, state.v0, two_k)
+        expected = reference_weigh_and_filter(inst, reference_sweep_masks(inst))
+        assert maxsat_approx(inst) == expected
+
+
+def test_packed_oracle_matches_reference():
+    for inst in differential_corpus():
+        assert maxsat_oracle(inst) == reference_maxsat_oracle(inst)
+
+
+def test_scan_estimate_bounds_emitted_masks():
+    for dim in (1, 2, 3, 4):
+        two_k = even_objectives(dim)
+        for m in (1, 2, 4, 7, 10):
+            for seed in (0, 1):
+                inst = generate(
+                    GeneratorSpec(
+                        kind="cnf", seed=27_000 + 100 * dim + 10 * m + seed,
+                        m=m, clauses=m + 3, dim=dim, bound=9,
+                    )
+                )
+                emitted = sum(
+                    len(_emit_masks(state, two_k // 2))
+                    for state in iter_sat_states(inst)
+                )
+                assert maxsat_scan_estimate(m, two_k) >= emitted
+
+
+def test_scan_estimate_admits_small_many_objective_instances():
+    # the old m^((2k)^2+2k) estimate (~3.7e15 at m=6, three objectives)
+    # refused such instances under the default budget of 10^9
+    assert maxsat_scan_estimate(6, 4) == 87616
+    assert maxsat_scan_estimate(20, 2) == 2484596
+    inst = generate(GeneratorSpec(kind="cnf", seed=27_900, m=6, clauses=8, dim=3, bound=9))
+    out = maxsat_approx(inst)
+    assert is_alpha_approx_set(out, maxsat_oracle(inst), Fraction(1, 2)).ok
