@@ -26,7 +26,6 @@ from .graphs import (
     expand,
     is_hamiltonian_cycle,
     is_matching,
-    is_vertex_disjoint_paths,
 )
 from .instances import (
     GeneratorSpec,
@@ -60,7 +59,6 @@ from .pareto import (
     SolutionSet,
     Weight,
     cover_ratio,
-    dominates,
     is_alpha_approx_set,
     pareto_filter,
 )

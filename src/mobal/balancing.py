@@ -27,10 +27,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from operator import gt
 from typing import Iterator
 
 from .errors import PreconditionError, SearchInvariantError
-from .pareto import Weight, vec_add, vec_leq, vec_total, vec_zero
+from .pareto import Weight, vec_add, vec_sub, vec_total
 
 PAIRED = "paired"
 INTEGER = "integer"
@@ -116,25 +117,51 @@ def _prefix(seq: tuple[Weight, ...], dim: int) -> list[list[int]]:
     return pre
 
 
-def _half_open_member(intervals: tuple[tuple[int, int], ...], i: int) -> bool:
-    return any(a <= i < b for a, b in intervals)
+def _check_present(inst: BalancingInstance, variant: str) -> None:
+    for name, needed in (("y", variant != INTEGER), ("z", variant != COMBINATORIAL)):
+        if needed and getattr(inst, name) is None:
+            raise PreconditionError(f"{variant} balancing needs {name}")
 
 
-def _closed_member(intervals: tuple[tuple[int, int], ...], i: int) -> bool:
-    return any(a <= i <= b for a, b in intervals)
+def precondition_faults(inst: BalancingInstance, variant: str) -> Iterator[tuple[int, str]]:
+    """Each vector breaking the variant's precondition, as (row, message).
+
+    Rows count in file order: x_1..x_m, then y_1..y_m, then z; a
+    negative z comes first.  A missing y or z raises at once.
+    """
+    _check_present(inst, variant)
+    z = inst.z
+    rows = inst.x + (inst.y or ())
+    if variant != COMBINATORIAL and min(z) < 0:
+        yield len(rows), "z must be nonnegative"
+    for row, v in enumerate(rows):
+        if variant == INTEGER:
+            fault = any(map(gt, map(abs, v), z)) and f"outside the band [-z, z], z = {z}"
+        elif min(v) < 0:
+            fault = "has a negative component"
+        else:
+            fault = variant == PAIRED and any(map(gt, v, z)) and f"exceeds the bound z = {z}"
+        if fault:
+            m = inst.m
+            yield row, (f"x[{row}]" if row < m else f"y[{row - m}]") + f" = {v} {fault}"
 
 
-def _check_paired_pre(inst: BalancingInstance) -> None:
-    if inst.y is None or inst.z is None:
-        raise PreconditionError("paired balancing needs x, y and z")
-    if any(c < 0 for c in inst.z):
-        raise PreconditionError("z must be nonnegative")
-    for label, seq in (("x", inst.x), ("y", inst.y)):
-        for i, v in enumerate(seq):
-            if any(c < 0 for c in v):
-                raise PreconditionError(f"{label}[{i}] = {v} has a negative component")
-            if not vec_leq(v, inst.z):
-                raise PreconditionError(f"{label}[{i}] = {v} exceeds the bound z = {inst.z}")
+def _require(inst: BalancingInstance, variant: str) -> None:
+    for _, message in precondition_faults(inst, variant):
+        raise PreconditionError(message)
+
+
+def _sums(
+    x: tuple[Weight, ...], y: tuple[Weight, ...], intervals, closed: bool
+) -> tuple[Weight, Weight, Weight]:
+    """x summed inside the family, y outside it, and the correction
+    sum_j y_{b_j}, which is zero unless the intervals are `closed`."""
+    dim = len(x[0])
+    inside = {i for a, b in intervals for i in range(a, b + 1 if closed else b)}
+    in_sum = vec_total((v for i, v in enumerate(x, 1) if i in inside), dim)
+    out_sum = vec_total((v for i, v in enumerate(y, 1) if i not in inside), dim)
+    ends = [y[b - 1] for _, b in intervals] if closed else []
+    return in_sum, out_sum, vec_total(ends, dim)
 
 
 def balance_paired(inst: BalancingInstance) -> BalanceResult:
@@ -144,9 +171,8 @@ def balance_paired(inst: BalancingInstance) -> BalanceResult:
     order.  The bound is checked in doubled integers: with S the mixed
     sum and T the grand total, -4nz <= 2S - T <= 4nz componentwise.
     """
-    _check_paired_pre(inst)
+    _require(inst, PAIRED)
     m, n, dim = inst.m, inst.n, inst.dimension
-    assert inst.y is not None and inst.z is not None
     pre_x = _prefix(inst.x, dim)
     pre_y = _prefix(inst.y, dim)
     total = [pre_x[c][m] + pre_y[c][m] for c in range(dim)]
@@ -168,24 +194,10 @@ def balance_paired(inst: BalancingInstance) -> BalanceResult:
         if ok:
             intervals = tuple((t[j], t[j + 1]) for j in range(0, 2 * n, 2))
             family = IntervalFamily(intervals, m)
-            in_sum, out_sum = _paired_sums(inst.x, inst.y, intervals)
-            return BalanceResult(family, in_sum, out_sum, vec_zero(dim))
+            return BalanceResult(family, *_sums(inst.x, inst.y, intervals, False))
     raise SearchInvariantError(
         "paired balancing scan exhausted although a family must exist"
     )
-
-
-def _paired_sums(
-    x: tuple[Weight, ...], y: tuple[Weight, ...], intervals
-) -> tuple[Weight, Weight]:
-    dim = len(x[0])
-    in_sum, out_sum = vec_zero(dim), vec_zero(dim)
-    for i in range(1, len(x) + 1):
-        if _half_open_member(intervals, i):
-            in_sum = vec_add(in_sum, x[i - 1])
-        else:
-            out_sum = vec_add(out_sum, y[i - 1])
-    return in_sum, out_sum
 
 
 def balance_integer(x: tuple[Weight, ...], z: Weight) -> BalanceResult:
@@ -195,30 +207,14 @@ def balance_integer(x: tuple[Weight, ...], z: Weight) -> BalanceResult:
     are the sums of the original signed x inside and outside, and their
     difference stays within 4n*z componentwise.
     """
-    if not x:
-        raise PreconditionError("need at least one x vector (m >= 1)")
-    if any(c < 0 for c in z):
-        raise PreconditionError("z must be nonnegative")
-    for i, v in enumerate(x):
-        if len(v) != len(z):
-            raise PreconditionError("x/z dimension mismatch")
-        if any(abs(c) > b for c, b in zip(v, z)):
-            raise PreconditionError(f"x[{i}] = {v} outside the band [-z, z], z = {z}")
+    _require(BalancingInstance(x=x, z=z), INTEGER)
     shifted = BalancingInstance(
         x=tuple(vec_add(z, v) for v in x),
         y=tuple(tuple(b - c for c, b in zip(v, z)) for v in x),
         z=vec_add(z, z),
     )
     paired = balance_paired(shifted)
-    intervals = paired.family.intervals
-    dim = len(z)
-    in_sum, out_sum = vec_zero(dim), vec_zero(dim)
-    for i in range(1, len(x) + 1):
-        if _half_open_member(intervals, i):
-            in_sum = vec_add(in_sum, x[i - 1])
-        else:
-            out_sum = vec_add(out_sum, x[i - 1])
-    return BalanceResult(paired.family, in_sum, out_sum, vec_zero(dim))
+    return BalanceResult(paired.family, *_sums(x, x, paired.family.intervals, False))
 
 
 def _separated_tuples(m: int, count: int) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -250,12 +246,7 @@ def balance_combinatorial(inst: BalancingInstance) -> BalanceResult:
     sum_j y_{b_j} + sum_{i in I} x_i + sum_{i not in I} y_i is at least
     half the grand total, componentwise.
     """
-    if inst.y is None:
-        raise PreconditionError("combinatorial balancing needs x and y")
-    for label, seq in (("x", inst.x), ("y", inst.y)):
-        for i, v in enumerate(seq):
-            if any(c < 0 for c in v):
-                raise PreconditionError(f"{label}[{i}] = {v} has a negative component")
+    _require(inst, COMBINATORIAL)
     m, n, dim = inst.m, inst.n, inst.dimension
     pre_x = _prefix(inst.x, dim)
     pre_y = _prefix(inst.y, dim)
@@ -276,26 +267,10 @@ def balance_combinatorial(inst: BalancingInstance) -> BalanceResult:
                     break
             if ok:
                 family = IntervalFamily(intervals, m)
-                in_sum, out_sum, corr = _combinatorial_sums(inst.x, inst.y, intervals)
-                return BalanceResult(family, in_sum, out_sum, corr)
+                return BalanceResult(family, *_sums(inst.x, inst.y, intervals, True))
     raise SearchInvariantError(
         "combinatorial balancing scan exhausted although a family must exist"
     )
-
-
-def _combinatorial_sums(
-    x: tuple[Weight, ...], y: tuple[Weight, ...], intervals
-) -> tuple[Weight, Weight, Weight]:
-    dim = len(x[0])
-    in_sum, out_sum, corr = vec_zero(dim), vec_zero(dim), vec_zero(dim)
-    for i in range(1, len(x) + 1):
-        if _closed_member(intervals, i):
-            in_sum = vec_add(in_sum, x[i - 1])
-        else:
-            out_sum = vec_add(out_sum, y[i - 1])
-    for _, b in intervals:
-        corr = vec_add(corr, y[b - 1])
-    return in_sum, out_sum, corr
 
 
 def _check_family_shape(
@@ -320,6 +295,28 @@ def _check_family_shape(
         )
 
 
+def balance_deviation(
+    inst: BalancingInstance, result: BalanceResult, variant: str
+) -> tuple[Weight, Weight | None]:
+    """The signed deviation each variant bounds, and its bound.
+
+    With T the grand total sum(x_i + y_i): paired gives 2(in + out) - T
+    against 4nz (the mixed sum within 2nz of T/2), integer gives
+    in - out against 4nz, and combinatorial gives the slack
+    2(correction + in + out) - T, with bound None: it must be >= 0.
+    """
+    dim = inst.dimension
+    if variant == INTEGER:
+        dev = vec_sub(result.in_sum, result.out_sum)
+    else:
+        total = vec_add(vec_total(inst.x, dim), vec_total(inst.y, dim))
+        lhs = vec_add(result.correction, vec_add(result.in_sum, result.out_sum))
+        dev = tuple(2 * s - t for s, t in zip(lhs, total))
+    if variant == COMBINATORIAL:
+        return dev, None
+    return dev, tuple(4 * inst.n * b for b in inst.z)
+
+
 def verify_balance(inst: BalancingInstance, result: BalanceResult, variant: str) -> bool:
     """Recompute the sums with a direct index scan and re-check the bound.
 
@@ -330,52 +327,13 @@ def verify_balance(inst: BalancingInstance, result: BalanceResult, variant: str)
     """
     if variant not in VARIANTS:
         raise PreconditionError(f"unknown variant {variant!r}")
-    m, n, dim = inst.m, inst.n, inst.dimension
-    _check_family_shape(result.family, m, n, variant)
-    intervals = result.family.intervals
-
-    if variant == PAIRED:
-        if inst.y is None or inst.z is None:
-            raise PreconditionError("paired verification needs y and z")
-        in_sum, out_sum = _paired_sums(inst.x, inst.y, intervals)
-        if (in_sum, out_sum, vec_zero(dim)) != (
-            result.in_sum,
-            result.out_sum,
-            result.correction,
-        ):
-            return False
-        total = vec_total(inst.x, dim)
-        total = vec_add(total, vec_total(inst.y, dim))
-        mixed = vec_add(in_sum, out_sum)
-        return all(
-            abs(2 * mixed[c] - total[c]) <= 4 * n * inst.z[c] for c in range(dim)
-        )
-
-    if variant == INTEGER:
-        if inst.z is None:
-            raise PreconditionError("integer verification needs z")
-        in_sum, out_sum = vec_zero(dim), vec_zero(dim)
-        for i in range(1, m + 1):
-            if _half_open_member(intervals, i):
-                in_sum = vec_add(in_sum, inst.x[i - 1])
-            else:
-                out_sum = vec_add(out_sum, inst.x[i - 1])
-        if (in_sum, out_sum, vec_zero(dim)) != (
-            result.in_sum,
-            result.out_sum,
-            result.correction,
-        ):
-            return False
-        return all(
-            abs(in_sum[c] - out_sum[c]) <= 4 * n * inst.z[c] for c in range(dim)
-        )
-
-    if inst.y is None:
-        raise PreconditionError("combinatorial verification needs y")
-    in_sum, out_sum, corr = _combinatorial_sums(inst.x, inst.y, intervals)
-    if (in_sum, out_sum, corr) != (result.in_sum, result.out_sum, result.correction):
+    _check_present(inst, variant)
+    _check_family_shape(result.family, inst.m, inst.n, variant)
+    y = inst.x if variant == INTEGER else inst.y
+    sums = _sums(inst.x, y, result.family.intervals, variant == COMBINATORIAL)
+    if sums != (result.in_sum, result.out_sum, result.correction):
         return False
-    total = vec_total(inst.x, dim)
-    total = vec_add(total, vec_total(inst.y, dim))
-    lhs = vec_add(corr, vec_add(in_sum, out_sum))
-    return all(2 * lhs[c] >= total[c] for c in range(dim))
+    dev, bound = balance_deviation(inst, result, variant)
+    if bound is None:
+        return all(d >= 0 for d in dev)
+    return all(abs(d) <= b for d, b in zip(dev, bound))

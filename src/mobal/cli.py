@@ -17,15 +17,16 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .balancing import (
     COMBINATORIAL,
     INTEGER,
     PAIRED,
     VARIANTS,
-    BalanceResult,
     BalancingInstance,
     balance_combinatorial,
+    balance_deviation,
     balance_integer,
     balance_paired,
     verify_balance,
@@ -41,9 +42,7 @@ from .instances import (
     parse_balance,
     parse_cnf,
     parse_graph,
-    serialize_balance,
-    serialize_cnf,
-    serialize_graph,
+    serialize,
 )
 from .maxatsp import maxatsp_approx, tsp_oracle
 from .maxsat import maxsat_approx, maxsat_oracle
@@ -97,9 +96,9 @@ def _parse_alpha(text: str) -> Fraction:
     try:
         alpha = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise PreconditionError(f"cannot parse alpha fraction {text!r}")
+        raise PreconditionError(f"--alpha: cannot parse fraction {text!r}")
     if not 0 < alpha <= 1:
-        raise PreconditionError(f"alpha must be in (0, 1], got {alpha}")
+        raise PreconditionError(f"--alpha must be in (0, 1], got {alpha}")
     return alpha
 
 
@@ -138,44 +137,37 @@ def _add_certificate(report: RunReport, cert: ApproxCertificate) -> None:
         report.exit_code = EXIT_CERT_FAILED
 
 
-# -- subcommands --------------------------------------------------------------
+class _Solver(NamedTuple):
+    algorithm: str
+    oracle_algorithm: str
+    parse: Callable
+    approx: Callable
+    oracle: Callable
+    sizes: Callable  # instance -> ((report key, value), ...)
 
 
-def _cmd_gen(args) -> RunReport:
-    report = RunReport("gen", "splitmix64-generator")
-    spec = GeneratorSpec(
-        kind=args.kind,
-        seed=args.seed,
-        bound=args.bound,
-        dim=args.dim,
-        m=args.m,
-        n=args.n,
-        clauses=args.clauses,
-        vertices=args.vertices,
-    )
-    instance = generate(spec)
-    if args.kind in BALANCE_KINDS:
-        text = serialize_balance(BALANCE_KINDS[args.kind], instance)
-    elif args.kind == "cnf":
-        text = serialize_cnf(instance)
-    else:
-        text = serialize_graph(instance)
-    Path(args.out).write_text(text, encoding="ascii")
-    for key in ("kind", "seed", "bound", "dim"):
-        report.add(key, getattr(args, key))
-    if args.kind in BALANCE_KINDS:
-        report.add("m", args.m)
-        report.add("n", args.n)
-    elif args.kind == "cnf":
-        report.add("m", args.m)
-        report.add("clauses", args.clauses)
-    else:
-        report.add("vertices", args.vertices)
-    report.add("out", args.out)
-    report.add("instance", "sha256:" + digest(text))
-    report.note("generated", f"{args.kind} instance (seed {args.seed}) -> {args.out}")
-    return report
-
+_SOLVERS = {
+    "cnf": _Solver(
+        "interval-sweep",
+        "maxsat-oracle",
+        parse_cnf,
+        maxsat_approx,
+        maxsat_oracle,
+        lambda inst: (
+            ("vars", inst.num_vars),
+            ("clauses", len(inst.clauses)),
+            ("objectives", inst.dimension),
+        ),
+    ),
+    "graph": _Solver(
+        "contract-match-expand",
+        "tsp-oracle",
+        parse_graph,
+        maxatsp_approx,
+        tsp_oracle,
+        lambda g: (("vertices", g.num_vertices), ("objectives", g.dimension)),
+    ),
+}
 
 _BALANCERS = {
     PAIRED: balance_paired,
@@ -183,36 +175,52 @@ _BALANCERS = {
     COMBINATORIAL: balance_combinatorial,
 }
 
+# generator flags shared by `gen` and `bench`, with their defaults
+_SHAPE = dict(bound=10, dim=2, m=4, n=1, clauses=4, vertices=4)
 
-def _balance_deviation(
-    variant: str, inst: BalancingInstance, result: BalanceResult
-) -> tuple[tuple[int, ...], tuple[int, ...] | None, Fraction]:
-    """(deviation vector, bound vector or None, worst |dev|/bound ratio)."""
-    dim, n = inst.dimension, inst.n
-    if variant == PAIRED:
-        total = [sum(v[c] for v in inst.x) + sum(v[c] for v in inst.y) for c in range(dim)]
-        dev = tuple(
-            2 * (result.in_sum[c] + result.out_sum[c]) - total[c] for c in range(dim)
-        )
-        bound = tuple(4 * n * inst.z[c] for c in range(dim))
-    elif variant == INTEGER:
-        dev = tuple(result.in_sum[c] - result.out_sum[c] for c in range(dim))
-        bound = tuple(4 * n * inst.z[c] for c in range(dim))
+
+def _solve(solver: _Solver, inst, budget: int | None, alpha: Fraction | None):
+    """The approximation and, unless alpha is None, its certificate."""
+    out = solver.approx(inst, budget=budget)
+    if alpha is None:
+        return out, None
+    return out, is_alpha_approx_set(out, solver.oracle(inst), alpha)
+
+
+def _spec(args, seed: int) -> GeneratorSpec:
+    return GeneratorSpec(args.kind, seed, **{key: getattr(args, key) for key in _SHAPE})
+
+
+def _add_shape(report: RunReport, args, leading: tuple[str, ...]) -> None:
+    """The leading keys, then bound, dim and the sizes of the kind."""
+    if args.kind in BALANCE_KINDS:
+        sizes = ("m", "n")
+    elif args.kind == "cnf":
+        sizes = ("m", "clauses")
     else:
-        total = [sum(v[c] for v in inst.x) + sum(v[c] for v in inst.y) for c in range(dim)]
-        lhs = [
-            result.correction[c] + result.in_sum[c] + result.out_sum[c]
-            for c in range(dim)
-        ]
-        # slack above the half-total target; nonnegative on success
-        dev = tuple(2 * lhs[c] - total[c] for c in range(dim))
-        bound = None
-    ratio = Fraction(0)
-    if bound is not None:
-        for d, b in zip(dev, bound):
-            if b:
-                ratio = max(ratio, Fraction(abs(d), b))
-    return dev, bound, ratio
+        sizes = ("vertices",)
+    for key in leading + ("bound", "dim") + sizes:
+        report.add(key, getattr(args, key))
+
+
+def _imbalance_ratio(dev, bound) -> Fraction:
+    """Worst |deviation| / bound over the bounded components, else 0."""
+    pairs = zip(dev, bound or ())
+    return max((Fraction(abs(d), b) for d, b in pairs if b), default=Fraction(0))
+
+
+# -- subcommands --------------------------------------------------------------
+
+
+def _cmd_gen(args) -> RunReport:
+    report = RunReport("gen", "splitmix64-generator")
+    text = serialize(args.kind, generate(_spec(args, args.seed)))
+    Path(args.out).write_text(text, encoding="ascii")
+    _add_shape(report, args, ("kind", "seed"))
+    report.add("out", args.out)
+    report.add("instance", "sha256:" + digest(text))
+    report.note("generated", f"{args.kind} instance (seed {args.seed}) -> {args.out}")
+    return report
 
 
 def _run_balance(variant: str, inst: BalancingInstance, verify: bool, report: RunReport) -> None:
@@ -225,12 +233,12 @@ def _run_balance(variant: str, inst: BalancingInstance, verify: bool, report: Ru
     report.add("in_sum", _fmt_vec(result.in_sum))
     report.add("out_sum", _fmt_vec(result.out_sum))
     report.add("correction", _fmt_vec(result.correction))
-    dev, bound, ratio = _balance_deviation(variant, inst, result)
-    key = "slack" if variant == COMBINATORIAL else "deviation"
+    dev, bound = balance_deviation(inst, result, variant)
+    key = "slack" if bound is None else "deviation"
     report.add(key, _fmt_vec(dev))
     if bound is not None:
         report.add("bound", _fmt_vec(bound))
-        report.add("imbalance_ratio", ratio)
+        report.add("imbalance_ratio", _imbalance_ratio(dev, bound))
     if verify:
         ok = verify_balance(inst, result, variant)
         report.add("verified", "yes" if ok else "no")
@@ -254,67 +262,36 @@ def _cmd_balance(args) -> RunReport:
     return report
 
 
-def _refuse_oracle_certify(args) -> None:
+def _cmd_solve(args) -> RunReport:
+    """`maxsat` and `maxatsp`: the approximation, or the oracle's front."""
     # checked before any work: the oracle alone can take seconds
     if args.oracle and args.certify:
         raise PreconditionError("--certify and --oracle are mutually exclusive")
-
-
-def _cmd_maxsat(args) -> RunReport:
-    _refuse_oracle_certify(args)
-    report = RunReport("maxsat", "maxsat-oracle" if args.oracle else "interval-sweep")
+    alpha = _parse_alpha(args.alpha)
     budget = _parse_budget(args.budget)
-    text = Path(args.infile).read_text(encoding="ascii")
-    inst = parse_cnf(text)
-    report.add("instance", "sha256:" + digest(text))
-    report.add("vars", inst.num_vars)
-    report.add("clauses", len(inst.clauses))
-    report.add("objectives", inst.dimension)
-    if args.oracle:
-        out = maxsat_oracle(inst)
-    else:
-        out = maxsat_approx(inst, budget=budget)
-    report.add("output_size", len(out))
-    report.add("output_weights", _fmt_weights(out) or "-")
-    report.note("output", f"{len(out)} Pareto candidate(s)")
-    if args.certify:
-        cert = is_alpha_approx_set(out, maxsat_oracle(inst), _parse_alpha(args.alpha))
-        _add_certificate(report, cert)
-    return report
-
-
-def _cmd_maxatsp(args) -> RunReport:
-    _refuse_oracle_certify(args)
+    solver = _SOLVERS[args.kind]
     report = RunReport(
-        "maxatsp", "tsp-oracle" if args.oracle else "contract-match-expand"
+        args.subcommand, solver.oracle_algorithm if args.oracle else solver.algorithm
     )
-    budget = _parse_budget(args.budget)
     text = Path(args.infile).read_text(encoding="ascii")
-    g = parse_graph(text)
+    inst = solver.parse(text)
     report.add("instance", "sha256:" + digest(text))
-    report.add("vertices", g.num_vertices)
-    report.add("objectives", g.dimension)
+    for key, value in solver.sizes(inst):
+        report.add(key, value)
     if args.oracle:
-        out = tsp_oracle(g)
+        out, cert = solver.oracle(inst), None
     else:
-        out = maxatsp_approx(g, budget=budget)
+        out, cert = _solve(solver, inst, budget, alpha if args.certify else None)
     report.add("output_size", len(out))
     report.add("output_weights", _fmt_weights(out) or "-")
     report.note("output", f"{len(out)} Pareto candidate(s)")
-    if args.certify:
-        cert = is_alpha_approx_set(out, tsp_oracle(g), _parse_alpha(args.alpha))
+    if cert is not None:
         _add_certificate(report, cert)
     return report
-
-
-# kind -> (algorithm name, parser, approximation, oracle)
-_SOLVERS = {
-    "cnf": ("interval-sweep", parse_cnf, maxsat_approx, maxsat_oracle),
-    "graph": ("contract-match-expand", parse_graph, maxatsp_approx, tsp_oracle),
-}
 
 
 def _cmd_certify(args) -> RunReport:
+    alpha = _parse_alpha(args.alpha)
     budget = _parse_budget(args.budget)
     text = Path(args.infile).read_text(encoding="ascii")
     kind = detect_kind(text)
@@ -324,80 +301,53 @@ def _cmd_certify(args) -> RunReport:
         report.add("instance", "sha256:" + digest(text))
         _run_balance(variant, inst, True, report)
         return report
-    algorithm, parse, approx, oracle = _SOLVERS[kind]
-    report = RunReport("certify", algorithm)
-    inst = parse(text)
+    solver = _SOLVERS[kind]
+    report = RunReport("certify", solver.algorithm)
+    inst = solver.parse(text)
     report.add("instance", "sha256:" + digest(text))
-    out = approx(inst, budget=budget)
+    out, cert = _solve(solver, inst, budget, alpha)
     report.add("output_size", len(out))
-    cert = is_alpha_approx_set(out, oracle(inst), _parse_alpha(args.alpha))
     _add_certificate(report, cert)
     return report
 
 
 def _cmd_bench(args) -> RunReport:
-    report = RunReport("bench", f"bench-{args.kind}")
     alpha = _parse_alpha(args.alpha)
     budget = _parse_budget(args.budget)
-    for key in ("kind", "count", "seed", "bound", "dim"):
-        report.add(key, getattr(args, key))
-    if args.kind in BALANCE_KINDS:
-        report.add("m", args.m)
-        report.add("n", args.n)
-    elif args.kind == "cnf":
-        report.add("m", args.m)
-        report.add("clauses", args.clauses)
-    else:
-        report.add("vertices", args.vertices)
-    successes = 0
-    verified = 0
-    certified = 0
+    if args.count < 0:
+        raise PreconditionError(f"--count must be >= 0, got {args.count}")
+    report = RunReport("bench", f"bench-{args.kind}")
+    _add_shape(report, args, ("kind", "count", "seed"))
+    variant = BALANCE_KINDS.get(args.kind)
+    passed = 0  # verified balances or certified fronts
     worst_ratio = Fraction(0)
     cover_min: Fraction | None = None
     for i in range(args.count):
-        spec = GeneratorSpec(
-            kind=args.kind,
-            seed=args.seed + i,
-            bound=args.bound,
-            dim=args.dim,
-            m=args.m,
-            n=args.n,
-            clauses=args.clauses,
-            vertices=args.vertices,
-        )
-        instance = generate(spec)
-        if args.kind in BALANCE_KINDS:
-            variant = BALANCE_KINDS[args.kind]
+        instance = generate(_spec(args, args.seed + i))
+        if variant:
             result = _BALANCERS[variant](instance)
-            successes += 1
-            if verify_balance(instance, result, variant):
-                verified += 1
-            _, _, ratio = _balance_deviation(variant, instance, result)
+            passed += verify_balance(instance, result, variant)
+            ratio = _imbalance_ratio(*balance_deviation(instance, result, variant))
             worst_ratio = max(worst_ratio, ratio)
         else:
-            _, _, approx, oracle = _SOLVERS[args.kind]
-            out = approx(instance, budget=budget)
-            cert = is_alpha_approx_set(out, oracle(instance), alpha)
-            successes += 1
-            certified += cert.ok
+            _, cert = _solve(_SOLVERS[args.kind], instance, budget, alpha)
+            passed += cert.ok
             for r in cert.cover_ratios():
                 if r is not None:
                     cover_min = r if cover_min is None else min(cover_min, r)
-    report.add("runs", successes)
-    if args.kind in BALANCE_KINDS:
-        report.add("verified", verified)
+    report.add("runs", args.count)
+    if variant:
+        report.add("verified", passed)
         report.add("worst_imbalance_ratio", worst_ratio)
-        report.note("verified", f"{verified}/{args.count}")
+        report.note("verified", f"{passed}/{args.count}")
         report.note("worst ratio", f"{worst_ratio} of the proven bound (no tightness claim)")
-        if verified != args.count:
-            report.exit_code = EXIT_CERT_FAILED
     else:
         report.add("alpha", alpha)
-        report.add("certified", certified)
+        report.add("certified", passed)
         report.add("cover_min", _fmt_ratio(cover_min))
-        report.note("certified", f"{certified}/{args.count} at alpha={alpha}")
-        if certified != args.count:
-            report.exit_code = EXIT_CERT_FAILED
+        report.note("certified", f"{passed}/{args.count} at alpha={alpha}")
+    if passed != args.count:
+        report.exit_code = EXIT_CERT_FAILED
     return report
 
 
@@ -420,22 +370,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, certifiable=True):
+    def common(p):
         p.add_argument("--budget", default=None, help="operation budget override")
-        if certifiable:
-            p.add_argument("--certify", action="store_true", help="compare against the oracle")
-            p.add_argument("--alpha", default="1/2", help="exact cover fraction p/q")
+        p.add_argument("--alpha", default="1/2", help="exact cover fraction p/q")
+
+    def shape_flags(p, **defaults):
+        p.add_argument("--kind", required=True, choices=KINDS)
+        for key, default in {**_SHAPE, **defaults}.items():
+            p.add_argument(f"--{key}", type=int, default=default)
 
     p = sub.add_parser("gen", help="generate a seeded instance file")
-    p.add_argument("--kind", required=True, choices=KINDS)
+    shape_flags(p)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--bound", type=int, default=10)
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--m", type=int, default=4)
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--clauses", type=int, default=4)
-    p.add_argument("--vertices", type=int, default=4)
     p.set_defaults(handler=_cmd_gen)
 
     p = sub.add_parser("balance", help="run one balancing search")
@@ -444,36 +391,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true", help="re-check the bound independently")
     p.set_defaults(handler=_cmd_balance)
 
-    p = sub.add_parser("maxsat", help="approximate or enumerate a weighted CNF instance")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--oracle", action="store_true", help="exact Pareto front instead")
-    common(p)
-    p.set_defaults(handler=_cmd_maxsat)
-
-    p = sub.add_parser("maxatsp", help="approximate or enumerate a tour instance")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--oracle", action="store_true", help="exact Pareto front instead")
-    common(p)
-    p.set_defaults(handler=_cmd_maxatsp)
+    for command, kind, noun in (
+        ("maxsat", "cnf", "a weighted CNF instance"),
+        ("maxatsp", "graph", "a tour instance"),
+    ):
+        p = sub.add_parser(command, help=f"approximate or enumerate {noun}")
+        p.add_argument("--in", dest="infile", required=True)
+        p.add_argument("--oracle", action="store_true", help="exact Pareto front instead")
+        p.add_argument("--certify", action="store_true", help="compare against the oracle")
+        common(p)
+        p.set_defaults(handler=_cmd_solve, kind=kind)
 
     p = sub.add_parser("certify", help="algorithm vs oracle on any instance file")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--alpha", default="1/2")
-    common(p, certifiable=False)
+    common(p)
     p.set_defaults(handler=_cmd_certify)
 
     p = sub.add_parser("bench", help="seeded sweep with aggregate report")
-    p.add_argument("--kind", required=True, choices=KINDS)
+    shape_flags(p, m=6, clauses=8)
     p.add_argument("--count", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bound", type=int, default=10)
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--m", type=int, default=6)
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--clauses", type=int, default=8)
-    p.add_argument("--vertices", type=int, default=4)
-    p.add_argument("--alpha", default="1/2")
-    common(p, certifiable=False)
+    common(p)
     p.set_defaults(handler=_cmd_bench)
 
     return parser
@@ -488,10 +426,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         report = args.handler(args)
-    except MobalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (MobalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     report.wall_time = time.perf_counter() - start

@@ -31,7 +31,14 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from .balancing import COMBINATORIAL, INTEGER, PAIRED, VARIANTS, BalancingInstance
+from .balancing import (
+    COMBINATORIAL,
+    INTEGER,
+    PAIRED,
+    VARIANTS,
+    BalancingInstance,
+    precondition_faults,
+)
 from .errors import BudgetExceededError, InstanceFormatError, PreconditionError
 from .graphs import LabeledDigraph
 from .maxsat import CnfInstance
@@ -230,6 +237,8 @@ def parse_balance(text: str) -> tuple[str, BalancingInstance]:
         inst = BalancingInstance(x=x, y=y, z=z, n=n)
     except PreconditionError as exc:
         raise InstanceFormatError(str(exc), lines[0][0])
+    for row, message in precondition_faults(inst, variant):
+        raise InstanceFormatError(message, body[row][0])
     return variant, inst
 
 
@@ -366,12 +375,10 @@ def detect_kind(text: str) -> str:
     raise InstanceFormatError("cannot detect instance kind from first line", 1)
 
 
-def serialize(spec_kind: str, instance, variant: str | None = None) -> str:
+def serialize(spec_kind: str, instance) -> str:
+    """Canonical text of an instance of a generator kind."""
     if spec_kind in BALANCE_KINDS:
         return serialize_balance(BALANCE_KINDS[spec_kind], instance)
-    if spec_kind == "balance":
-        assert variant is not None
-        return serialize_balance(variant, instance)
     if spec_kind == "cnf":
         return serialize_cnf(instance)
     return serialize_graph(instance)

@@ -49,7 +49,7 @@ from .graphs import (
     iter_hamiltonian_cycles,
 )
 from .matching import ExactMatchingBackend, MatchingBackend, matching_count
-from .maxsat import even_objectives, resolve_budget
+from .maxsat import even_objectives
 from .pareto import SolutionSet, Weight, nondominated, pareto_front_witnesses
 
 DEFAULT_MAXATSP_BUDGET = 10**6
@@ -171,7 +171,8 @@ def maxatsp_approx(
     """
     if g.num_vertices < 2:
         raise PreconditionError("need at least two vertices")
-    budget = resolve_budget(budget, DEFAULT_MAXATSP_BUDGET)
+    if budget is None:
+        budget = DEFAULT_MAXATSP_BUDGET
     two_k = even_objectives(g.dimension)
     estimate = approx_cost_estimate(g.num_vertices, two_k)
     if estimate > budget:

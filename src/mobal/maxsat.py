@@ -37,7 +37,6 @@ time.  Fields are unpacked only for distinct weights.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -56,25 +55,6 @@ from .pareto import (
 Assignment = tuple[int, ...]
 
 DEFAULT_MAXSAT_BUDGET = 10**9
-BUDGET_ENV_VAR = "MOBAL_BUDGET"
-
-
-def resolve_budget(budget: int | None, default: int) -> int:
-    """`budget` if given, else the MOBAL_BUDGET value, else `default`."""
-    if budget is not None:
-        return budget
-    env = os.environ.get(BUDGET_ENV_VAR)
-    if not env:
-        return default
-    try:
-        value = int(env)
-        if value < 0:
-            raise ValueError
-    except ValueError:
-        raise PreconditionError(
-            f"{BUDGET_ENV_VAR} must be a nonnegative integer, got {env!r}"
-        ) from None
-    return value
 
 
 @dataclass(frozen=True)
@@ -326,7 +306,8 @@ def maxsat_approx(inst: CnfInstance, *, budget: int | None = None) -> SolutionSe
     Instances whose `maxsat_scan_estimate` exceeds the budget are
     refused up front with the largest admissible variable count.
     """
-    budget = resolve_budget(budget, DEFAULT_MAXSAT_BUDGET)
+    if budget is None:
+        budget = DEFAULT_MAXSAT_BUDGET
     m = inst.num_vars
     two_k = even_objectives(inst.dimension)
     estimate = maxsat_scan_estimate(m, two_k)

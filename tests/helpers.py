@@ -21,13 +21,12 @@ from mobal.graphs import (
 )
 from mobal.instances import GeneratorSpec, generate
 from mobal.matching import ExactMatchingBackend
-from mobal.maxatsp import DEFAULT_MAXATSP_BUDGET, maxatsp_approx, path_set_candidates
+from mobal.maxatsp import maxatsp_approx, path_set_candidates
 from mobal.maxsat import (
     CnfInstance,
     SatState,
     _emit_masks,
     even_objectives,
-    resolve_budget,
 )
 from mobal.pareto import (
     SolutionSet,
@@ -278,7 +277,6 @@ def odd_wrapper_reference(g: LabeledDigraph, *, backend=None, budget=None) -> So
     """
     if g.num_vertices < 2:
         raise PreconditionError("need at least two vertices")
-    budget = resolve_budget(budget, DEFAULT_MAXATSP_BUDGET)
     two_k = even_objectives(g.dimension)
     n = g.num_vertices
     assert n % 2, "reference for odd vertex counts only"

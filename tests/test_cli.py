@@ -1,5 +1,6 @@
 import pytest
 
+from mobal import cli
 from mobal.cli import main
 
 # frozen: generated cnf instance whose interval sweep misses an exact
@@ -169,28 +170,30 @@ def test_machine_section_byte_identical(capsys, tmp_path):
 
 
 def test_budget_env_var(capsys, tmp_path, monkeypatch):
+    # the budget is set per call: the environment is not read
     path = gen_file(capsys, tmp_path, "t.wcnf", kind="cnf", seed=8, m=6, clauses=8)
     monkeypatch.setenv("MOBAL_BUDGET", "10")
-    code, _, err = run(capsys, "maxsat", "--in", str(path))
-    assert code == 2
-    assert "budget" in err
-    # explicit flag overrides the environment
-    code, _, _ = run(capsys, "maxsat", "--in", str(path), "--budget", "1000000000")
+    code, _, _ = run(capsys, "maxsat", "--in", str(path))
     assert code == 0
+    code, _, err = run(capsys, "maxsat", "--in", str(path), "--budget", "10")
+    assert code == 2
+    assert "budget 10" in err
 
 
-# Bad input, one row each: (argv before --in, file, environment, what the
-# error line must name).  Every row must exit 2 with a single `error:`
-# line and no traceback; exit 1 is reserved for a failed certificate.
+# Bad input, one row each: (argv before --in, file or None for no --in,
+# environment, what the error line must name).  Every row must exit 2
+# with a single `error:` line and no traceback; exit 1 is reserved for a
+# failed certificate.  No row sets the environment today; the empty
+# column is kept so that every row keeps its test id.
 BAD_INPUT_TABLE = [
     (["maxatsp", "--eps", "abc"], "graph", {}, "--eps"),
     (["maxatsp", "--eps=-1/2"], "graph", {}, "--eps"),
     (["certify", "--eps", "abc"], "graph", {}, "--eps"),
     (["certify", "--eps=-1/2"], "graph", {}, "--eps"),
-    (["maxatsp"], "graph", {"MOBAL_BUDGET": "xyz"}, "MOBAL_BUDGET"),
-    (["maxatsp"], "graph", {"MOBAL_BUDGET": "-1"}, "MOBAL_BUDGET"),
-    (["maxsat"], "cnf", {"MOBAL_BUDGET": "xyz"}, "MOBAL_BUDGET"),
-    (["maxsat"], "cnf", {"MOBAL_BUDGET": "-1"}, "MOBAL_BUDGET"),
+    (["maxatsp", "--certify", "--alpha", "abc"], "graph", {}, "--alpha"),
+    (["maxatsp", "--certify", "--alpha", "3/2"], "graph", {}, "--alpha"),
+    (["maxsat", "--certify", "--alpha", "abc"], "cnf", {}, "--alpha"),
+    (["maxsat", "--certify", "--alpha", "3/2"], "cnf", {}, "--alpha"),
     (["maxatsp"], "negative-graph", {}, "line 2"),
     (["maxatsp", "--budget", "-5"], "graph", {}, "--budget"),
     (["maxatsp", "--budget", "abc"], "graph", {}, "--budget"),
@@ -205,15 +208,32 @@ BAD_INPUT_TABLE = [
     (["maxsat"], "cnf-zero-dim", {}, "line 1"),
     (["maxsat"], "cnf-negative-dim", {}, "line 1"),
     (["maxsat"], "cnf-no-vars", {}, "line 2"),
+    (["certify", "--alpha", "abc"], "graph", {}, "--alpha"),
+    (["certify", "--alpha", "3/2"], "cnf", {}, "--alpha"),
+    (["bench", "--kind", "graph", "--alpha", "abc"], None, {}, "--alpha"),
+    (["bench", "--kind", "cnf", "--alpha", "3/2"], None, {}, "--alpha"),
+    (["bench", "--kind", "graph", "--count", "-1"], None, {}, "--count"),
+    (["maxatsp"], "graph-short-header", {}, "line 1"),
+    (["maxatsp"], "graph-short-weight", {}, "line 3"),
+    (["balance", "--variant", "paired"], "paired-above-z", {}, "line 3"),
+    (["balance", "--variant", "paired"], "paired-negative-z", {}, "line 4"),
+    (["certify"], "combinatorial-negative", {}, "line 4"),
+    (["balance", "--variant", "integer"], "integer-outside-band", {}, "line 2"),
 ]
 
-# malformed cnf files, each at fault on the line its BAD_INPUT_TABLE row names
-BAD_CNF = {
+# malformed files, each at fault on the line its BAD_INPUT_TABLE row names
+BAD_FILES = {
     "cnf-bad-literal": "c k 2\np cnf 3 2\nw 1 2 1 0\nw 3 4 9 0\n",
     "cnf-negative-weight": "c k 2\np cnf 3 2\nw 1 2 1 0\nw 3 -4 2 0\n",
     "cnf-zero-dim": "c k 0\np cnf 3 2\nw 1 0\nw 2 0\n",
     "cnf-negative-dim": "c k -1\np cnf 3 2\nw 1 0\nw 2 0\n",
     "cnf-no-vars": "c k 1\np cnf 0 1\nw 1 1 0\n",
+    "graph-short-header": "moatsp k=2\n0 1 1 1\n1 0 1 1\n",
+    "graph-short-weight": "moatsp k=2 n=2\n0 1 1 1\n1 0 1\n",
+    "paired-above-z": "balance paired m=2 n=1\n3 0\n1 9\n0 1\n2 2\n4 4\n",
+    "paired-negative-z": "balance paired m=1 n=1\n1 0\n0 1\n-1 2\n",
+    "combinatorial-negative": "balance combinatorial m=2 n=1\n1 0\n1 1\n0 -2\n2 2\n",
+    "integer-outside-band": "balance integer m=2 n=1\n3 -5\n1 1\n4 4\n",
 }
 
 
@@ -227,12 +247,14 @@ def test_bad_input_exits_two_with_one_error_line(
         "negative-graph": tmp_path / "neg.txt",
     }
     files["negative-graph"].write_text("moatsp k=1 n=2\n0 1 -4\n1 0 1\n")
-    for name, text in BAD_CNF.items():
-        files[name] = tmp_path / f"{name}.wcnf"
+    for name, text in BAD_FILES.items():
+        files[name] = tmp_path / f"{name}.txt"
         files[name].write_text(text)
     for key, value in env.items():
         monkeypatch.setenv(key, value)
-    code, out, err = run(capsys, *argv, "--in", str(files[infile]))
+    if infile is not None:
+        argv = [*argv, "--in", str(files[infile])]
+    code, out, err = run(capsys, *argv)
     assert code == 2
     error_lines = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(error_lines) == 1 and names in error_lines[0]
@@ -249,10 +271,17 @@ def test_oracle_certify_refused_before_any_solver_runs(
     def must_not_run(*args, **kwargs):
         raise AssertionError("a solver ran before the flags were checked")
 
-    for name in ("tsp_oracle", "maxsat_oracle", "maxatsp_approx", "maxsat_approx"):
-        monkeypatch.setattr(f"mobal.cli.{name}", must_not_run)
-    code, out, err = run(capsys, command, "--in", str(path), "--oracle", "--certify")
-    assert code == 2
-    error_lines = [line for line in err.splitlines() if line.startswith("error:")]
-    assert len(error_lines) == 1 and "--certify" in error_lines[0]
-    assert "report-begin" not in out
+    solver = cli._SOLVERS[kind]
+    monkeypatch.setitem(
+        cli._SOLVERS, kind, solver._replace(approx=must_not_run, oracle=must_not_run)
+    )
+    for argv, names in (
+        ([command, "--oracle", "--certify"], "--certify"),
+        ([command, "--certify", "--alpha", "abc"], "--alpha"),
+        (["certify", "--alpha", "abc"], "--alpha"),
+    ):
+        code, out, err = run(capsys, *argv, "--in", str(path))
+        assert code == 2
+        error_lines = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(error_lines) == 1 and names in error_lines[0]
+        assert "report-begin" not in out

@@ -215,8 +215,7 @@ def test_cost_estimate_bounds_the_sweep():
         assert silent.sizes and approx_cost_estimate(n, even_objectives(dim)) >= work
 
 
-def test_default_budget_verdicts_for_odd_vertex_counts(monkeypatch):
-    monkeypatch.delenv("MOBAL_BUDGET", raising=False)
+def test_default_budget_verdicts_for_odd_vertex_counts():
     admitted = {(3, 2), (5, 2), (7, 2), (3, 4), (5, 4)}
     for n in (3, 5, 7, 9, 11):
         for two_k in (2, 4):
