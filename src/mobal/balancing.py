@@ -217,34 +217,16 @@ def balance_integer(x: tuple[Weight, ...], z: Weight) -> BalanceResult:
     return BalanceResult(paired.family, *_sums(x, x, paired.family.intervals, False))
 
 
-def _separated_tuples(m: int, count: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    # closed intervals 1 <= a_1 <= b_1 < a_2 <= b_2 < ... <= m, lexicographic
-    if count == 0:
-        yield ()
-        return
-    stack: list[tuple[int, int]] = []
-
-    def rec(start: int) -> Iterator[tuple[tuple[int, int], ...]]:
-        depth = len(stack)
-        for a in range(start, m + 1):
-            for b in range(a, m + 1):
-                stack.append((a, b))
-                if depth + 1 == count:
-                    yield tuple(stack)
-                else:
-                    yield from rec(b + 1)
-                stack.pop()
-
-    yield from rec(1)
-
-
 def balance_combinatorial(inst: BalancingInstance) -> BalanceResult:
     """Closed disjoint intervals with boundary correction, one-sided bound.
 
     Finds the smallest interval count n' in {0..min(n, m)} and, within
     it, the lexicographically first endpoint tuple such that
     sum_j y_{b_j} + sum_{i in I} x_i + sum_{i not in I} y_i is at least
-    half the grand total, componentwise.
+    half the grand total, componentwise.  The families
+    1 <= a_1 <= b_1 < a_2 <= ... <= b_n' <= m are the sorted 2n'-tuples
+    over 1..m-n'+1 with interval j (counted from 0) moved up by j, in
+    the same order.
     """
     _require(inst, COMBINATORIAL)
     m, n, dim = inst.m, inst.n, inst.dimension
@@ -254,18 +236,21 @@ def balance_combinatorial(inst: BalancingInstance) -> BalanceResult:
     total_y = [pre_y[c][m] for c in range(dim)]
 
     for nprime in range(0, min(n, m) + 1):
-        for intervals in _separated_tuples(m, nprime):
+        for t in combinations_with_replacement(range(1, m - nprime + 2), 2 * nprime):
             ok = True
             for c in range(dim):
                 px, py = pre_x[c], pre_y[c]
                 acc = total_y[c]
-                for a, b in intervals:
-                    # closed interval contribution plus the y_b correction
-                    acc += px[b] - px[a - 1] - py[b] + py[a - 1] + inst.y[b - 1][c]
+                for j in range(nprime):
+                    a, b = t[2 * j] + j, t[2 * j + 1] + j
+                    # closed interval contribution plus the y_b correction,
+                    # which turns py[b] into py[b - 1]
+                    acc += px[b] - px[a - 1] - py[b - 1] + py[a - 1]
                 if 2 * acc < total[c]:
                     ok = False
                     break
             if ok:
+                intervals = tuple((t[2 * j] + j, t[2 * j + 1] + j) for j in range(nprime))
                 family = IntervalFamily(intervals, m)
                 return BalanceResult(family, *_sums(inst.x, inst.y, intervals, True))
     raise SearchInvariantError(

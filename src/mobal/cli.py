@@ -92,7 +92,9 @@ def _fmt_weights(s: SolutionSet) -> str:
     return ";".join(_fmt_vec(w) for w in s.weights())
 
 
-def _parse_alpha(text: str) -> Fraction:
+def _parse_alpha(text: str | None) -> Fraction:
+    if text is None:
+        return Fraction(1, 2)
     try:
         alpha = Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -175,7 +177,8 @@ _BALANCERS = {
     COMBINATORIAL: balance_combinatorial,
 }
 
-# generator flags shared by `gen` and `bench`, with their defaults
+# generator flags shared by `gen` and `bench`, with their defaults; --dim
+# is registered with None instead, so that `_add_shape` can tell it was given
 _SHAPE = dict(bound=10, dim=2, m=4, n=1, clauses=4, vertices=4)
 
 
@@ -187,20 +190,31 @@ def _solve(solver: _Solver, inst, budget: int | None, alpha: Fraction | None):
     return out, is_alpha_approx_set(out, solver.oracle(inst), alpha)
 
 
-def _spec(args, seed: int) -> GeneratorSpec:
-    return GeneratorSpec(args.kind, seed, **{key: getattr(args, key) for key in _SHAPE})
+def _refuse_for_balance(args, *flags: str) -> None:
+    """Balancing has no budget, cover fraction or objective count, so an
+    explicit flag setting one is refused rather than ignored."""
+    for flag in flags:
+        if getattr(args, flag) is not None:
+            raise PreconditionError(f"--{flag} does not apply to balancing")
 
 
-def _add_shape(report: RunReport, args, leading: tuple[str, ...]) -> None:
-    """The leading keys, then bound, dim and the sizes of the kind."""
+def _add_shape(report: RunReport, args, leading: tuple[str, ...]) -> dict[str, int]:
+    """Report the leading keys, then bound, dim and the sizes of the kind,
+    and return those generator flags.  A balance kind's vector dimension
+    is 2n, so it takes no --dim."""
     if args.kind in BALANCE_KINDS:
-        sizes = ("m", "n")
-    elif args.kind == "cnf":
-        sizes = ("m", "clauses")
+        _refuse_for_balance(args, "dim")
+        keys = ("bound", "m", "n")
     else:
-        sizes = ("vertices",)
-    for key in leading + ("bound", "dim") + sizes:
+        keys = ("bound", "dim") + (("m", "clauses") if args.kind == "cnf" else ("vertices",))
+    for key in leading:
         report.add(key, getattr(args, key))
+    shape = {}
+    for key in keys:
+        value = getattr(args, key)
+        shape[key] = _SHAPE[key] if value is None else value
+        report.add(key, shape[key])
+    return shape
 
 
 def _imbalance_ratio(dev, bound) -> Fraction:
@@ -214,9 +228,9 @@ def _imbalance_ratio(dev, bound) -> Fraction:
 
 def _cmd_gen(args) -> RunReport:
     report = RunReport("gen", "splitmix64-generator")
-    text = serialize(args.kind, generate(_spec(args, args.seed)))
+    shape = _add_shape(report, args, ("kind", "seed"))
+    text = serialize(args.kind, generate(GeneratorSpec(args.kind, args.seed, **shape)))
     Path(args.out).write_text(text, encoding="ascii")
-    _add_shape(report, args, ("kind", "seed"))
     report.add("out", args.out)
     report.add("instance", "sha256:" + digest(text))
     report.note("generated", f"{args.kind} instance (seed {args.seed}) -> {args.out}")
@@ -296,6 +310,7 @@ def _cmd_certify(args) -> RunReport:
     text = Path(args.infile).read_text(encoding="ascii")
     kind = detect_kind(text)
     if kind == "balance":
+        _refuse_for_balance(args, "budget", "alpha")
         report = RunReport("certify", "balance-verify")
         variant, inst = parse_balance(text)
         report.add("instance", "sha256:" + digest(text))
@@ -316,14 +331,16 @@ def _cmd_bench(args) -> RunReport:
     budget = _parse_budget(args.budget)
     if args.count < 0:
         raise PreconditionError(f"--count must be >= 0, got {args.count}")
-    report = RunReport("bench", f"bench-{args.kind}")
-    _add_shape(report, args, ("kind", "count", "seed"))
     variant = BALANCE_KINDS.get(args.kind)
+    if variant:
+        _refuse_for_balance(args, "budget", "alpha")
+    report = RunReport("bench", f"bench-{args.kind}")
+    shape = _add_shape(report, args, ("kind", "count", "seed"))
     passed = 0  # verified balances or certified fronts
     worst_ratio = Fraction(0)
     cover_min: Fraction | None = None
     for i in range(args.count):
-        instance = generate(_spec(args, args.seed + i))
+        instance = generate(GeneratorSpec(args.kind, args.seed + i, **shape))
         if variant:
             result = _BALANCERS[variant](instance)
             passed += verify_balance(instance, result, variant)
@@ -372,11 +389,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--budget", default=None, help="operation budget override")
-        p.add_argument("--alpha", default="1/2", help="exact cover fraction p/q")
+        p.add_argument("--alpha", default=None, help="exact cover fraction p/q (default 1/2)")
 
     def shape_flags(p, **defaults):
         p.add_argument("--kind", required=True, choices=KINDS)
-        for key, default in {**_SHAPE, **defaults}.items():
+        for key, default in {**_SHAPE, "dim": None, **defaults}.items():
             p.add_argument(f"--{key}", type=int, default=default)
 
     p = sub.add_parser("gen", help="generate a seeded instance file")

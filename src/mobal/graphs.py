@@ -184,12 +184,11 @@ def cycle_edges(order: tuple[int, ...]) -> tuple[Edge, ...]:
     )
 
 
-def cycle_vertex_order(edges: Iterable[Edge], start: int | None = None) -> tuple[int, ...]:
-    """Vertices of a cycle in traversal order, beginning at `start`
-    (default: smallest vertex)."""
+def cycle_vertex_order(edges: Iterable[Edge]) -> tuple[int, ...]:
+    """Vertices of a cycle in traversal order, beginning at its smallest
+    vertex."""
     succ = {u: v for u, v in edges}
-    if start is None:
-        start = min(succ)
+    start = min(succ)
     order = [start]
     u = succ[start]
     while u != start:
@@ -275,27 +274,6 @@ def expand(rec: ContractionRecord, t: Iterable[Edge]) -> tuple[Edge, ...]:
     if not is_hamiltonian_cycle(rec.original, result):
         raise SearchInvariantError("expansion produced a non-Hamiltonian edge set")
     return tuple(result)
-
-
-def contract_edge_in_set(edges: frozenset[Edge], edge: Edge) -> frozenset[Edge]:
-    # edge-set image of a single contraction: drop everything touching v,
-    # re-source v's outgoing edges at u
-    u, v = edge
-    kept = {(a, b) for a, b in edges if v not in (a, b)}
-    moved = {(u, b) for a, b in edges if a == v and b not in (u, v)}
-    return frozenset(kept | moved)
-
-
-def contract_edge_set(
-    paths: tuple[tuple[Edge, ...], ...], edges: Iterable[Edge]
-) -> frozenset[Edge]:
-    """Image of an edge set under contracting `paths` (same edge order as
-    the graph contraction)."""
-    current = frozenset(edges)
-    for path in paths:
-        for e in reversed(path):
-            current = contract_edge_in_set(current, e)
-    return current
 
 
 def iter_hamiltonian_cycles(g: LabeledDigraph) -> Iterator[tuple[Edge, ...]]:

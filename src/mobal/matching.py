@@ -47,6 +47,9 @@ from .errors import BudgetExceededError
 from .graphs import Edge, LabeledDigraph
 from .pareto import SolutionSet, Weight, nondominated, pareto_front_witnesses
 
+# largest graph `ExactMatchingBackend` takes: its DP visits every vertex subset
+VERTEX_CAP = 10
+
 
 class MatchingBackend(Protocol):
     """Producer of exact Pareto sets of matchings."""
@@ -74,7 +77,6 @@ class ExactMatchingBackend:
     across calls; see the module docstring for the reuse rule.
     """
 
-    vertex_cap: int = 10
     _bound: LabeledDigraph | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -99,10 +101,10 @@ class ExactMatchingBackend:
         return bound
 
     def pareto_matchings(self, g: LabeledDigraph) -> SolutionSet:
-        if g.num_vertices > self.vertex_cap:
+        if g.num_vertices > VERTEX_CAP:
             raise BudgetExceededError(
                 f"exact matching backend refuses {g.num_vertices} vertices "
-                f"(cap {self.vertex_cap})"
+                f"(cap {VERTEX_CAP})"
             )
         bound = self._bind(g)
         bound_wm = bound.weight_map

@@ -41,7 +41,6 @@ from .graphs import (
     Edge,
     LabeledDigraph,
     contract,
-    contract_edge_set,
     cycle_vertex_order,
     expand,
     is_hamiltonian_cycle,
@@ -53,6 +52,8 @@ from .maxsat import even_objectives
 from .pareto import SolutionSet, Weight, nondominated, pareto_front_witnesses
 
 DEFAULT_MAXATSP_BUDGET = 10**6
+# `tsp_oracle` enumerates all (n - 1)! tours
+ORACLE_VERTEX_CAP = 9
 
 Cycle = tuple[Edge, ...]
 
@@ -197,15 +198,15 @@ def maxatsp_approx(
     return SolutionSet.build((enc, w) for w in front for enc in pool[w])
 
 
-def tsp_oracle(g: LabeledDigraph, cap: int = 9) -> SolutionSet:
+def tsp_oracle(g: LabeledDigraph) -> SolutionSet:
     """Exact Pareto front over all (|V| - 1)! Hamiltonian cycles.
 
     One canonical witness (smallest sorted edge tuple) per nondominated
     weight.
     """
-    if g.num_vertices > cap:
+    if g.num_vertices > ORACLE_VERTEX_CAP:
         raise BudgetExceededError(
-            f"cycle oracle refuses {g.num_vertices} vertices (cap {cap})"
+            f"cycle oracle refuses {g.num_vertices} vertices (cap {ORACLE_VERTEX_CAP})"
         )
     return pareto_front_witnesses(
         (tuple(sorted(t)), g.edge_set_weight(t)) for t in iter_hamiltonian_cycles(g)
@@ -284,7 +285,12 @@ def matching_claim_witness(g: LabeledDigraph, cycle: Iterable[Edge]) -> ClaimWit
         f_edges.add(odd[a - 1])
         f_edges.add(even[b - 1])
     rec = contract(g, f_edges)
-    mprime = contract_edge_set(rec.paths, s_edges)
+    # Contraction leaves S - F as it is.  On the cycle, the edge entering a
+    # tail of F is an F edge, and no edge of S - F leaves a path's last
+    # vertex: after odd[a-1] comes even[a-1], in S only when a == b and
+    # then in F; after even[b-1] comes the next odd edge (odd[0] when
+    # b = p), in S only when an interval starts at its index and then in F.
+    mprime = s_edges - f_edges
     return ClaimWitness(
         cycle=cycle,
         f_edges=tuple(sorted(f_edges)),

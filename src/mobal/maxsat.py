@@ -12,10 +12,12 @@ treated as carrying one extra, always-zero objective) and enumerates:
     V1 outside V0 whose negated occurrences in G are too heavy to give
     up -- 2k * w(G[-v]) exceeds w(H - G) in some objective -- forced
     to 1;
-  * for the remaining variables V', every combination of k index
-    intervals over the V' indices, possibly empty (an interval with
-    a_j > b_j selects nothing): interval variables become 1, the rest of
-    V' become 0.  With V' empty the forced assignment itself is emitted.
+  * for the remaining variables V', in ascending order, every union of
+    k index intervals: interval variables become 1, the rest of V'
+    become 0.  Such a union is a sorted tuple of 2k cut points
+    0 <= p_1 <= q_1 <= ... <= p_k <= q_k <= |V'|, interval j holding the
+    V' indices p_j..q_j - 1 (empty when p_j == q_j), so with V' empty
+    only the forced assignment itself is emitted.
 
 Deduplicated and Pareto-filtered, the emitted assignments contain a
 1/2-approximate Pareto set of the instance.
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import comb
 from operator import add
 from typing import Iterable, Iterator
@@ -55,6 +57,8 @@ from .pareto import (
 Assignment = tuple[int, ...]
 
 DEFAULT_MAXSAT_BUDGET = 10**9
+# `maxsat_oracle` weighs all 2^m assignments
+ORACLE_VAR_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -217,13 +221,12 @@ def even_objectives(dim: int) -> int:
     return dim + (dim % 2)
 
 
-def sat_state(inst: CnfInstance, v0: Iterable[int], two_k: int | None = None) -> SatState:
+def sat_state(inst: CnfInstance, v0: Iterable[int]) -> SatState:
     """G, V1 and V' for a given zero-forced variable set V0."""
     v0 = frozenset(v0)
     if any(v < 1 or v > inst.num_vars for v in v0):
         raise PreconditionError("V0 contains an out-of-range variable")
-    if two_k is None:
-        two_k = even_objectives(inst.dimension)
+    two_k = even_objectives(inst.dimension)
     table = inst._table
     # G: the clauses without a negated V0 literal
     discarded = 0
@@ -249,54 +252,45 @@ def sat_state(inst: CnfInstance, v0: Iterable[int], two_k: int | None = None) ->
     return SatState(v0, v1, vprime, g)
 
 
-def iter_sat_states(inst: CnfInstance, two_k: int | None = None) -> Iterator[SatState]:
+def iter_sat_states(inst: CnfInstance) -> Iterator[SatState]:
     """States for every admissible V0, sizes ascending, each size in
     lexicographic variable order."""
-    if two_k is None:
-        two_k = even_objectives(inst.dimension)
+    two_k = even_objectives(inst.dimension)
     cap = min(two_k * two_k, inst.num_vars)
     for size in range(cap + 1):
         for v0 in combinations(range(1, inst.num_vars + 1), size):
-            yield sat_state(inst, v0, two_k)
+            yield sat_state(inst, v0)
 
 
 def maxsat_scan_estimate(num_vars: int, two_k: int) -> int:
     """Upper bound on the masks the sweep emits, used by the budget guard.
 
-    There is one state per V0 of size at most (2k)^2, and a state with
-    interval variables V' emits at most (|V'|^2 + 1)^k masks: k choices
-    among |V'|^2 endpoint pairs plus the empty interval.
+    There is one state per V0 of size s at most (2k)^2, and such a state
+    has at most m - s interval variables.  Each mask it emits is given
+    by a sorted tuple of 2k cut points over 0..|V'|, and there are
+    C(|V'| + 2k, 2k) of those.
     """
-    states = sum(comb(num_vars, s) for s in range(min(two_k * two_k, num_vars) + 1))
-    return states * (num_vars * num_vars + 1) ** (two_k // 2)
+    return sum(
+        comb(num_vars, s) * comb(num_vars - s + two_k, two_k)
+        for s in range(min(two_k * two_k, num_vars) + 1)
+    )
 
 
 def _emit_masks(state: SatState, half_k: int) -> set[int]:
     base = 0
     for v in state.v1:
         base |= 1 << (v - 1)
-    idxs = sorted(state.vprime)
-    if not idxs:
-        # the single combination of k empty intervals
-        return {base}
     cum = [0]
-    for v in idxs:
+    for v in sorted(state.vprime):
         cum.append(cum[-1] | (1 << (v - 1)))
-    size = len(idxs)
-    # one mask per endpoint pair (a, b) = (idxs[p], idxs[q]); p > q is empty
-    pair_masks = [
-        cum[q + 1] ^ cum[p] if p <= q else 0
-        for p in range(size)
-        for q in range(size)
-    ]
-    if 0 not in pair_masks:
-        # a single interval variable admits no a > b tuple, yet the empty
-        # interval is still one of the combinations to realize
-        pair_masks.append(0)
-    # OR-ing one pair mask per interval, deduplicated after each interval
+    # the half-open interval of V' indices p..q-1, empty when p == q
+    cuts = combinations_with_replacement(range(len(cum)), 2)
+    intervals = {cum[q] ^ cum[p] for p, q in cuts}
+    # OR-ing k intervals, deduplicated after each; any k of them unite to
+    # at most k sorted disjoint ones, padded with empty ones
     out = {base}
     for _ in range(half_k):
-        out = {mask | pm for mask in out for pm in pair_masks}
+        out = {mask | iv for mask in out for iv in intervals}
     return out
 
 
@@ -321,7 +315,7 @@ def maxsat_approx(inst: CnfInstance, *, budget: int | None = None) -> SolutionSe
         )
 
     masks: set[int] = set()
-    for state in iter_sat_states(inst, two_k):
+    for state in iter_sat_states(inst):
         masks |= _emit_masks(state, two_k // 2)
 
     table = inst._table
@@ -337,15 +331,15 @@ def maxsat_approx(inst: CnfInstance, *, budget: int | None = None) -> SolutionSe
     )
 
 
-def maxsat_oracle(inst: CnfInstance, cap: int = 20) -> SolutionSet:
+def maxsat_oracle(inst: CnfInstance) -> SolutionSet:
     """Exact Pareto front over all 2^m assignments.
 
     Returns one witness per nondominated weight, the lexicographically
     smallest assignment tuple.
     """
     m = inst.num_vars
-    if m > cap:
-        raise BudgetExceededError(f"oracle refuses {m} variables (cap {cap})")
+    if m > ORACLE_VAR_CAP:
+        raise BudgetExceededError(f"oracle refuses {m} variables (cap {ORACLE_VAR_CAP})")
     table = inst._table
     # Variable 1 comes first in tuple order but sits at bit 0 of a mask,
     # so walking each half in bit-reversed index order, the first half

@@ -27,10 +27,6 @@ def _require_same_dim(a: Weight, b: Weight) -> None:
         )
 
 
-def vec_zero(dim: int) -> Weight:
-    return (0,) * dim
-
-
 def vec_add(a: Weight, b: Weight) -> Weight:
     _require_same_dim(a, b)
     return tuple(x + y for x, y in zip(a, b))
@@ -39,12 +35,6 @@ def vec_add(a: Weight, b: Weight) -> Weight:
 def vec_sub(a: Weight, b: Weight) -> Weight:
     _require_same_dim(a, b)
     return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_leq(a: Weight, b: Weight) -> bool:
-    """Componentwise a <= b."""
-    _require_same_dim(a, b)
-    return all(x <= y for x, y in zip(a, b))
 
 
 def vec_total(vectors: Iterable[Weight], dim: int) -> Weight:

@@ -9,6 +9,7 @@ from __future__ import annotations
 from itertools import combinations, permutations, product
 from typing import Mapping
 
+from mobal.balancing import BalanceResult, BalancingInstance, IntervalFamily
 from mobal.errors import PreconditionError
 from mobal.graphs import (
     Edge,
@@ -22,12 +23,7 @@ from mobal.graphs import (
 from mobal.instances import GeneratorSpec, generate
 from mobal.matching import ExactMatchingBackend
 from mobal.maxatsp import maxatsp_approx, path_set_candidates
-from mobal.maxsat import (
-    CnfInstance,
-    SatState,
-    _emit_masks,
-    even_objectives,
-)
+from mobal.maxsat import CnfInstance, SatState, even_objectives
 from mobal.pareto import (
     SolutionSet,
     Weight,
@@ -130,13 +126,49 @@ def reference_sat_state(inst: CnfInstance, v0, two_k: int) -> SatState:
     return SatState(v0, v1, vprime, g)
 
 
+def reference_emit_masks(state: SatState, half_k: int) -> set[int]:
+    """The sweep's mask emission before sorted cut points: one mask per
+    endpoint pair (a, b) of V' indices, empty when a > b, OR-ed k times.
+
+    Reference for `_emit_masks`, which must emit the same set.
+    """
+    base = 0
+    for v in state.v1:
+        base |= 1 << (v - 1)
+    idxs = sorted(state.vprime)
+    if not idxs:
+        # the single combination of k empty intervals
+        return {base}
+    cum = [0]
+    for v in idxs:
+        cum.append(cum[-1] | (1 << (v - 1)))
+    size = len(idxs)
+    # one mask per endpoint pair (a, b) = (idxs[p], idxs[q]); p > q is empty
+    pair_masks = [
+        cum[q + 1] ^ cum[p] if p <= q else 0
+        for p in range(size)
+        for q in range(size)
+    ]
+    if 0 not in pair_masks:
+        # a single interval variable admits no a > b tuple, yet the empty
+        # interval is still one of the combinations to realize
+        pair_masks.append(0)
+    # OR-ing one pair mask per interval, deduplicated after each interval
+    out = {base}
+    for _ in range(half_k):
+        out = {mask | pm for mask in out for pm in pair_masks}
+    return out
+
+
 def reference_sweep_masks(inst: CnfInstance) -> set[int]:
-    """Every mask the interval sweep emits, states from `reference_sat_state`."""
+    """Every mask the interval sweep emits, states from `reference_sat_state`
+    and masks from `reference_emit_masks`."""
     two_k = even_objectives(inst.dimension)
     masks: set[int] = set()
     for size in range(min(two_k * two_k, inst.num_vars) + 1):
         for v0 in combinations(range(1, inst.num_vars + 1), size):
-            masks |= _emit_masks(reference_sat_state(inst, v0, two_k), two_k // 2)
+            state = reference_sat_state(inst, v0, two_k)
+            masks |= reference_emit_masks(state, two_k // 2)
     return masks
 
 
@@ -200,6 +232,47 @@ def reference_maxsat_oracle(inst: CnfInstance) -> SolutionSet:
         (tuple((a >> (m - 1 - j)) & 1 for j in range(m)), w)
         for w, a in best.items()
     )
+
+
+def separated_tuples(m: int, count: int):
+    """Closed intervals 1 <= a_1 <= b_1 < a_2 <= b_2 < ... <= m, as tuples
+    of (a, b) pairs in lexicographic order."""
+    if count == 0:
+        yield ()
+        return
+    stack: list[tuple[int, int]] = []
+
+    def rec(start: int):
+        depth = len(stack)
+        for a in range(start, m + 1):
+            for b in range(a, m + 1):
+                stack.append((a, b))
+                if depth + 1 == count:
+                    yield tuple(stack)
+                else:
+                    yield from rec(b + 1)
+                stack.pop()
+
+    yield from rec(1)
+
+
+def reference_balance_combinatorial(inst: BalancingInstance) -> BalanceResult:
+    """`balance_combinatorial` before sorted cut-point tuples: the first
+    family from `separated_tuples`, n' ascending, whose corrected mixed
+    sum reaches half the total in every component, each family summed
+    index by index.  Assumes the instance meets the preconditions."""
+    m, n, dim = inst.m, inst.n, inst.dimension
+    total = vec_total(inst.x + inst.y, dim)
+    for nprime in range(0, min(n, m) + 1):
+        for intervals in separated_tuples(m, nprime):
+            inside = {i for a, b in intervals for i in range(a, b + 1)}
+            in_sum = vec_total((v for i, v in enumerate(inst.x, 1) if i in inside), dim)
+            out_sum = vec_total((v for i, v in enumerate(inst.y, 1) if i not in inside), dim)
+            correction = vec_total((inst.y[b - 1] for _, b in intervals), dim)
+            mixed = zip(in_sum, out_sum, correction, total)
+            if all(2 * (s + o + c) >= t for s, o, c, t in mixed):
+                return BalanceResult(IntervalFamily(intervals, m), in_sum, out_sum, correction)
+    raise AssertionError("no combinatorial family found")
 
 
 def brute_force_assignment_front(inst: CnfInstance):
@@ -362,6 +435,28 @@ def contract_edge(g: LabeledDigraph, edge: Edge) -> LabeledDigraph:
             continue
         wm[(a, b)] = g.weight_map[(v, b)] if a == u else w
     return LabeledDigraph(tuple(x for x in g.vertices if x != v), wm, g.dimension)
+
+
+def contract_edge_in_set(edges: frozenset[Edge], edge: Edge) -> frozenset[Edge]:
+    # edge-set image of a single contraction: drop everything touching v,
+    # re-source v's outgoing edges at u
+    u, v = edge
+    kept = {(a, b) for a, b in edges if v not in (a, b)}
+    moved = {(u, b) for a, b in edges if a == v and b not in (u, v)}
+    return frozenset(kept | moved)
+
+
+def contract_edge_set(
+    paths: tuple[tuple[Edge, ...], ...], edges
+) -> frozenset[Edge]:
+    """Image of an edge set under contracting `paths` edge by edge, each
+    path from its last edge back to its head.  Reference for the image
+    `matching_claim_witness` computes in one pass."""
+    current = frozenset(edges)
+    for path in paths:
+        for e in reversed(path):
+            current = contract_edge_in_set(current, e)
+    return current
 
 
 def relabel(g: LabeledDigraph, mapping: Mapping[int, int]) -> LabeledDigraph:

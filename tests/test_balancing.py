@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_balance_combinatorial, separated_tuples
 from mobal.balancing import (
     BalanceResult,
     BalancingInstance,
@@ -331,8 +332,6 @@ def test_verify_empty_family_on_zero_instance():
 def test_separated_tuple_generator_against_brute_force():
     from itertools import product as iproduct
 
-    from mobal.balancing import _separated_tuples
-
     for m in range(1, 7):
         for count in range(0, 3):
             expected = []
@@ -345,7 +344,50 @@ def test_separated_tuple_generator_against_brute_force():
                 )
                 if ok:
                     expected.append(pairs)
-            assert list(_separated_tuples(m, count)) == expected
+            assert list(separated_tuples(m, count)) == expected
+
+
+def test_combinatorial_matches_separated_tuple_search():
+    instances = list(combinatorial_corpus(60, seed0=12_500))
+    # m < n, m = 1, and spreads over n = 1..3
+    for i, (m, n) in enumerate([(1, 1), (1, 3), (2, 3), (3, 2), (4, 3), (9, 3), (12, 2)]):
+        instances += [
+            generate(
+                GeneratorSpec(
+                    kind="balance-combinatorial", seed=12_600 + 10 * i + s, m=m, n=n,
+                    bound=(0, 1, 50)[s % 3],
+                )
+            )
+            for s in range(6)
+        ]
+    # y alone reaches half the total: the empty family (n' = 0) is the hit
+    instances.append(BalancingInstance(x=((1, 0), (0, 1)), y=((2, 2), (3, 1))))
+    # every sum is zero
+    instances.append(BalancingInstance(x=((0, 0, 0, 0),) * 3, y=((0, 0, 0, 0),) * 3))
+    # a seed whose first hit takes two intervals, and sparse instances
+    # whose first hit takes all three
+    instances.append(
+        generate(GeneratorSpec(kind="balance-combinatorial", seed=13_149, m=6, n=2, bound=3))
+    )
+    z6 = (0,) * 6
+    instances.append(
+        BalancingInstance(
+            x=((0, 3, 0, 0, 0, 0), (0, 0, 3, 0, 0, 0), (1, 0, 0, 0, 0, 0), z6, (0, 0, 0, 0, 1, 0)),
+            y=((3, 0, 1, 1, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 0, 3, 0, 0), z6, z6),
+        )
+    )
+    instances.append(
+        BalancingInstance(
+            x=(z6, (3, 0, 0, 0, 0, 0), (3, 0, 1, 0, 0, 3), (1, 0, 0, 1, 0, 0), (0, 0, 0, 0, 3, 0), z6),
+            y=(z6, (0, 0, 0, 0, 0, 3), (0, 3, 0, 0, 0, 0), (0, 0, 3, 0, 0, 1), z6, (0, 1, 0, 0, 0, 0)),
+        )
+    )
+    sizes = set()
+    for inst in instances:
+        res = balance_combinatorial(inst)
+        assert res == reference_balance_combinatorial(inst)
+        sizes.add(len(res.family.intervals))
+    assert sizes == {0, 1, 2, 3}
 
 
 @given(st.data())

@@ -219,6 +219,13 @@ BAD_INPUT_TABLE = [
     (["balance", "--variant", "paired"], "paired-negative-z", {}, "line 4"),
     (["certify"], "combinatorial-negative", {}, "line 4"),
     (["balance", "--variant", "integer"], "integer-outside-band", {}, "line 2"),
+    (["gen", "--kind", "balance-paired", "--n", "2", "--dim", "7", "--seed", "1", "--out", "x.bal"],
+     None, {}, "--dim"),
+    (["bench", "--kind", "balance-integer", "--count", "2", "--dim", "3"], None, {}, "--dim"),
+    (["bench", "--kind", "balance-paired", "--count", "2", "--budget", "0"], None, {}, "--budget"),
+    (["bench", "--kind", "balance-paired", "--count", "2", "--alpha", "1/3"], None, {}, "--alpha"),
+    (["certify", "--budget", "0"], "balance", {}, "--budget"),
+    (["certify", "--alpha", "1/7"], "balance", {}, "--alpha"),
 ]
 
 # malformed files, each at fault on the line its BAD_INPUT_TABLE row names
@@ -241,9 +248,11 @@ BAD_FILES = {
 def test_bad_input_exits_two_with_one_error_line(
     capsys, tmp_path, monkeypatch, argv, infile, env, names
 ):
+    monkeypatch.chdir(tmp_path)  # a `gen` row must not write elsewhere
     files = {
         "graph": gen_file(capsys, tmp_path, "g.txt", kind="graph", seed=5, vertices=4),
         "cnf": gen_file(capsys, tmp_path, "t.wcnf", kind="cnf", seed=8, m=6, clauses=8),
+        "balance": gen_file(capsys, tmp_path, "b.bal", kind="balance-paired", seed=5, n=2),
         "negative-graph": tmp_path / "neg.txt",
     }
     files["negative-graph"].write_text("moatsp k=1 n=2\n0 1 -4\n1 0 1\n")
@@ -284,4 +293,23 @@ def test_oracle_certify_refused_before_any_solver_runs(
         assert code == 2
         error_lines = [line for line in err.splitlines() if line.startswith("error:")]
         assert len(error_lines) == 1 and names in error_lines[0]
+        assert "report-begin" not in out
+
+
+def test_balance_flags_refused_before_any_search(capsys, tmp_path, monkeypatch):
+    path = gen_file(capsys, tmp_path, "b.bal", kind="balance-combinatorial", seed=5)
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a balancing search ran before the flags were checked")
+
+    for variant in cli._BALANCERS:
+        monkeypatch.setitem(cli._BALANCERS, variant, must_not_run)
+    for argv, names in (
+        (["certify", "--in", str(path), "--alpha", "1/2"], "--alpha"),
+        (["bench", "--kind", "balance-combinatorial", "--budget", "5"], "--budget"),
+        (["bench", "--kind", "balance-paired", "--dim", "2"], "--dim"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert err == f"error: {names} does not apply to balancing\n"
         assert "report-begin" not in out

@@ -5,6 +5,7 @@ import pytest
 from helpers import (
     checked_is_hamiltonian_cycle,
     contract_edge,
+    contract_edge_set,
     random_cycle,
     random_path_set,
     relabel,
@@ -14,7 +15,6 @@ from mobal.graphs import (
     ContractionRecord,
     LabeledDigraph,
     contract,
-    contract_edge_set,
     cycle_edges,
     expand,
     is_hamiltonian_cycle,

@@ -7,6 +7,7 @@ from helpers import (
     all_cycles_with_weights,
     checked_is_hamiltonian_cycle,
     combination_path_sets,
+    contract_edge_set,
     matchings_by_subset_filter,
     odd_wrapper_reference,
     random_cycle,
@@ -352,9 +353,10 @@ def test_tsp_oracle_stable_under_relabeling():
 
 
 def test_tsp_oracle_cap():
-    g = graph(3, vertices=6)
+    # one vertex over the oracle's cap of 9
+    g = graph(3, vertices=10)
     with pytest.raises(BudgetExceededError):
-        tsp_oracle(g, cap=5)
+        tsp_oracle(g)
 
 
 def test_half_cover_odd_objective_counts():
@@ -398,6 +400,24 @@ def test_claim_witness_constructive_on_random_cycles():
         )
         assert wit.matching_weight == s_minus_f
         assert wit.ok
+
+
+def test_claim_witness_matching_is_edge_by_edge_image():
+    # the witness takes S - F as the image of S; check it against
+    # contracting F edge by edge
+    rng = SplitMix64(41)
+    count = 0
+    for n in (4, 6, 8, 10):
+        for dim in (1, 2, 3, 4):
+            if n <= even_objectives(dim):
+                continue
+            for s in range(30):
+                g = graph(74_000 + 1000 * n + 100 * dim + s, vertices=n, dim=dim, bound=9)
+                wit = matching_claim_witness(g, random_cycle(g, rng))
+                rec = contract(g, wit.f_edges)
+                assert wit.matching == tuple(sorted(contract_edge_set(rec.paths, wit.s_edges)))
+                count += 1
+    assert count == 14 * 30
 
 
 def test_claim_existence_by_enumeration():

@@ -9,6 +9,7 @@ from helpers import (
     brute_force_assignment_front,
     clause_bucket,
     naive_assignment_weight,
+    reference_emit_masks,
     reference_maxsat_oracle,
     reference_sat_state,
     reference_sweep_masks,
@@ -27,6 +28,7 @@ from mobal.maxsat import (
     maxsat_approx,
     maxsat_oracle,
     maxsat_scan_estimate,
+    SatState,
     sat_state,
 )
 from mobal.pareto import (
@@ -260,9 +262,10 @@ def test_oracle_agrees_with_independent_enumeration():
 
 
 def test_oracle_cap():
-    inst = cnf(5, ({1}, (1,)))
+    # one variable over the oracle's cap of 20
+    inst = cnf(21, ({1, -21}, (1,)))
     with pytest.raises(BudgetExceededError):
-        maxsat_oracle(inst, cap=4)
+        maxsat_oracle(inst)
 
 
 def test_all_tautological_instance():
@@ -364,6 +367,12 @@ def test_packed_oracle_matches_reference():
         assert maxsat_oracle(inst) == reference_maxsat_oracle(inst)
 
 
+def emitted_masks(inst):
+    """Masks the sweep emits, counted per state before deduplication."""
+    half_k = even_objectives(inst.dimension) // 2
+    return sum(len(_emit_masks(state, half_k)) for state in iter_sat_states(inst))
+
+
 def test_scan_estimate_bounds_emitted_masks():
     for dim in (1, 2, 3, 4):
         two_k = even_objectives(dim)
@@ -375,18 +384,40 @@ def test_scan_estimate_bounds_emitted_masks():
                         m=m, clauses=m + 3, dim=dim, bound=9,
                     )
                 )
-                emitted = sum(
-                    len(_emit_masks(state, two_k // 2))
-                    for state in iter_sat_states(inst)
-                )
-                assert maxsat_scan_estimate(m, two_k) >= emitted
+                assert maxsat_scan_estimate(m, two_k) >= emitted_masks(inst)
+        # sound, and within 100x of the work it guards
+        for m in range(1, 13):
+            inst = generate(
+                GeneratorSpec(kind="cnf", seed=27_900, m=m, clauses=2 * m, dim=dim, bound=9)
+            )
+            emitted = emitted_masks(inst)
+            assert emitted <= maxsat_scan_estimate(m, two_k) <= 100 * emitted
+
+
+def test_emit_masks_matches_reference():
+    states = []
+    for i in range(100):
+        # the instances of acceptance criterion 2
+        inst = generate(
+            GeneratorSpec(
+                kind="cnf", seed=400_000 + i, m=4 + (i % 7), clauses=5 + (i % 11),
+                dim=1 + (i % 2), bound=20,
+            )
+        )
+        states += [(state, even_objectives(inst.dimension) // 2) for state in iter_sat_states(inst)]
+    # |V'| = 0, 1 and 2 next to forced variables, at one and two intervals
+    for vprime in ((), (2,), (2, 4)):
+        state = SatState(frozenset({1}), frozenset({3}), frozenset(vprime), ())
+        states += [(state, 1), (state, 2)]
+    for state, half_k in states:
+        assert _emit_masks(state, half_k) == reference_emit_masks(state, half_k)
 
 
 def test_scan_estimate_admits_small_many_objective_instances():
     # the old m^((2k)^2+2k) estimate (~3.7e15 at m=6, three objectives)
     # refused such instances under the default budget of 10^9
-    assert maxsat_scan_estimate(6, 4) == 87616
-    assert maxsat_scan_estimate(20, 2) == 2484596
+    assert maxsat_scan_estimate(6, 4) == 2972
+    assert maxsat_scan_estimate(20, 2) == 976756
     inst = generate(GeneratorSpec(kind="cnf", seed=27_900, m=6, clauses=8, dim=3, bound=9))
     out = maxsat_approx(inst)
     assert is_alpha_approx_set(out, maxsat_oracle(inst), Fraction(1, 2)).ok
