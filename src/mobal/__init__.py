@@ -50,7 +50,6 @@ from .maxatsp import (
 from .maxsat import (
     CnfInstance,
     SatState,
-    assignment_weight,
     maxsat_approx,
     maxsat_oracle,
 )
@@ -60,7 +59,6 @@ from .pareto import (
     Weight,
     cover_ratio,
     is_alpha_approx_set,
-    pareto_filter,
 )
 from .rng import SplitMix64
 

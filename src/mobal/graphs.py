@@ -7,13 +7,15 @@ leaves h with the outgoing row of the path's last vertex and every
 other surviving edge with its own weight.  A set of pairwise
 vertex-disjoint paths is contracted in one pass by that rule,
 w'(h, z) = w(last, z) for each head h, so the path order is
-irrelevant.  Expansion inverts it in one pass on a Hamiltonian cycle T
-of the contracted graph: each edge (h, x) leaving a head becomes
-(last, x), every other edge of T stays, and the path edges are added
-back, which adds back exactly the contracted weight.  A contracted graph
-is built without re-validation, since its rows are copied from a graph
-that was validated when it was built; graphs built through the public
-constructor are always validated.
+irrelevant, and so is everything but the ends of the paths: the tails
+that vanish and each head's last vertex (`contract_ends`).  Expansion
+inverts it in one pass on a Hamiltonian cycle T of the contracted
+graph: each edge (h, x) leaving a head becomes (last, x), every other
+edge of T stays (`lift_edges`), and the path edges are added back
+(`lift_tour`), which adds back exactly the contracted weight.  A
+contracted graph is built without re-validation, since its rows are
+copied from a graph that was validated when it was built; graphs built
+through the public constructor are always validated.
 
 Edge sets double as solutions in three roles: matchings (no two edges
 share any endpoint), path sets, and Hamiltonian cycles.  They are kept
@@ -24,10 +26,10 @@ are sorted edge tuples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Container, Iterable, Iterator, Mapping
 
 from .errors import PreconditionError, SearchInvariantError
-from .pareto import Weight, vec_total
+from .pareto import Weight
 
 Edge = tuple[int, int]
 
@@ -95,7 +97,9 @@ class LabeledDigraph:
         return tuple(sorted(self.weight_map))
 
     def edge_set_weight(self, edges: Iterable[Edge]) -> Weight:
-        return vec_total(map(self.weight_map.__getitem__, edges), self.dimension)
+        # every weight has the graph's dimension, checked when it was built
+        weights = map(self.weight_map.__getitem__, edges)
+        return tuple(map(sum, zip(*weights))) or (0,) * self.dimension
 
 
 def is_matching(edges: Iterable[Edge]) -> bool:
@@ -140,14 +144,6 @@ def path_decomposition(edges: Iterable[Edge]) -> tuple[tuple[Edge, ...], ...]:
     if visited != len(succ):
         raise PreconditionError("edge set contains a cycle")
     return tuple(paths)
-
-
-def is_vertex_disjoint_paths(edges: Iterable[Edge]) -> bool:
-    try:
-        path_decomposition(edges)
-    except PreconditionError:
-        return False
-    return True
 
 
 def is_hamiltonian_cycle(g: LabeledDigraph, edges: Iterable[Edge]) -> bool:
@@ -211,23 +207,12 @@ class ContractionRecord:
     contracted: LabeledDigraph
     vertex_map: dict[int, int]
 
-    def contracted_edges(self) -> frozenset[Edge]:
-        return frozenset(e for path in self.paths for e in path)
-
-    def path_weight(self) -> Weight:
-        return self.original.edge_set_weight(self.contracted_edges())
-
 
 def contract(g: LabeledDigraph, q: Iterable[Edge]) -> ContractionRecord:
     """Contract a set of pairwise vertex-disjoint paths of g.
 
-    Built in one pass: the tails of every path vanish, each head h takes
-    the outgoing row of its path's last vertex, w'(h, z) = w(last, z),
-    and every other surviving edge keeps its weight.  This is the graph
-    that contracting each path edge-by-edge from its last edge yields,
-    in any path order.  The result is not validated again: its vertices
-    are a sorted subset of g's and every weight is copied from g, which
-    was validated when it was built, so no check could fail.
+    Checks that q is a path set of g, then builds the graph with
+    `contract_ends`.
     """
     q_edges = set(q)
     for e in q_edges:
@@ -235,45 +220,81 @@ def contract(g: LabeledDigraph, q: Iterable[Edge]) -> ContractionRecord:
             raise PreconditionError(f"edge {e} not in graph")
     paths = path_decomposition(q_edges)
     vertex_map = {x: x for x in g.vertices}
-    source: dict[int, int] = {}  # head -> last vertex of its path
+    last: dict[int, int] = {}
     for path in paths:
         head = path[0][0]
         for _, tail in path:
             vertex_map[tail] = head
-        source[head] = path[-1][1]
-    verts = tuple(x for x in g.vertices if vertex_map[x] == x)
+        last[head] = path[-1][1]
+    contracted = contract_ends(g, {v for _, v in q_edges}, last)
+    return ContractionRecord(g, paths, contracted, vertex_map)
+
+
+def contract_ends(
+    g: LabeledDigraph, tails: Container[int], last: Mapping[int, int]
+) -> LabeledDigraph:
+    """G/F from the ends of a path set F of g alone, without checks.
+
+    `tails` holds every vertex of F that some edge of F enters, and
+    `last` maps each path's head to its last vertex.  The tails vanish,
+    each head h takes the outgoing row of last[h], w'(h, z) = w(last, z),
+    and every other surviving edge keeps its weight.  This is the graph
+    that contracting each path edge-by-edge from its last edge yields,
+    in any path order.  The result is not validated again: its vertices
+    are a sorted subset of g's and every weight is copied from g, which
+    was validated when it was built, so no check could fail.
+    """
+    verts = tuple(x for x in g.vertices if x not in tails)
     wm = g.weight_map
-    contracted = LabeledDigraph._trusted(
+    return LabeledDigraph._trusted(
         verts,
-        {(a, b): wm[(source.get(a, a), b)] for a in verts for b in verts if a != b},
+        {(a, b): wm[(last.get(a, a), b)] for a in verts for b in verts if a != b},
         g.dimension,
     )
-    return ContractionRecord(g, paths, contracted, vertex_map)
 
 
 def expand(rec: ContractionRecord, t: Iterable[Edge]) -> tuple[Edge, ...]:
     """Expand a Hamiltonian cycle of the contracted graph back through
     every contracted path.
 
-    One pass, the inverse of `contract`: a head h left the contraction
-    with the outgoing row of its path's last vertex, so an edge (h, x)
-    of t stands for (last, x), while edges entering h stay as they are.
-    The result is the contracted edges plus t with every tail so
-    rewritten: a Hamiltonian cycle of the original graph of weight
-    w'(t) + w(paths).  Both ends are checked: t against the contracted
-    graph (PreconditionError) and the result against the original
-    (SearchInvariantError).
+    Checks t against the contracted graph (PreconditionError), then
+    returns `lift_tour` of the contracted path edges and t's lifted
+    edges: a Hamiltonian cycle of the original graph of weight
+    w'(t) + w(paths).
     """
     t = frozenset(t)
     if not is_hamiltonian_cycle(rec.contracted, t):
         raise PreconditionError("t is not a Hamiltonian cycle of the contracted graph")
     last = {path[0][0]: path[-1][1] for path in rec.paths}
-    result = [e for path in rec.paths for e in path]
-    result += [(last.get(u, u), v) for u, v in t]
-    result.sort()
-    if not is_hamiltonian_cycle(rec.original, result):
+    path_edges = [e for path in rec.paths for e in path]
+    return lift_tour(rec.original, path_edges, lift_edges(last, t))
+
+
+def lift_edges(last: Mapping[int, int], t: Iterable[Edge]) -> tuple[Edge, ...]:
+    """The edges of g that the edges of a tour of G/F stand for.
+
+    The inverse of `contract_ends`: a head h left the contraction with
+    the outgoing row of its path's last vertex, so an edge (h, x) stands
+    for (last[h], x) of the same weight, while every other edge,
+    entering h included, stands for itself.
+    """
+    return tuple([(last.get(u, u), v) for u, v in t])
+
+
+def lift_tour(
+    g: LabeledDigraph, f: Iterable[Edge], lifted: Iterable[Edge]
+) -> tuple[Edge, ...]:
+    """The path set f plus the lifted edges of a tour of g/f, sorted.
+
+    One Hamiltonian check, on the result, raises SearchInvariantError:
+    for a tour of g/f the result is always a Hamiltonian cycle of g, of
+    weight w(f) + w'(tour).
+    """
+    tour = [*f, *lifted]
+    tour.sort()
+    if not is_hamiltonian_cycle(g, tour):
         raise SearchInvariantError("expansion produced a non-Hamiltonian edge set")
-    return tuple(result)
+    return tuple(tour)
 
 
 def iter_hamiltonian_cycles(g: LabeledDigraph) -> Iterator[tuple[Edge, ...]]:

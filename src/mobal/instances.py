@@ -65,14 +65,15 @@ class GeneratorSpec:
     """Everything that pins one random instance.
 
     `m`/`n` size the balancing kinds, `m`/`clauses` the CNF kind and
-    `vertices` the graph kind; `dim` is the objective count (for the
-    balancing kinds the vector dimension 2n is fixed by n instead).
+    `vertices` the graph kind; `dim` is the objective count of the CNF
+    and graph kinds, 2 when left None.  A balancing kind's vector
+    dimension 2n is fixed by n, so it refuses an explicit `dim`.
     """
 
     kind: str
     seed: int
     bound: int = 10
-    dim: int = 2
+    dim: int | None = None
     m: int = 4
     n: int = 1
     clauses: int = 4
@@ -81,19 +82,27 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise PreconditionError(f"unknown generator kind {self.kind!r}")
+        balance = self.kind in BALANCE_KINDS
+        if self.dim is None:
+            if not balance:
+                object.__setattr__(self, "dim", 2)
+        elif balance:
+            raise PreconditionError(
+                f"dim does not apply to {self.kind}: its vector dimension is 2n"
+            )
         for name in ("bound", "dim", "m", "n", "clauses", "vertices"):
-            if getattr(self, name) < 0 or (name != "bound" and getattr(self, name) < 1):
+            value = getattr(self, name)
+            if value is not None and (value < 0 or (name != "bound" and value < 1)):
                 raise PreconditionError(f"{name} must be positive")
-        caps = (
-            (self.bound, MAX_BOUND, "bound"),
-            (self.dim, MAX_DIMENSION, "dim"),
-        )
-        if self.kind in BALANCE_KINDS:
+        caps = ((self.bound, MAX_BOUND, "bound"),)
+        if balance:
             caps += ((self.m, MAX_SEQUENCE, "m"), (self.n, MAX_DIMENSION // 2, "n"))
-        elif self.kind == "cnf":
-            caps += ((self.m, MAX_VARS, "m"), (self.clauses, MAX_CLAUSES, "clauses"))
         else:
-            caps += ((self.vertices, MAX_VERTICES, "vertices"),)
+            caps += ((self.dim, MAX_DIMENSION, "dim"),)
+            if self.kind == "cnf":
+                caps += ((self.m, MAX_VARS, "m"), (self.clauses, MAX_CLAUSES, "clauses"))
+            else:
+                caps += ((self.vertices, MAX_VERTICES, "vertices"),)
         for value, cap, name in caps:
             if value > cap:
                 raise BudgetExceededError(f"{name}={value} exceeds generator cap {cap}")

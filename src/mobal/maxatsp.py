@@ -27,12 +27,27 @@ contracting one edge and sweeping the even remainder would ask, once
 per path set instead of once per edge of it.  Contracting larger odd
 path sets first would also reach path sets of 2k+2..n-2 edges; the
 proof needs none of them, and none exists when n <= 2k+3.
+
+Path sets that share a contracted graph: G/F depends on F only through
+its tails, which vanish, and the map from each path's head to its last
+vertex, whose outgoing row the head takes.  The interior vertices of a
+path vanish with it, so their order, and which path holds them, cannot
+be seen in G/F.  Path sets with the same tails and head -> last map
+therefore get the same matching front, the same contracted tours T'
+and the same lifted edges (last(a), b) for each edge (a, b) of T'.
+Only F differs between them: the tour of G is F plus the lifted edges,
+of weight w(F) + w'(T').  The sweep asks the backend once per distinct
+contracted graph and keeps its lifted tours for the later path sets of
+the same size.  Two path sets can share a graph only when |F| >= 3 and
+some vertex is interior (|F| exceeds the number of paths): two edges
+on one path leave their one interior vertex a single place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from operator import add
 from typing import Iterable, Iterator
 
 from .balancing import BalancingInstance, balance_combinatorial
@@ -41,11 +56,13 @@ from .graphs import (
     Edge,
     LabeledDigraph,
     contract,
+    contract_ends,
     cycle_vertex_order,
-    expand,
     is_hamiltonian_cycle,
     is_matching,
     iter_hamiltonian_cycles,
+    lift_edges,
+    lift_tour,
 )
 from .matching import ExactMatchingBackend, MatchingBackend, matching_count
 from .maxsat import even_objectives
@@ -109,16 +126,8 @@ def path_set_candidates(
 def extend_matching(g: LabeledDigraph, matching: Iterable[Edge]) -> Cycle:
     """Deterministic completion of a matching to a Hamiltonian cycle.
 
-    Matching edges and uncovered vertices are fragments; fragments are
-    chained in order of their smallest start vertex and the cycle is
-    closed from the last fragment back to the first.  Any completion
-    preserves the matching's weight since edge weights are nonnegative.
-
-    The result is a Hamiltonian cycle without a further check: the
-    fragments partition the vertices (a matching shares no endpoint),
-    each connecting edge joins two distinct fragments (or closes the
-    only fragment, a matching edge, when n = 2), and the graph is
-    complete, so every connecting edge exists.
+    Checks that the edges form a matching of g, then chains them as
+    `_chain_fragments` does and returns the sorted cycle.
     """
     m_edges = sorted(matching)
     if not is_matching(m_edges):
@@ -128,15 +137,32 @@ def extend_matching(g: LabeledDigraph, matching: Iterable[Edge]) -> Cycle:
             raise PreconditionError(f"matching edge {e} not in graph")
     if g.num_vertices < 2:
         raise PreconditionError("cannot build a cycle on fewer than two vertices")
-    covered = {x for e in m_edges for x in e}
-    fragments = [(u, v) for u, v in m_edges]
-    fragments += [(x, x) for x in g.vertices if x not in covered]
-    fragments.sort()
+    return tuple(sorted(_chain_fragments(g.vertices, m_edges)))
+
+
+def _chain_fragments(vertices: Iterable[int], m_edges: Iterable[Edge]) -> list[Edge]:
+    """Edges of the cycle that completes a matching on `vertices`.
+
+    Matching edges and uncovered vertices are fragments; fragments are
+    chained in order of their smallest start vertex and the cycle is
+    closed from the last fragment back to the first.  Any completion
+    preserves the matching's weight since edge weights are nonnegative.
+
+    For a matching of a complete graph on at least two vertices the
+    result is a Hamiltonian cycle without a further check: the fragments
+    partition the vertices (a matching shares no endpoint), each
+    connecting edge joins two distinct fragments (or closes the only
+    fragment, a matching edge, when n = 2), and the graph is complete,
+    so every connecting edge exists.
+    """
     cycle = list(m_edges)
+    covered = {x for e in cycle for x in e}
+    fragments = cycle + [(x, x) for x in vertices if x not in covered]
+    fragments.sort()
     for (_, end), (nxt, _) in zip(fragments, fragments[1:]):
         cycle.append((end, nxt))
     cycle.append((fragments[-1][1], fragments[0][0]))
-    return tuple(sorted(cycle))
+    return cycle
 
 
 def approx_cost_estimate(num_vertices: int, two_k: int) -> int:
@@ -185,17 +211,52 @@ def maxatsp_approx(
         backend = ExactMatchingBackend()
 
     # one backend serves the whole sweep, so the exact backend's memo is
-    # shared by every path set (contraction rewrites only head rows)
+    # shared by every contracted graph (contraction rewrites only head rows)
     odd = g.num_vertices % 2
     pool: dict[Weight, set[Cycle]] = {}
+    # (lifted edges, w'(T')) of every tour T' of each contracted graph
+    # that a later path set of the same size can share (module docstring)
+    shared: dict[tuple, list[tuple[tuple[Edge, ...], Weight]]] = {}
+    size = -1
     for f in path_set_candidates(g, range(odd, two_k + odd + 1)):
-        rec = contract(g, f)
-        for m_enc, _ in backend.pareto_matchings(rec.contracted):
-            t_prime = extend_matching(rec.contracted, m_enc)
-            t = expand(rec, t_prime)
-            pool.setdefault(g.edge_set_weight(t), set()).add(t)
+        if len(f) != size:
+            size = len(f)
+            shared.clear()
+        tails, last = _path_ends(f)
+        key = None
+        if size >= 3 and size > len(last):  # some vertex is interior
+            key = (tails, tuple(sorted(last.items())))
+        tours = shared.get(key)
+        if tours is None:
+            h = contract_ends(g, tails, last)
+            tours = []
+            for m_enc, _ in backend.pareto_matchings(h):
+                lifted = lift_edges(last, _chain_fragments(h.vertices, m_enc))
+                tours.append((lifted, g.edge_set_weight(lifted)))
+            if key is not None:
+                shared[key] = tours
+        f_weight = g.edge_set_weight(f)
+        for lifted, w in tours:
+            t = lift_tour(g, f, lifted)
+            pool.setdefault(tuple(map(add, f_weight, w)), set()).add(t)
     front = nondominated(pool.keys())
     return SolutionSet.build((enc, w) for w in front for enc in pool[w])
+
+
+def _path_ends(f: Iterable[Edge]) -> tuple[frozenset[int], dict[int, int]]:
+    """Tails of a path set and each head's last vertex, in one pass.
+
+    Trusted: f must be a path set, as `path_set_candidates` yields.
+    """
+    succ = dict(f)
+    tails = frozenset(succ.values())
+    last = {}
+    for head, v in succ.items():
+        if head not in tails:
+            while v in succ:
+                v = succ[v]
+            last[head] = v
+    return tails, last
 
 
 def tsp_oracle(g: LabeledDigraph) -> SolutionSet:

@@ -184,29 +184,6 @@ class _ClauseTable:
         return total
 
 
-def clause_satisfied(clause: frozenset[int], assignment: Assignment) -> bool:
-    return any(
-        assignment[lit - 1] == 1 if lit > 0 else assignment[-lit - 1] == 0
-        for lit in clause
-    )
-
-
-def assignment_weight(inst: CnfInstance, assignment: Assignment) -> Weight:
-    """Sum of the weights of the clauses the assignment satisfies."""
-    if len(assignment) != inst.num_vars:
-        raise PreconditionError(
-            f"assignment length {len(assignment)} != num_vars {inst.num_vars}"
-        )
-    return vec_total(
-        (
-            w
-            for clause, w in zip(inst.clauses, inst.weights)
-            if clause_satisfied(clause, assignment)
-        ),
-        inst.dimension,
-    )
-
-
 @dataclass(frozen=True)
 class SatState:
     """Per-iteration record of one V0 choice; `g` is the clause set G."""
@@ -372,8 +349,6 @@ __all__ = [
     "Assignment",
     "CnfInstance",
     "SatState",
-    "assignment_weight",
-    "clause_satisfied",
     "even_objectives",
     "iter_sat_states",
     "maxsat_approx",

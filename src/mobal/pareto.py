@@ -136,19 +136,6 @@ def nondominated(weights: Iterable[Weight]) -> set[Weight]:
     return set(kept)
 
 
-def pareto_filter(s: SolutionSet) -> SolutionSet:
-    """Entries whose weight no other entry's weight dominates.
-
-    Equal weights never dominate each other, so all solutions sharing a
-    nondominated weight are retained.  Idempotent; output keeps the
-    canonical order of the input set.
-    """
-    if not s.entries:
-        return s
-    front = nondominated(w for _, w in s.entries)
-    return SolutionSet(tuple(e for e in s.entries if e[1] in front))
-
-
 def pareto_front_witnesses(pairs: Iterable[Entry]) -> SolutionSet:
     """One canonical witness per nondominated weight.
 

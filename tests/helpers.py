@@ -12,28 +12,77 @@ from typing import Mapping
 from mobal.balancing import BalanceResult, BalancingInstance, IntervalFamily
 from mobal.errors import PreconditionError
 from mobal.graphs import (
+    ContractionRecord,
     Edge,
     LabeledDigraph,
     contract,
     cycle_edges,
     expand,
     is_matching,
-    is_vertex_disjoint_paths,
+    path_decomposition,
 )
 from mobal.instances import GeneratorSpec, generate
 from mobal.matching import ExactMatchingBackend
-from mobal.maxatsp import maxatsp_approx, path_set_candidates
-from mobal.maxsat import CnfInstance, SatState, even_objectives
+from mobal.maxatsp import extend_matching, maxatsp_approx, path_set_candidates
+from mobal.maxsat import Assignment, CnfInstance, SatState, even_objectives
 from mobal.pareto import (
     SolutionSet,
     Weight,
     nondominated,
-    pareto_filter,
     pareto_front_witnesses,
     vec_sub,
     vec_total,
 )
 from mobal.rng import SplitMix64
+
+
+def pareto_filter(s: SolutionSet) -> SolutionSet:
+    """Entries whose weight no other entry's weight dominates.
+
+    Equal weights never dominate each other, so all solutions sharing a
+    nondominated weight are retained.  Idempotent; output keeps the
+    canonical order of the input set.
+    """
+    if not s.entries:
+        return s
+    front = nondominated(w for _, w in s.entries)
+    return SolutionSet(tuple(e for e in s.entries if e[1] in front))
+
+
+def clause_satisfied(clause: frozenset[int], assignment: Assignment) -> bool:
+    return any(
+        assignment[lit - 1] == 1 if lit > 0 else assignment[-lit - 1] == 0
+        for lit in clause
+    )
+
+
+def assignment_weight(inst: CnfInstance, assignment: Assignment) -> Weight:
+    """Sum of the weights of the clauses the assignment satisfies."""
+    if len(assignment) != inst.num_vars:
+        raise PreconditionError(
+            f"assignment length {len(assignment)} != num_vars {inst.num_vars}"
+        )
+    return vec_total(
+        (
+            w
+            for clause, w in zip(inst.clauses, inst.weights)
+            if clause_satisfied(clause, assignment)
+        ),
+        inst.dimension,
+    )
+
+
+def is_vertex_disjoint_paths(edges) -> bool:
+    try:
+        path_decomposition(edges)
+    except PreconditionError:
+        return False
+    return True
+
+
+def path_weight(rec: ContractionRecord) -> Weight:
+    """Total weight of the contracted path edges in the original graph."""
+    return rec.original.edge_set_weight(e for path in rec.paths for e in path)
 
 
 def naive_dominates(a, b) -> bool:
@@ -371,6 +420,45 @@ def odd_wrapper_reference(g: LabeledDigraph, *, backend=None, budget=None) -> So
             pool.setdefault(g.edge_set_weight(t), set()).add(t)
     front = nondominated(pool.keys())
     return SolutionSet.build((enc, w) for w in front for enc in pool[w])
+
+
+def reference_sweep(g: LabeledDigraph, *, backend=None) -> SolutionSet:
+    """`maxatsp_approx` before it matched each distinct contracted graph
+    once: every path set contracted, matched, extended and expanded on
+    its own, through the checked public functions.  No budget guard."""
+    two_k = even_objectives(g.dimension)
+    odd = g.num_vertices % 2
+    if backend is None:
+        backend = ExactMatchingBackend()
+    pool = {}
+    for f in path_set_candidates(g, range(odd, two_k + odd + 1)):
+        rec = contract(g, f)
+        for m_enc, _ in backend.pareto_matchings(rec.contracted):
+            t = expand(rec, extend_matching(rec.contracted, m_enc))
+            pool.setdefault(g.edge_set_weight(t), set()).add(t)
+    front = nondominated(pool.keys())
+    return SolutionSet.build((enc, w) for w in front for enc in pool[w])
+
+
+def contracted_graph_key(f):
+    """The tails of a path set and its (head, last vertex) pairs, which
+    fix its contracted graph, read off `path_decomposition`."""
+    paths = path_decomposition(f)
+    tails = frozenset(v for path in paths for _, v in path)
+    return tails, tuple((path[0][0], path[-1][1]) for path in paths)
+
+
+def first_of_each_contracted_graph(g: LabeledDigraph, sizes) -> list[int]:
+    """Positions, among `path_set_candidates(g, sizes)`, of the path sets
+    whose contracted graph no earlier path set has."""
+    seen = set()
+    firsts = []
+    for i, f in enumerate(path_set_candidates(g, sizes)):
+        key = contracted_graph_key(f)
+        if key not in seen:
+            seen.add(key)
+            firsts.append(i)
+    return firsts
 
 
 def combination_path_sets(g: LabeledDigraph, sizes):

@@ -6,6 +6,8 @@ from helpers import (
     checked_is_hamiltonian_cycle,
     contract_edge,
     contract_edge_set,
+    is_vertex_disjoint_paths,
+    path_weight,
     random_cycle,
     random_path_set,
     relabel,
@@ -19,7 +21,6 @@ from mobal.graphs import (
     expand,
     is_hamiltonian_cycle,
     is_matching,
-    is_vertex_disjoint_paths,
     path_decomposition,
 )
 from mobal.instances import GeneratorSpec, generate
@@ -67,7 +68,7 @@ def test_expansion_figure_total_weight():
     assert set(tour) == {(0, 1), (1, 3), (3, 2), (2, 0)}
     assert g.edge_set_weight(tour) == (13,)
     assert rec.contracted.edge_set_weight({(0, 2), (2, 0)}) == (8,)
-    assert rec.path_weight() == (5,)
+    assert path_weight(rec) == (5,)
 
 
 def test_empty_contraction_is_identity():
@@ -148,7 +149,7 @@ def test_expand_round_trip_weight_identity():
         right = tuple(
             a + b
             for a, b in zip(
-                rec.contracted.edge_set_weight(t_prime), rec.path_weight()
+                rec.contracted.edge_set_weight(t_prime), path_weight(rec)
             )
         )
         assert left == right

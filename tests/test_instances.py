@@ -80,6 +80,18 @@ def test_generator_caps():
         GeneratorSpec(kind="nonsense", seed=0)
 
 
+def test_dim_defaults_to_two_and_balance_kinds_refuse_it():
+    assert GeneratorSpec(kind="graph", seed=0).dim == 2
+    assert GeneratorSpec(kind="cnf", seed=0).dim == 2
+    assert len(generate(GeneratorSpec(kind="graph", seed=0)).weight(0, 1)) == 2
+    # a balance kind's vector dimension is 2n, under the cap or over it
+    for dim in (2, 7, 9):
+        with pytest.raises(PreconditionError):
+            GeneratorSpec(kind="balance-paired", seed=1, n=2, dim=dim)
+    assert GeneratorSpec(kind="balance-paired", seed=1, n=2).dim is None
+    assert generate(GeneratorSpec(kind="balance-paired", seed=1, n=2)).dimension == 4
+
+
 # -- round trips ---------------------------------------------------------------
 
 

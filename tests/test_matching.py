@@ -3,6 +3,7 @@ import pytest
 from helpers import (
     enumerated_pareto_matchings,
     matchings_by_subset_filter,
+    pareto_filter,
     random_path_set,
 )
 from mobal.errors import BudgetExceededError
@@ -12,7 +13,6 @@ from mobal.matching import ExactMatchingBackend, matching_count
 from mobal.pareto import (
     SolutionSet,
     nondominated,
-    pareto_filter,
     pareto_front_witnesses,
 )
 from mobal.rng import SplitMix64

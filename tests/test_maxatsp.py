@@ -3,14 +3,18 @@ from itertools import combinations
 
 import pytest
 
+import mobal.graphs
 from helpers import (
     all_cycles_with_weights,
     checked_is_hamiltonian_cycle,
     combination_path_sets,
     contract_edge_set,
+    first_of_each_contracted_graph,
+    is_vertex_disjoint_paths,
     matchings_by_subset_filter,
     odd_wrapper_reference,
     random_cycle,
+    reference_sweep,
     relabel,
 )
 from mobal.errors import BudgetExceededError, PreconditionError
@@ -19,7 +23,6 @@ from mobal.graphs import (
     contract,
     is_hamiltonian_cycle,
     is_matching,
-    is_vertex_disjoint_paths,
 )
 from mobal.instances import GeneratorSpec, generate
 from mobal.matching import ExactMatchingBackend, matching_count
@@ -145,13 +148,17 @@ def test_shared_memo_sweep_matches_fresh_backends():
     for g in shared_memo_corpus():
         shared = RecordingBackend(ExactMatchingBackend())
         fresh = RecordingBackend()
-        # SolutionSet equality compares every weight and every witness
-        assert maxatsp_approx(g, backend=shared) == maxatsp_approx(g, backend=fresh)
+        # SolutionSet equality compares every weight and every witness;
+        # the reference asks a fresh backend about every path set
+        assert maxatsp_approx(g, backend=shared) == reference_sweep(g, backend=fresh)
         # the pooled output can hide a wrong matching front behind other
-        # path sets' cycles, so every answer is compared on its own too
+        # path sets' cycles, so every answer is compared on its own too:
+        # one call per distinct contracted graph, in first-seen order
         sizes = range(even_objectives(g.dimension) + 1)
-        assert len(shared.answers) == len(list(path_set_candidates(g, sizes)))
-        assert shared.answers == fresh.answers
+        firsts = first_of_each_contracted_graph(g, sizes)
+        assert len(fresh.graphs) == len(list(path_set_candidates(g, sizes)))
+        assert shared.graphs == [fresh.graphs[i] for i in firsts]
+        assert shared.answers == [fresh.answers[i] for i in firsts]
 
 
 def test_odd_output_unchanged_by_shared_memo():
@@ -178,20 +185,59 @@ def odd_corpus():
 def test_odd_vertex_count_matches_wrapper_reference():
     for g in odd_corpus():
         # SolutionSet equality compares every weight and every witness
-        assert maxatsp_approx(g) == odd_wrapper_reference(g)
+        out = maxatsp_approx(g)
+        assert out == odd_wrapper_reference(g)
+        assert out == reference_sweep(g)
 
 
-def test_odd_sweep_contracts_each_path_set_once():
-    # one contraction per path set of 1..2k+1 edges, in candidate order
+def test_odd_sweep_matches_each_contracted_graph_once():
+    # one backend call per distinct contracted graph of the path sets of
+    # 1..2k+1 edges, in first-seen candidate order
     for n in (3, 5):
         for dim in (1, 2, 3):
             g = graph(74_000 + 10 * n + dim, vertices=n, dim=dim)
             rec = RecordingBackend(ExactMatchingBackend())
             maxatsp_approx(g, backend=rec)
             sizes = range(1, even_objectives(dim) + 2)
+            cands = list(path_set_candidates(g, sizes))
             assert rec.graphs == [
-                contract(g, f).contracted for f in path_set_candidates(g, sizes)
+                contract(g, cands[i]).contracted
+                for i in first_of_each_contracted_graph(g, sizes)
             ]
+
+
+def test_sweep_matches_reference_where_ties_are_many():
+    # three and four objectives on 0/1 weights: many tours share a
+    # weight, so every witness choice is exercised
+    for dim in (3, 4):
+        for bound in (0, 1):
+            g = graph(77_000 + 10 * dim + bound, vertices=6, dim=dim, bound=bound)
+            assert maxatsp_approx(g) == reference_sweep(g)
+
+
+def test_backend_calls_equal_distinct_contracted_graphs(monkeypatch):
+    # the sweep reads each path set's ends off the enumerator's sets and
+    # never decomposes one again
+    def refuse(edges):
+        raise AssertionError("the sweep decomposed a path set")
+
+    monkeypatch.setattr(mobal.graphs, "path_decomposition", refuse)
+    # the counts depend only on n and the path-set sizes: (n, dim) ->
+    # (path sets, distinct contracted graphs)
+    expected = {
+        (6, 3): (3331, 1291),
+        (7, 2): (4872, 3192),
+        (9, 2): (30312, 21240),
+        (8, 3): (71793, 23353),
+    }
+    for (n, dim), (path_sets, calls) in expected.items():
+        g = graph(78_000 + n, vertices=n, dim=dim)
+        silent = SilentBackend()
+        maxatsp_approx(g, backend=silent, budget=10**9)
+        odd = n % 2
+        sizes = range(odd, even_objectives(dim) + odd + 1)
+        assert sum(1 for _ in path_set_candidates(g, sizes)) == path_sets
+        assert len(silent.sizes) == calls
 
 
 class SilentBackend:

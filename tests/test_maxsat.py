@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    assignment_weight,
     brute_force_assignment_front,
     clause_bucket,
     naive_assignment_weight,
+    pareto_filter,
     reference_emit_masks,
     reference_maxsat_oracle,
     reference_sat_state,
@@ -22,7 +24,6 @@ from mobal.instances import GeneratorSpec, generate, parse_cnf
 from mobal.maxsat import (
     CnfInstance,
     _emit_masks,
-    assignment_weight,
     even_objectives,
     iter_sat_states,
     maxsat_approx,
@@ -35,7 +36,6 @@ from mobal.pareto import (
     SolutionSet,
     is_alpha_approx_set,
     nondominated,
-    pareto_filter,
     pareto_front_witnesses,
 )
 

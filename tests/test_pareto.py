@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import naive_dominates, naive_pareto_entries
+from helpers import naive_dominates, naive_pareto_entries, pareto_filter
 from mobal.errors import DimensionMismatchError, PreconditionError
 from mobal.pareto import (
     SolutionSet,
@@ -13,7 +13,6 @@ from mobal.pareto import (
     dominates,
     is_alpha_approx_set,
     nondominated,
-    pareto_filter,
     pareto_front_witnesses,
 )
 from mobal.rng import SplitMix64
