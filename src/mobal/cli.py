@@ -35,6 +35,7 @@ from .errors import MobalError, PreconditionError
 from .instances import (
     BALANCE_KINDS,
     KINDS,
+    SEED_LIMIT,
     GeneratorSpec,
     detect_kind,
     digest,
@@ -190,6 +191,14 @@ def _solve(solver: _Solver, inst, budget: int | None, alpha: Fraction | None):
     return out, is_alpha_approx_set(out, solver.oracle(inst), alpha)
 
 
+def _check_seeds(seed: int, count: int = 1) -> None:
+    """SplitMix64 would alias a seed outside [0, 2^64) to one inside."""
+    if not 0 <= seed < SEED_LIMIT:
+        raise PreconditionError(f"--seed must be in [0, 2^64), got {seed}")
+    if seed + count > SEED_LIMIT:
+        raise PreconditionError(f"--seed {seed} with --count {count} runs past 2^64 - 1")
+
+
 def _refuse_for_balance(args, *flags: str) -> None:
     """Balancing has no budget, cover fraction or objective count, so an
     explicit flag setting one is refused rather than ignored."""
@@ -227,6 +236,7 @@ def _imbalance_ratio(dev, bound) -> Fraction:
 
 
 def _cmd_gen(args) -> RunReport:
+    _check_seeds(args.seed)
     report = RunReport("gen", "splitmix64-generator")
     shape = _add_shape(report, args, ("kind", "seed"))
     text = serialize(args.kind, generate(GeneratorSpec(args.kind, args.seed, **shape)))
@@ -331,6 +341,7 @@ def _cmd_bench(args) -> RunReport:
     budget = _parse_budget(args.budget)
     if args.count < 0:
         raise PreconditionError(f"--count must be >= 0, got {args.count}")
+    _check_seeds(args.seed, args.count)
     variant = BALANCE_KINDS.get(args.kind)
     if variant:
         _refuse_for_balance(args, "budget", "alpha")

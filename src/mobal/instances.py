@@ -58,6 +58,7 @@ MAX_CLAUSES = 300
 MAX_VERTICES = 12
 MAX_DIMENSION = 8
 MAX_BOUND = 10**6
+SEED_LIMIT = 1 << 64  # SplitMix64 keeps 64 bits: any other seed aliases one below
 
 
 @dataclass(frozen=True)
@@ -82,6 +83,8 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise PreconditionError(f"unknown generator kind {self.kind!r}")
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise PreconditionError(f"seed must be in [0, 2^64), got {self.seed}")
         balance = self.kind in BALANCE_KINDS
         if self.dim is None:
             if not balance:
@@ -267,6 +270,8 @@ def parse_cnf(text: str) -> CnfInstance:
     for no, line in lines:
         tokens = line.split()
         if tokens[0] == "c":
+            if len(tokens) == 3 and tokens[1] == "k" and dim is not None:
+                raise InstanceFormatError("second 'c k <dim>' line", no)
             if len(tokens) == 3 and tokens[1] == "k" and header is None:
                 dim = _ints(tokens[2:], no, 1)[0]
                 if dim < 1:

@@ -19,31 +19,27 @@ smallest tuple per front weight is the witness, which is the canonical
 one an exhaustive enumeration would pick.
 
 A state f(S) so defined depends only on the weights of the edges inside
-S, not on which vertex v the DP removes.  The backend therefore keeps
-one memo across calls, keyed by vertex subsets of the graph it is bound
-to (the first graph it sees).  A later graph whose vertices all belong
-to the bound graph, in the same dimension, reuses it: a vertex is dirty
-when any of its outgoing weights differs from the bound graph's (every
-edge lies in exactly one outgoing row, so a dirty-free subset has the
-bound graph's weights).  The DP removes the lowest dirty vertex of S
-while there is one, else the lowest vertex; the states of subsets
-holding a dirty vertex stay local to the call, and every dirty-free
-subset is read from and written to the shared memo.  Any other graph
-rebinds the backend, dropping the memo.  Contracting a path set
-rewrites only the outgoing rows of the path heads, so the sweep over
-path sets of one graph shares all head-free states.  An instance must
-not serve concurrent callers.
+S, not on which vertex v the DP removes.  A backend is built for one
+reference graph and answers graphs of its dimension on subsets of its
+vertices.  A vertex is dirty when one of its outgoing weights differs
+from the reference's; every edge lies in one outgoing row, so a
+dirty-free subset has the reference's weights.  The DP removes the
+lowest dirty vertex of S while there is one, else the lowest vertex.
+States of subsets holding a dirty vertex stay local to the call, and
+states of dirty-free subsets are shared across calls.  Contraction
+rewrites only the rows of the path heads, so a sweep over the path sets
+of the reference shares all head-free states.  An instance must not
+serve concurrent callers.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
-from dataclasses import dataclass, field
 from math import comb, factorial
 from operator import add
 from typing import Protocol
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, PreconditionError
 from .graphs import Edge, LabeledDigraph
 from .pareto import SolutionSet, Weight, nondominated, pareto_front_witnesses
 
@@ -69,36 +65,17 @@ def matching_count(n: int) -> int:
 _State = dict[tuple[Weight, int], tuple[Edge, ...]]
 
 
-@dataclass
 class ExactMatchingBackend:
     """Pareto subset DP, one canonical witness per front weight.
 
-    DP states of the bound graph's vertex subsets (as bitmasks) persist
-    across calls; see the module docstring for the reuse rule.
+    DP states of the reference graph's vertex subsets (as bitmasks)
+    persist across calls; see the module docstring for the reuse rule.
     """
 
-    _bound: LabeledDigraph | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _bit: dict[int, int] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _memo: dict[int, _State] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-
-    def _bind(self, g: LabeledDigraph) -> LabeledDigraph:
-        """The bound graph, rebinding to g when g does not fit it."""
-        bound = self._bound
-        if (
-            bound is None
-            or bound.dimension != g.dimension
-            or any(v not in self._bit for v in g.vertices)
-        ):
-            bound = self._bound = g
-            self._bit = {v: 1 << i for i, v in enumerate(g.vertices)}
-            self._memo = {0: {((0,) * g.dimension, 0): ()}}
-        return bound
+    def __init__(self, reference: LabeledDigraph):
+        self.reference = reference
+        self._bit = {v: 1 << i for i, v in enumerate(reference.vertices)}
+        self._memo: dict[int, _State] = {0: {((0,) * reference.dimension, 0): ()}}
 
     def pareto_matchings(self, g: LabeledDigraph) -> SolutionSet:
         if g.num_vertices > VERTEX_CAP:
@@ -106,15 +83,19 @@ class ExactMatchingBackend:
                 f"exact matching backend refuses {g.num_vertices} vertices "
                 f"(cap {VERTEX_CAP})"
             )
-        bound = self._bind(g)
-        bound_wm = bound.weight_map
-        labels = bound.vertices
+        ref = self.reference
         bit = self._bit
         verts = g.vertices
+        if g.dimension != ref.dimension or any(v not in bit for v in verts):
+            raise PreconditionError(
+                "graph has another dimension or a vertex outside the backend's reference"
+            )
+        ref_wm = ref.weight_map
+        labels = ref.vertices
         wm = g.weight_map
         dirty = 0
         for v in verts:
-            if any(wm[(v, z)] != bound_wm[(v, z)] for z in verts if z != v):
+            if any(wm[(v, z)] != ref_wm[(v, z)] for z in verts if z != v):
                 dirty |= bit[v]
         shared = self._memo
         local: dict[int, _State] = {}
@@ -122,7 +103,7 @@ class ExactMatchingBackend:
         def candidates(mask: int) -> _State:
             """Every key reachable from the states below mask, unfiltered."""
             # remove a dirty vertex while one is left, so that every
-            # dirty-free subset below is solved with the bound weights
+            # dirty-free subset below is solved with the reference weights
             pick = (mask & dirty) or mask
             low = pick & -pick
             v = labels[low.bit_length() - 1]

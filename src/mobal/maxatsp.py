@@ -207,11 +207,11 @@ def maxatsp_approx(
             f"~{estimate} matchings to enumerate exceed budget {budget} "
             f"({g.num_vertices} vertices, {two_k} objectives)"
         )
+    # one backend serves the whole sweep; the exact one is built for g, so
+    # every contracted graph (contraction rewrites only head rows) shares
+    # its head-free states
     if backend is None:
-        backend = ExactMatchingBackend()
-
-    # one backend serves the whole sweep, so the exact backend's memo is
-    # shared by every contracted graph (contraction rewrites only head rows)
+        backend = ExactMatchingBackend(g)
     odd = g.num_vertices % 2
     pool: dict[Weight, set[Cycle]] = {}
     # (lifted edges, w'(T')) of every tour T' of each contracted graph

@@ -47,15 +47,6 @@ def vec_total(vectors: Iterable[Weight], dim: int) -> Weight:
     return tuple(total)
 
 
-def dominates(a: Weight, b: Weight) -> bool:
-    """True iff ``a >= b`` componentwise and ``a != b``.
-
-    A strict partial order: irreflexive, antisymmetric, transitive.
-    """
-    _require_same_dim(a, b)
-    return a != b and all(x >= y for x, y in zip(a, b))
-
-
 @dataclass(frozen=True)
 class SolutionSet:
     """Ordered collection of (solution, weight) pairs.

@@ -403,7 +403,7 @@ def odd_wrapper_reference(g: LabeledDigraph, *, backend=None, budget=None) -> So
     n = g.num_vertices
     assert n % 2, "reference for odd vertex counts only"
     if backend is None:
-        backend = ExactMatchingBackend()
+        backend = ExactMatchingBackend(g)
     sizes = [s for s in range(two_k + 1) if s % 2 == n % 2]
     candidates = list(path_set_candidates(g, sizes))
     if not candidates:
@@ -429,7 +429,7 @@ def reference_sweep(g: LabeledDigraph, *, backend=None) -> SolutionSet:
     two_k = even_objectives(g.dimension)
     odd = g.num_vertices % 2
     if backend is None:
-        backend = ExactMatchingBackend()
+        backend = ExactMatchingBackend(g)
     pool = {}
     for f in path_set_candidates(g, range(odd, two_k + odd + 1)):
         rec = contract(g, f)

@@ -223,7 +223,7 @@ def test_criterion_6_oracle_cross_checks():
                 bound=9,
             )
         )
-        ours = ExactMatchingBackend().pareto_matchings(g)
+        ours = ExactMatchingBackend(g).pareto_matchings(g)
         independent = matchings_by_subset_filter(g)
         front = set(nondominated(w for _, w in independent))
         if set(ours.weights()) == front and all(

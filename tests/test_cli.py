@@ -226,6 +226,12 @@ BAD_INPUT_TABLE = [
     (["bench", "--kind", "balance-paired", "--count", "2", "--alpha", "1/3"], None, {}, "--alpha"),
     (["certify", "--budget", "0"], "balance", {}, "--budget"),
     (["certify", "--alpha", "1/7"], "balance", {}, "--alpha"),
+    (["gen", "--kind", "graph", "--seed", "-1", "--out", "x.txt"], None, {}, "--seed"),
+    (["gen", "--kind", "graph", "--seed", str(2**64), "--out", "x.txt"], None, {}, "--seed"),
+    (["bench", "--kind", "graph", "--seed", "-1", "--count", "1"], None, {}, "--seed"),
+    (["bench", "--kind", "cnf", "--seed", str(2**64 - 1), "--count", "2"], None, {}, "--seed"),
+    (["maxsat"], "cnf-second-dim", {}, "line 2"),
+    (["maxsat"], "cnf-late-second-dim", {}, "line 3"),
 ]
 
 # malformed files, each at fault on the line its BAD_INPUT_TABLE row names
@@ -235,6 +241,8 @@ BAD_FILES = {
     "cnf-zero-dim": "c k 0\np cnf 3 2\nw 1 0\nw 2 0\n",
     "cnf-negative-dim": "c k -1\np cnf 3 2\nw 1 0\nw 2 0\n",
     "cnf-no-vars": "c k 1\np cnf 0 1\nw 1 1 0\n",
+    "cnf-second-dim": "c k 2\nc k 1\np cnf 2 1\nw 1 1 0\n",
+    "cnf-late-second-dim": "c k 2\np cnf 2 1\nc k 1\nw 1 1 0\n",
     "graph-short-header": "moatsp k=2\n0 1 1 1\n1 0 1 1\n",
     "graph-short-weight": "moatsp k=2 n=2\n0 1 1 1\n1 0 1\n",
     "paired-above-z": "balance paired m=2 n=1\n3 0\n1 9\n0 1\n2 2\n4 4\n",
@@ -294,6 +302,17 @@ def test_oracle_certify_refused_before_any_solver_runs(
         error_lines = [line for line in err.splitlines() if line.startswith("error:")]
         assert len(error_lines) == 1 and names in error_lines[0]
         assert "report-begin" not in out
+
+
+def test_bench_seed_range_refused_before_any_instance(capsys, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("an instance was generated before --seed was checked")
+
+    monkeypatch.setattr(cli, "generate", must_not_run)
+    code, out, err = run(capsys, "bench", "--kind", "graph", "--seed", str(2**64 - 2), "--count", "3")
+    assert code == 2
+    assert err == f"error: --seed {2**64 - 2} with --count 3 runs past 2^64 - 1\n"
+    assert "report-begin" not in out
 
 
 def test_balance_flags_refused_before_any_search(capsys, tmp_path, monkeypatch):

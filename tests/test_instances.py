@@ -78,6 +78,11 @@ def test_generator_caps():
         GeneratorSpec(kind="graph", seed=0, vertices=99)
     with pytest.raises(PreconditionError):
         GeneratorSpec(kind="nonsense", seed=0)
+    # SplitMix64 keeps the low 64 bits, so -1 would equal 2^64 - 1
+    for seed in (-1, 2**64):
+        with pytest.raises(PreconditionError):
+            GeneratorSpec(kind="graph", seed=seed)
+    assert generate(GeneratorSpec(kind="graph", seed=2**64 - 1)).num_vertices == 4
 
 
 def test_dim_defaults_to_two_and_balance_kinds_refuse_it():

@@ -6,7 +6,7 @@ from helpers import (
     pareto_filter,
     random_path_set,
 )
-from mobal.errors import BudgetExceededError
+from mobal.errors import BudgetExceededError, PreconditionError
 from mobal.graphs import LabeledDigraph, contract, is_matching
 from mobal.instances import GeneratorSpec, generate
 from mobal.matching import ExactMatchingBackend, matching_count
@@ -23,7 +23,8 @@ def two_vertex_graph():
 
 
 def test_two_vertex_example():
-    out = ExactMatchingBackend().pareto_matchings(two_vertex_graph())
+    g = two_vertex_graph()
+    out = ExactMatchingBackend(g).pareto_matchings(g)
     assert set(out.weights()) == {(3, 1), (1, 3)}
     solutions = {sol for sol, _ in out}
     assert solutions == {((0, 1),), ((1, 0),)}
@@ -33,7 +34,7 @@ def test_two_vertex_example():
 
 def test_all_zero_weights_single_representative():
     g = LabeledDigraph.from_weights(2, {(0, 1): (0, 0), (1, 0): (0, 0)})
-    out = ExactMatchingBackend().pareto_matchings(g)
+    out = ExactMatchingBackend(g).pareto_matchings(g)
     assert len(out) == 1
     assert out.entries[0][1] == (0, 0)
     assert out.entries[0][0] == ()  # smallest encoding: the empty matching
@@ -45,7 +46,7 @@ def test_backend_agrees_with_subset_filter_enumerator():
         g = generate(
             GeneratorSpec(kind="graph", seed=50_000 + i, vertices=vertices, dim=2, bound=9)
         )
-        ours = ExactMatchingBackend().pareto_matchings(g)
+        ours = ExactMatchingBackend(g).pareto_matchings(g)
         independent = matchings_by_subset_filter(g)
         assert set(ours.weights()) == set(nondominated(w for _, w in independent))
         filtered = pareto_filter(SolutionSet.build(independent))
@@ -68,7 +69,7 @@ def test_vertex_cap():
     # one vertex over the backend's cap of 10
     g = generate(GeneratorSpec(kind="graph", seed=1, vertices=11, dim=1, bound=3))
     with pytest.raises(BudgetExceededError):
-        ExactMatchingBackend().pareto_matchings(g)
+        ExactMatchingBackend(g).pareto_matchings(g)
 
 
 def differential_corpus():
@@ -89,10 +90,9 @@ def differential_corpus():
 
 
 def test_subset_dp_matches_enumerators_with_witnesses():
-    backend = ExactMatchingBackend()
     checked = 0
     for g in differential_corpus():
-        out = backend.pareto_matchings(g)
+        out = ExactMatchingBackend(g).pareto_matchings(g)
         # SolutionSet equality compares every weight and every witness
         assert out == enumerated_pareto_matchings(g)
         # the subset filter walks every edge subset, ~400k per graph at
@@ -114,7 +114,7 @@ def test_prefix_witness_counterexample():
     g = LabeledDigraph.from_weights(4, wm)
     expected = SolutionSet.build([(((1, 2), (3, 0)), (5,))])
     assert enumerated_pareto_matchings(g) == expected
-    assert ExactMatchingBackend().pareto_matchings(g) == expected
+    assert ExactMatchingBackend(g).pareto_matchings(g) == expected
 
 
 def _reweighted(g, rows, seed):
@@ -133,14 +133,15 @@ def _induced(g, keep):
     return LabeledDigraph(tuple(sorted(keep)), wm, g.dimension)
 
 
-def reuse_sequence():
-    """Graphs that share vertex labels but not always weights or dimension.
+def reuse_groups():
+    """Lists of graphs on the labels of each list's first graph, the
+    reference of the backend that answers the list.
 
-    Each group starts from a graph the backend may bind to and follows it
-    with contractions of several path sets (dirty heads), reweighted
-    rows (dirty vertices, heads or not), induced subgraphs (no dirty
-    vertex), and graphs that force a rebind (a new vertex, another
-    dimension) or make every vertex dirty (fresh weights, same labels).
+    The reference is followed by contractions of several path sets
+    (dirty heads), reweighted rows (dirty vertices, heads or not),
+    induced subgraphs (no dirty vertex), a contraction of a reweighted
+    graph, fresh weights on every row (every vertex dirty) and the
+    reference again.
     """
     rng = SplitMix64(8_123)
     for n, dim, bound in ((6, 2, 3), (6, 2, 1), (7, 3, 2), (6, 1, 30), (8, 2, 2)):
@@ -150,34 +151,42 @@ def reuse_sequence():
                 vertices=n, dim=dim, bound=bound,
             )
         )
-        yield g
+        group = [g]
         for _ in range(6):
-            yield contract(g, random_path_set(g, rng, max_edges=3)).contracted
-        yield _reweighted(g, {0}, 1)
-        yield _reweighted(g, {1, n - 1}, 2)
-        yield _induced(g, range(1, n, 2))
-        yield _induced(g, range(n - 1))
-        yield contract(_reweighted(g, {2}, 3), random_path_set(g, rng, 2)).contracted
-        yield g
+            group.append(contract(g, random_path_set(g, rng, max_edges=3)).contracted)
+        group.append(_reweighted(g, {0}, 1))
+        group.append(_reweighted(g, {1, n - 1}, 2))
+        group.append(_induced(g, range(1, n, 2)))
+        group.append(_induced(g, range(n - 1)))
+        group.append(contract(_reweighted(g, {2}, 3), random_path_set(g, rng, 2)).contracted)
+        group.append(_reweighted(g, set(g.vertices), 4))
+        group.append(g)
+        yield group
 
 
 def test_reused_backend_matches_enumeration_with_witnesses():
-    backend = ExactMatchingBackend()
-    graphs = list(reuse_sequence())
-    for g in graphs:
+    for group in reuse_groups():
+        expected = [enumerated_pareto_matchings(h) for h in group]
+        backend = ExactMatchingBackend(group[0])
         # SolutionSet equality compares every weight and every witness
-        assert backend.pareto_matchings(g) == enumerated_pareto_matchings(g)
-    # the same backend, asked again in reverse order, still agrees
-    for g in reversed(graphs):
-        assert backend.pareto_matchings(g) == enumerated_pareto_matchings(g)
+        assert [backend.pareto_matchings(h) for h in group] == expected
+        # the same backend, asked again in reverse order, still agrees,
+        # and so does a new one whose first graph is not its reference
+        for b in (backend, ExactMatchingBackend(group[0])):
+            assert [b.pareto_matchings(h) for h in reversed(group)] == expected[::-1]
 
 
-def test_reused_backend_rebinds_on_new_vertex_or_dimension():
-    backend = ExactMatchingBackend()
+def test_backend_refuses_new_vertex_or_dimension():
     small = generate(GeneratorSpec(kind="graph", seed=3, vertices=4, dim=2, bound=5))
     large = generate(GeneratorSpec(kind="graph", seed=4, vertices=6, dim=2, bound=5))
     other_dim = generate(GeneratorSpec(kind="graph", seed=5, vertices=4, dim=3, bound=5))
-    for g in (small, large, small, other_dim, large, _induced(large, (0, 3, 5))):
+    backend = ExactMatchingBackend(small)
+    assert backend.pareto_matchings(small) == enumerated_pareto_matchings(small)
+    memo = dict(backend._memo)
+    for g in (large, other_dim):
+        with pytest.raises(PreconditionError):
+            backend.pareto_matchings(g)
+    # the refusals wrote no state, and the backend still answers exactly
+    assert backend._memo == memo
+    for g in (_reweighted(small, {1}, 6), _induced(small, (0, 2, 3))):
         assert backend.pareto_matchings(g) == enumerated_pareto_matchings(g)
-    # the last two calls share labels and weights, so no rebind happened
-    assert backend._bound is large

@@ -103,7 +103,7 @@ def test_custom_backend_plugs_in():
             return super().pareto_matchings(g)
 
     g = graph(63_000)
-    out = maxatsp_approx(g, backend=CountingBackend())
+    out = maxatsp_approx(g, backend=CountingBackend(g))
     assert calls and out == maxatsp_approx(g)
 
 
@@ -117,7 +117,7 @@ class RecordingBackend:
         self.answers = []
 
     def pareto_matchings(self, g):
-        backend = ExactMatchingBackend() if self.backend is None else self.backend
+        backend = ExactMatchingBackend(g) if self.backend is None else self.backend
         out = backend.pareto_matchings(g)
         self.graphs.append(g)
         self.answers.append(out)
@@ -125,16 +125,19 @@ class RecordingBackend:
 
 
 def shared_memo_corpus():
-    """Seeded graphs, n in {4, 6, 8}, dim 1-3, weight bound 0/1/2/30.
+    """Seeded graphs, n in {3, 4, 5, 6, 7, 8}, dim 1-3, weight bound
+    0/1/2/30.
 
-    n = 4 covers the whole grid.  Larger sweeps cost up to two seconds
-    each (n = 8 at three objectives sweeps 71793 path sets and exceeds
-    the default budget), so n = 6 takes a spread of the grid and n = 8
-    the 2-objective case of the `atsp-n8` benchmark workload.
+    n = 3 and 4 cover the whole grid.  Larger sweeps cost up to two
+    seconds each (n = 8 at three objectives sweeps 71793 path sets and
+    exceeds the default budget), so n = 5 and 6 take a spread of the
+    grid, n = 7 one 1-objective case, and n = 8 the 2-objective case of
+    the `atsp-n8` benchmark workload.  Odd n asks about graphs that lack
+    a vertex of g from the first path set on.
     """
-    cases = [(4, dim, bound) for dim in (1, 2, 3) for bound in (0, 1, 2, 30)]
-    cases += [(6, 1, 30), (6, 2, 0), (6, 2, 2), (6, 3, 2)]
-    cases += [(8, 2, 30)]
+    cases = [(n, dim, bound) for n in (3, 4) for dim in (1, 2, 3) for bound in (0, 1, 2, 30)]
+    cases += [(5, 2, 1), (5, 3, 2), (6, 1, 30), (6, 2, 0), (6, 2, 2), (6, 3, 2)]
+    cases += [(7, 1, 2), (8, 2, 30)]
     for n, dim, bound in cases:
         yield generate(
             GeneratorSpec(
@@ -146,7 +149,7 @@ def shared_memo_corpus():
 
 def test_shared_memo_sweep_matches_fresh_backends():
     for g in shared_memo_corpus():
-        shared = RecordingBackend(ExactMatchingBackend())
+        shared = RecordingBackend(ExactMatchingBackend(g))
         fresh = RecordingBackend()
         # SolutionSet equality compares every weight and every witness;
         # the reference asks a fresh backend about every path set
@@ -154,7 +157,8 @@ def test_shared_memo_sweep_matches_fresh_backends():
         # the pooled output can hide a wrong matching front behind other
         # path sets' cycles, so every answer is compared on its own too:
         # one call per distinct contracted graph, in first-seen order
-        sizes = range(even_objectives(g.dimension) + 1)
+        odd = g.num_vertices % 2
+        sizes = range(odd, even_objectives(g.dimension) + odd + 1)
         firsts = first_of_each_contracted_graph(g, sizes)
         assert len(fresh.graphs) == len(list(path_set_candidates(g, sizes)))
         assert shared.graphs == [fresh.graphs[i] for i in firsts]
@@ -196,7 +200,7 @@ def test_odd_sweep_matches_each_contracted_graph_once():
     for n in (3, 5):
         for dim in (1, 2, 3):
             g = graph(74_000 + 10 * n + dim, vertices=n, dim=dim)
-            rec = RecordingBackend(ExactMatchingBackend())
+            rec = RecordingBackend(ExactMatchingBackend(g))
             maxatsp_approx(g, backend=rec)
             sizes = range(1, even_objectives(dim) + 2)
             cands = list(path_set_candidates(g, sizes))
