@@ -184,11 +184,13 @@ _SHAPE = dict(bound=10, dim=2, m=4, n=1, clauses=4, vertices=4)
 
 
 def _solve(solver: _Solver, inst, budget: int | None, alpha: Fraction | None):
-    """The approximation and, unless alpha is None, its certificate."""
-    out = solver.approx(inst, budget=budget)
+    """The approximation and, unless alpha is None, its certificate.  The
+    oracle runs first: it refuses an instance over its cap before any work."""
     if alpha is None:
-        return out, None
-    return out, is_alpha_approx_set(out, solver.oracle(inst), alpha)
+        return solver.approx(inst, budget=budget), None
+    reference = solver.oracle(inst)
+    out = solver.approx(inst, budget=budget)
+    return out, is_alpha_approx_set(out, reference, alpha)
 
 
 def _check_seeds(seed: int, count: int = 1) -> None:

@@ -93,10 +93,12 @@ class GeneratorSpec:
             raise PreconditionError(
                 f"dim does not apply to {self.kind}: its vector dimension is 2n"
             )
-        for name in ("bound", "dim", "m", "n", "clauses", "vertices"):
+        # a graph needs two vertices to hold a tour
+        floors = dict(bound=0, dim=1, m=1, n=1, clauses=1, vertices=2)
+        for name, floor in floors.items():
             value = getattr(self, name)
-            if value is not None and (value < 0 or (name != "bound" and value < 1)):
-                raise PreconditionError(f"{name} must be positive")
+            if value is not None and value < floor:
+                raise PreconditionError(f"{name} must be >= {floor}, got {value}")
         caps = ((self.bound, MAX_BOUND, "bound"),)
         if balance:
             caps += ((self.m, MAX_SEQUENCE, "m"), (self.n, MAX_DIMENSION // 2, "n"))
@@ -153,8 +155,6 @@ def _gen_cnf(spec: GeneratorSpec, rng: SplitMix64) -> CnfInstance:
 
 def _gen_graph(spec: GeneratorSpec, rng: SplitMix64) -> LabeledDigraph:
     n = spec.vertices
-    if n < 2:
-        raise PreconditionError("graphs need at least two vertices")
     wm = {}
     for u in range(n):
         for v in range(n):
@@ -270,9 +270,11 @@ def parse_cnf(text: str) -> CnfInstance:
     for no, line in lines:
         tokens = line.split()
         if tokens[0] == "c":
-            if len(tokens) == 3 and tokens[1] == "k" and dim is not None:
-                raise InstanceFormatError("second 'c k <dim>' line", no)
-            if len(tokens) == 3 and tokens[1] == "k" and header is None:
+            if len(tokens) == 3 and tokens[1] == "k":
+                if dim is not None:
+                    raise InstanceFormatError("second 'c k <dim>' line", no)
+                if header is not None:
+                    raise InstanceFormatError("'c k <dim>' line after the 'p cnf' header", no)
                 dim = _ints(tokens[2:], no, 1)[0]
                 if dim < 1:
                     raise InstanceFormatError(f"dimension must be >= 1, got {dim}", no)

@@ -35,7 +35,6 @@ serve concurrent callers.
 from __future__ import annotations
 
 from bisect import bisect
-from math import comb, factorial
 from operator import add
 from typing import Protocol
 
@@ -52,13 +51,6 @@ class MatchingBackend(Protocol):
 
     def pareto_matchings(self, g: LabeledDigraph) -> SolutionSet:
         ...
-
-
-def matching_count(n: int) -> int:
-    """Number of matchings in a complete digraph on n vertices."""
-    return sum(
-        comb(n, 2 * j) * factorial(2 * j) // factorial(j) for j in range(n // 2 + 1)
-    )
 
 
 # one DP state: (weight, edge count) -> smallest sorted edge tuple

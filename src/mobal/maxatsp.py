@@ -46,7 +46,7 @@ on one path leave their one interior vertex a single place.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, factorial
 from operator import add
 from typing import Iterable, Iterator
 
@@ -64,9 +64,8 @@ from .graphs import (
     lift_edges,
     lift_tour,
 )
-from .matching import ExactMatchingBackend, MatchingBackend, matching_count
-from .maxsat import even_objectives
-from .pareto import SolutionSet, Weight, nondominated, pareto_front_witnesses
+from .matching import ExactMatchingBackend, MatchingBackend
+from .pareto import SolutionSet, Weight, even_objectives, nondominated, pareto_front_witnesses
 
 DEFAULT_MAXATSP_BUDGET = 10**6
 # `tsp_oracle` enumerates all (n - 1)! tours
@@ -165,23 +164,22 @@ def _chain_fragments(vertices: Iterable[int], m_edges: Iterable[Edge]) -> list[E
     return cycle
 
 
-def approx_cost_estimate(num_vertices: int, two_k: int) -> int:
-    """Matchings of every contracted graph the F-loop visits.
-
-    The budget guard's yardstick: it counts what an exhaustive matching
-    enumeration would visit; the subset DP's own cost is not modelled.
-    Path sets of each size the sweep takes (0..2k edges for an even
-    vertex count, 1..2k+1 for an odd one) are bounded by the edge
-    subsets of that size, each contracted graph by its matching count.
-    """
-    n = num_vertices
-    num_edges = n * (n - 1)
+def _path_set_counts(n: int, two_k: int) -> dict[int, int]:
+    """Path sets the sweep visits, by edge count s: 0..2k at even n and
+    1..2k+1 at odd n, with n - s >= 2.  The path sets with s edges of a
+    complete digraph split its n vertices into n - s ordered lists, so
+    there are C(n - 1, s) * n! / (n - s)! of them, the Lah number L(n, n - s)."""
     odd = n % 2
-    return sum(
-        comb(num_edges, size) * matching_count(n - size)
-        for size in range(odd, two_k + odd + 1)
-        if n - size >= 2
-    )
+    sizes = range(odd, two_k + odd + 1)
+    return {s: comb(n - 1, s) * factorial(n) // factorial(n - s) for s in sizes if n - s >= 2}
+
+
+def approx_cost_estimate(num_vertices: int, two_k: int) -> int:
+    """Vertex subsets the matching DP can solve, 2^(n - |F|) for each path
+    set F the sweep visits.  Exact, not a model: this equals
+    `sum(2 ** (n - len(f)) for f in path_set_candidates(g, sizes))`."""
+    counts = _path_set_counts(num_vertices, two_k)
+    return sum(count << (num_vertices - s) for s, count in counts.items())
 
 
 def maxatsp_approx(
@@ -201,24 +199,24 @@ def maxatsp_approx(
     if budget is None:
         budget = DEFAULT_MAXATSP_BUDGET
     two_k = even_objectives(g.dimension)
+    counts = _path_set_counts(g.num_vertices, two_k)
     estimate = approx_cost_estimate(g.num_vertices, two_k)
     if estimate > budget:
         raise BudgetExceededError(
-            f"~{estimate} matchings to enumerate exceed budget {budget} "
-            f"({g.num_vertices} vertices, {two_k} objectives)"
+            f"~{estimate} DP subsets over {sum(counts.values())} path sets exceed "
+            f"budget {budget} ({g.num_vertices} vertices, {two_k} objectives)"
         )
     # one backend serves the whole sweep; the exact one is built for g, so
     # every contracted graph (contraction rewrites only head rows) shares
     # its head-free states
     if backend is None:
         backend = ExactMatchingBackend(g)
-    odd = g.num_vertices % 2
     pool: dict[Weight, set[Cycle]] = {}
     # (lifted edges, w'(T')) of every tour T' of each contracted graph
     # that a later path set of the same size can share (module docstring)
     shared: dict[tuple, list[tuple[tuple[Edge, ...], Weight]]] = {}
     size = -1
-    for f in path_set_candidates(g, range(odd, two_k + odd + 1)):
+    for f in path_set_candidates(g, counts):
         if len(f) != size:
             size = len(f)
             shared.clear()

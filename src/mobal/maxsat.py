@@ -50,6 +50,7 @@ from .errors import BudgetExceededError, PreconditionError
 from .pareto import (
     SolutionSet,
     Weight,
+    even_objectives,
     nondominated,
     vec_total,
 )
@@ -192,10 +193,6 @@ class SatState:
     v1: frozenset[int]
     vprime: frozenset[int]
     g: tuple[int, ...]
-
-
-def even_objectives(dim: int) -> int:
-    return dim + (dim % 2)
 
 
 def sat_state(inst: CnfInstance, v0: Iterable[int]) -> SatState:
@@ -349,7 +346,6 @@ __all__ = [
     "Assignment",
     "CnfInstance",
     "SatState",
-    "even_objectives",
     "iter_sat_states",
     "maxsat_approx",
     "maxsat_oracle",

@@ -47,6 +47,11 @@ def vec_total(vectors: Iterable[Weight], dim: int) -> Weight:
     return tuple(total)
 
 
+def even_objectives(dim: int) -> int:
+    """2k, the objective count both sweeps use; an odd dim gains a zero one."""
+    return dim + (dim % 2)
+
+
 @dataclass(frozen=True)
 class SolutionSet:
     """Ordered collection of (solution, weight) pairs.

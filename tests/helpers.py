@@ -24,10 +24,11 @@ from mobal.graphs import (
 from mobal.instances import GeneratorSpec, generate
 from mobal.matching import ExactMatchingBackend
 from mobal.maxatsp import extend_matching, maxatsp_approx, path_set_candidates
-from mobal.maxsat import Assignment, CnfInstance, SatState, even_objectives
+from mobal.maxsat import Assignment, CnfInstance, SatState
 from mobal.pareto import (
     SolutionSet,
     Weight,
+    even_objectives,
     nondominated,
     pareto_front_witnesses,
     vec_sub,

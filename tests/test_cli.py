@@ -232,6 +232,11 @@ BAD_INPUT_TABLE = [
     (["bench", "--kind", "cnf", "--seed", str(2**64 - 1), "--count", "2"], None, {}, "--seed"),
     (["maxsat"], "cnf-second-dim", {}, "line 2"),
     (["maxsat"], "cnf-late-second-dim", {}, "line 3"),
+    (["maxsat"], "cnf-late-dim", {}, "line 2"),
+    (["gen", "--kind", "graph", "--vertices", "1", "--seed", "1", "--out", "x.txt"],
+     None, {}, "vertices must be >= 2"),
+    (["gen", "--kind", "graph", "--bound", "-1", "--seed", "1", "--out", "x.txt"],
+     None, {}, "bound must be >= 0"),
 ]
 
 # malformed files, each at fault on the line its BAD_INPUT_TABLE row names
@@ -243,6 +248,7 @@ BAD_FILES = {
     "cnf-no-vars": "c k 1\np cnf 0 1\nw 1 1 0\n",
     "cnf-second-dim": "c k 2\nc k 1\np cnf 2 1\nw 1 1 0\n",
     "cnf-late-second-dim": "c k 2\np cnf 2 1\nc k 1\nw 1 1 0\n",
+    "cnf-late-dim": "p cnf 2 1\nc k 1\nw 3 1 0\n",
     "graph-short-header": "moatsp k=2\n0 1 1 1\n1 0 1 1\n",
     "graph-short-weight": "moatsp k=2 n=2\n0 1 1 1\n1 0 1\n",
     "paired-above-z": "balance paired m=2 n=1\n3 0\n1 9\n0 1\n2 2\n4 4\n",
@@ -301,6 +307,27 @@ def test_oracle_certify_refused_before_any_solver_runs(
         assert code == 2
         error_lines = [line for line in err.splitlines() if line.startswith("error:")]
         assert len(error_lines) == 1 and names in error_lines[0]
+        assert "report-begin" not in out
+
+
+def test_certify_refuses_over_oracle_cap_before_approximating(capsys, tmp_path, monkeypatch):
+    # the approximation admits 10 vertices at two objectives, the tour
+    # oracle does not (cap 9), so certifying asks the oracle first
+    path = gen_file(capsys, tmp_path, "g10.txt", kind="graph", seed=5, vertices=10)
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the approximation ran before the oracle refused")
+
+    solver = cli._SOLVERS["graph"]
+    monkeypatch.setitem(cli._SOLVERS, "graph", solver._replace(approx=must_not_run))
+    for argv in (
+        ["certify", "--in", str(path)],
+        ["maxatsp", "--certify", "--in", str(path)],
+        ["bench", "--kind", "graph", "--vertices", "10", "--count", "1"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert err == "error: cycle oracle refuses 10 vertices (cap 9)\n"
         assert "report-begin" not in out
 
 

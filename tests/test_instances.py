@@ -83,6 +83,12 @@ def test_generator_caps():
         with pytest.raises(PreconditionError):
             GeneratorSpec(kind="graph", seed=seed)
     assert generate(GeneratorSpec(kind="graph", seed=2**64 - 1)).num_vertices == 4
+    # 0 is a valid weight bound, and a tour needs two vertices
+    with pytest.raises(PreconditionError, match="bound must be >= 0"):
+        GeneratorSpec(kind="graph", seed=0, bound=-1)
+    assert generate(GeneratorSpec(kind="graph", seed=0, bound=0)).weight(0, 1) == (0, 0)
+    with pytest.raises(PreconditionError, match="vertices must be >= 2"):
+        GeneratorSpec(kind="graph", seed=0, vertices=1)
 
 
 def test_dim_defaults_to_two_and_balance_kinds_refuse_it():

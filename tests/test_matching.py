@@ -9,7 +9,7 @@ from helpers import (
 from mobal.errors import BudgetExceededError, PreconditionError
 from mobal.graphs import LabeledDigraph, contract, is_matching
 from mobal.instances import GeneratorSpec, generate
-from mobal.matching import ExactMatchingBackend, matching_count
+from mobal.matching import ExactMatchingBackend
 from mobal.pareto import (
     SolutionSet,
     nondominated,
@@ -55,14 +55,6 @@ def test_backend_agrees_with_subset_filter_enumerator():
         for sol, w in ours:
             assert is_matching(sol)
             assert g.edge_set_weight(sol) == w
-
-
-def test_matching_count_formula_matches_enumeration():
-    for n in range(2, 7):
-        g = generate(
-            GeneratorSpec(kind="graph", seed=51_000 + n, vertices=n, dim=1, bound=3)
-        )
-        assert matching_count(n) == len(matchings_by_subset_filter(g))
 
 
 def test_vertex_cap():

@@ -25,8 +25,7 @@ from mobal.graphs import (
     is_matching,
 )
 from mobal.instances import GeneratorSpec, generate
-from mobal.matching import ExactMatchingBackend, matching_count
-from mobal.maxsat import even_objectives
+from mobal.matching import ExactMatchingBackend
 from mobal.maxatsp import (
     DEFAULT_MAXATSP_BUDGET,
     approx_cost_estimate,
@@ -38,6 +37,7 @@ from mobal.maxatsp import (
 )
 from mobal.pareto import (
     SolutionSet,
+    even_objectives,
     is_alpha_approx_set,
     nondominated,
     pareto_front_witnesses,
@@ -173,8 +173,7 @@ def test_odd_output_unchanged_by_shared_memo():
 
 def odd_corpus():
     """Seeded graphs, n in {3, 5} over dim 1-3 and weight bound 0/1/30,
-    plus one n = 7 case (each n = 7 sweep takes about two seconds, and
-    three objectives exceed the default budget there)."""
+    plus one n = 7 case (each n = 7 sweep takes about two seconds)."""
     cases = [(n, dim, bound) for n in (3, 5) for dim in (1, 2, 3) for bound in (0, 1, 30)]
     cases += [(7, 2, 1)]
     for n, dim, bound in cases:
@@ -257,17 +256,26 @@ class SilentBackend:
 
 
 def test_cost_estimate_bounds_the_sweep():
-    cases = [(n, dim) for n in (3, 4, 5, 6) for dim in (2, 4)] + [(7, 2)]
-    for n, dim in cases:
-        g = graph(75_000 + 10 * n + dim, vertices=n, dim=dim)
-        silent = SilentBackend()
-        assert len(maxatsp_approx(g, backend=silent, budget=10**9)) == 0
-        work = sum(matching_count(h) for h in silent.sizes)
-        assert silent.sizes and approx_cost_estimate(n, even_objectives(dim)) >= work
+    # the estimate is the sweep's own count: 2^|V(G/F)| DP subsets per
+    # path set F the enumerator yields, at both parities
+    cases = [(n, 2) for n in range(2, 10)] + [(n, 4) for n in range(2, 9)]
+    for n, two_k in cases:
+        g = graph(75_000 + 10 * n + two_k, vertices=n, dim=two_k)
+        odd = n % 2
+        sizes = range(odd, two_k + odd + 1)
+        work = sum(2 ** (n - len(f)) for f in path_set_candidates(g, sizes))
+        assert approx_cost_estimate(n, two_k) == work
+
+
+def test_cost_estimate_orders_nine_vertices_above_ten():
+    # n = 9 sweeps 30312 path sets at two objectives, n = 10 only 3331
+    assert approx_cost_estimate(9, 2) == 2_082_816
+    assert approx_cost_estimate(10, 2) == 876_544
+    assert approx_cost_estimate(9, 2) > DEFAULT_MAXATSP_BUDGET > approx_cost_estimate(10, 2)
 
 
 def test_default_budget_verdicts_for_odd_vertex_counts():
-    admitted = {(3, 2), (5, 2), (7, 2), (3, 4), (5, 4)}
+    admitted = {(3, 2), (5, 2), (7, 2), (3, 4), (5, 4), (7, 4)}
     for n in (3, 5, 7, 9, 11):
         for two_k in (2, 4):
             fits = approx_cost_estimate(n, two_k) <= DEFAULT_MAXATSP_BUDGET
@@ -277,6 +285,19 @@ def test_default_budget_verdicts_for_odd_vertex_counts():
                 silent = SilentBackend()
                 with pytest.raises(BudgetExceededError):
                     maxatsp_approx(graph(76_000 + n, vertices=n, dim=two_k), backend=silent)
+                assert silent.sizes == []
+
+
+def test_default_budget_verdicts_for_even_vertex_counts():
+    admitted = {(n, 2) for n in (2, 4, 6, 8, 10)} | {(n, 4) for n in (2, 4, 6)}
+    for n in (2, 4, 6, 8, 10, 12):
+        for two_k in (2, 4):
+            fits = approx_cost_estimate(n, two_k) <= DEFAULT_MAXATSP_BUDGET
+            assert fits == ((n, two_k) in admitted)
+            if not fits:
+                silent = SilentBackend()
+                with pytest.raises(BudgetExceededError, match="path sets exceed budget"):
+                    maxatsp_approx(graph(76_100 + n, vertices=n, dim=two_k), backend=silent)
                 assert silent.sizes == []
 
 
@@ -352,8 +373,9 @@ def test_extend_matching_completes_every_matching():
             assert set(m_enc) <= set(t)
             assert t == tuple(sorted(t))
             checked += 1
-    # matchings of K_n with directed edges, n = 2..7
-    assert checked == sum(matching_count(n) for n in range(2, 8))
+    # matchings of K_n with directed edges, n = 2..7: sum over j of
+    # C(n, 2j) (2j)! / j! is 3, 7, 25, 81, 331 and 1303
+    assert checked == 1750
 
 
 def test_extend_matching_rejects_non_matching():

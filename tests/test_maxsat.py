@@ -24,7 +24,6 @@ from mobal.instances import GeneratorSpec, generate, parse_cnf
 from mobal.maxsat import (
     CnfInstance,
     _emit_masks,
-    even_objectives,
     iter_sat_states,
     maxsat_approx,
     maxsat_oracle,
@@ -34,6 +33,7 @@ from mobal.maxsat import (
 )
 from mobal.pareto import (
     SolutionSet,
+    even_objectives,
     is_alpha_approx_set,
     nondominated,
     pareto_front_witnesses,
