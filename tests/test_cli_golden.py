@@ -29,6 +29,9 @@ FILES = {
     # the cnf instance misses an exact Pareto point at alpha 1/1 (exit 1)
     "cnf.wcnf": "--kind cnf --seed 33 --m 10 --clauses 15 --dim 2 --bound 9",
     "graph.txt": "--kind graph --seed 7 --vertices 5 --dim 2 --bound 30",
+    # within the sweep's default budget but over the tour oracle's cap of
+    # 9, so certify refuses it without running the approximation
+    "graph10.txt": "--kind graph --seed 7 --vertices 10 --dim 2 --bound 30",
     "paired.bal": "--kind balance-paired --seed 7 --m 10 --n 2 --bound 50",
     "integer.bal": "--kind balance-integer --seed 7 --m 8 --n 1 --bound 9",
     "combinatorial.bal": "--kind balance-combinatorial --seed 7 --m 8 --n 2 --bound 20",
