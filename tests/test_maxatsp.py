@@ -274,31 +274,28 @@ def test_cost_estimate_orders_nine_vertices_above_ten():
     assert approx_cost_estimate(9, 2) > DEFAULT_MAXATSP_BUDGET > approx_cost_estimate(10, 2)
 
 
-def test_default_budget_verdicts_for_odd_vertex_counts():
-    admitted = {(3, 2), (5, 2), (7, 2), (3, 4), (5, 4), (7, 4)}
-    for n in (3, 5, 7, 9, 11):
-        for two_k in (2, 4):
-            fits = approx_cost_estimate(n, two_k) <= DEFAULT_MAXATSP_BUDGET
-            assert fits == ((n, two_k) in admitted)
-            if not fits:
-                # the guard refuses before the backend is asked anything
-                silent = SilentBackend()
-                with pytest.raises(BudgetExceededError):
-                    maxatsp_approx(graph(76_000 + n, vertices=n, dim=two_k), backend=silent)
-                assert silent.sizes == []
-
-
-def test_default_budget_verdicts_for_even_vertex_counts():
-    admitted = {(n, 2) for n in (2, 4, 6, 8, 10)} | {(n, 4) for n in (2, 4, 6)}
-    for n in (2, 4, 6, 8, 10, 12):
+def check_default_budget_verdicts(vertex_counts, admitted):
+    """Exactly the admitted (n, 2k) fit the default budget; the guard
+    refuses every other one before the backend is asked anything."""
+    for n in vertex_counts:
         for two_k in (2, 4):
             fits = approx_cost_estimate(n, two_k) <= DEFAULT_MAXATSP_BUDGET
             assert fits == ((n, two_k) in admitted)
             if not fits:
                 silent = SilentBackend()
                 with pytest.raises(BudgetExceededError, match="path sets exceed budget"):
-                    maxatsp_approx(graph(76_100 + n, vertices=n, dim=two_k), backend=silent)
+                    maxatsp_approx(graph(76_000 + n, vertices=n, dim=two_k), backend=silent)
                 assert silent.sizes == []
+
+
+def test_default_budget_verdicts_for_odd_vertex_counts():
+    admitted = {(3, 2), (5, 2), (7, 2), (3, 4), (5, 4), (7, 4)}
+    check_default_budget_verdicts((3, 5, 7, 9, 11), admitted)
+
+
+def test_default_budget_verdicts_for_even_vertex_counts():
+    admitted = {(n, 2) for n in (2, 4, 6, 8, 10)} | {(n, 4) for n in (2, 4, 6)}
+    check_default_budget_verdicts((2, 4, 6, 8, 10, 12), admitted)
 
 
 def test_path_set_candidates_are_valid_and_ordered():
