@@ -22,6 +22,19 @@ treated as carrying one extra, always-zero objective) and enumerates:
 Deduplicated and Pareto-filtered, the emitted assignments contain a
 1/2-approximate Pareto set of the instance.
 
+The V0 sets are walked depth-first over bitmasks, in lexicographic
+order of their sorted variable tuples; a child V0 + {x} discards its
+parent's clauses plus those holding -x.  V1 can only shrink along a
+walk: a larger V0 leaves G smaller, so every objective of w(G[-v]) is
+non-increasing, and w(H - G) larger, so every objective of the floor
+w(H - G) // 2k is non-decreasing.  A variable that fails the V1 test
+once fails it in every descendant, so a child tests only its parent's
+V1 minus x.
+
+When (2k)^2 >= m every assignment A is emitted: V0 = zeros(A) is
+admissible, and one interval over all of V' gives A.  The sweep then
+weighs the 2^m cube directly instead of walking.
+
 Both the sweep and the 2^m oracle weigh assignments through one clause
 table (`_ClauseTable`).  Each clause's weight vector is packed into a
 single int, objective c in the field at bit c * width, where width is
@@ -41,7 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 from math import comb
 from operator import add
 from typing import Iterable, Iterator
@@ -195,45 +208,91 @@ class SatState:
     g: tuple[int, ...]
 
 
+def _v1(table: _ClauseTable, discarded: int, two_k: int, candidates: int) -> int:
+    """The V1 mask: each variable of the `candidates` mask whose negated
+    occurrences in G weigh more than w(H - G) / 2k in some objective,
+    G being the clauses outside the `discarded` set."""
+    if not candidates:
+        return 0
+    g_set = table.all_clauses & ~discarded
+    bits, negs = [], [discarded]
+    while candidates:
+        bit = candidates & -candidates
+        candidates ^= bit
+        neg = table.neg_clauses[bit.bit_length() - 1] & g_set
+        if neg:
+            bits.append(bit)
+            negs.append(neg)
+    rest, *neg_weights = table.weigh(negs)
+    # 2k * w > r  <=>  w > r // 2k, so v stays out of V1 iff its
+    # negative weight is within the per-objective floors
+    floors = table.pack([r // two_k for r in table.unpack(rest)])
+    v1 = 0
+    for bit, packed in zip(bits, neg_weights):
+        if not table.within(packed, floors):
+            v1 |= bit
+    return v1
+
+
+def _walk(table: _ClauseTable, m: int, two_k: int) -> Iterator[tuple[int, int]]:
+    """(V0 mask, V1 mask) for every V0 of at most min((2k)^2, m) variables,
+    depth-first in lexicographic order of V0's sorted tuple; a child
+    V0 + {x}, x above V0's largest variable, tests only its parent's V1
+    minus x (see the module docstring)."""
+    cap = min(two_k * two_k, m)
+    neg_clauses = table.neg_clauses
+    # (V0, discarded clauses, V1 candidates, lowest bit index a child may add)
+    stack = [(0, 0, (1 << m) - 1, 0)]
+    while stack:
+        v0, discarded, candidates, first = stack.pop()
+        v1 = _v1(table, discarded, two_k, candidates)
+        yield v0, v1
+        if v0.bit_count() < cap:
+            # pushed in reverse, so the smallest x is walked first
+            for x in range(m - 1, first - 1, -1):
+                bit = 1 << x
+                stack.append((v0 | bit, discarded | neg_clauses[x], v1 & ~bit, x + 1))
+
+
+def _discarded(table: _ClauseTable, v0: int) -> int:
+    """The clauses outside G: those with a negated literal of a V0 variable."""
+    out = 0
+    for j, neg in enumerate(table.neg_clauses):
+        if v0 >> j & 1:
+            out |= neg
+    return out
+
+
+def _as_state(inst: CnfInstance, v0: int, v1: int) -> SatState:
+    table = inst._table
+    g_set = table.all_clauses & ~_discarded(table, v0)
+    g = tuple([ci for ci in range(g_set.bit_length()) if g_set >> ci & 1])
+    m = inst.num_vars
+    vprime = ((1 << m) - 1) & ~(v0 | v1)
+    return SatState(_variables(v0, m), _variables(v1, m), _variables(vprime, m), g)
+
+
+def _variables(mask: int, m: int) -> frozenset[int]:
+    return frozenset(j + 1 for j in range(m) if mask >> j & 1)
+
+
 def sat_state(inst: CnfInstance, v0: Iterable[int]) -> SatState:
     """G, V1 and V' for a given zero-forced variable set V0."""
     v0 = frozenset(v0)
     if any(v < 1 or v > inst.num_vars for v in v0):
         raise PreconditionError("V0 contains an out-of-range variable")
-    two_k = even_objectives(inst.dimension)
     table = inst._table
-    # G: the clauses without a negated V0 literal
-    discarded = 0
-    for v in v0:
-        discarded |= table.neg_clauses[v - 1]
-    g_set = table.all_clauses & ~discarded
-    g = tuple([ci for ci in range(g_set.bit_length()) if g_set >> ci & 1])
-    free = [
-        v
-        for v, neg in enumerate(table.neg_clauses, start=1)
-        if v not in v0 and neg & g_set
-    ]
-    rest, *neg_weights = table.weigh(
-        [discarded] + [table.neg_clauses[v - 1] & g_set for v in free]
-    )
-    # 2k * w > r  <=>  w > r // 2k, so v stays out of V1 iff its
-    # negative weight is within the per-objective floors
-    floors = table.pack([r // two_k for r in table.unpack(rest)])
-    v1 = frozenset(
-        v for v, packed in zip(free, neg_weights) if not table.within(packed, floors)
-    )
-    vprime = frozenset(range(1, inst.num_vars + 1)) - v0 - v1
-    return SatState(v0, v1, vprime, g)
+    v0_mask = sum(1 << (v - 1) for v in v0)
+    outside = ((1 << inst.num_vars) - 1) & ~v0_mask
+    v1 = _v1(table, _discarded(table, v0_mask), even_objectives(inst.dimension), outside)
+    return _as_state(inst, v0_mask, v1)
 
 
 def iter_sat_states(inst: CnfInstance) -> Iterator[SatState]:
-    """States for every admissible V0, sizes ascending, each size in
-    lexicographic variable order."""
-    two_k = even_objectives(inst.dimension)
-    cap = min(two_k * two_k, inst.num_vars)
-    for size in range(cap + 1):
-        for v0 in combinations(range(1, inst.num_vars + 1), size):
-            yield sat_state(inst, v0)
+    """States for every admissible V0, in the walk's depth-first order:
+    lexicographic in V0's sorted variable tuple."""
+    for v0, v1 in _walk(inst._table, inst.num_vars, even_objectives(inst.dimension)):
+        yield _as_state(inst, v0, v1)
 
 
 def maxsat_scan_estimate(num_vars: int, two_k: int) -> int:
@@ -250,13 +309,14 @@ def maxsat_scan_estimate(num_vars: int, two_k: int) -> int:
     )
 
 
-def _emit_masks(state: SatState, half_k: int) -> set[int]:
-    base = 0
-    for v in state.v1:
-        base |= 1 << (v - 1)
+def _emit_masks(base: int, free: int, half_k: int) -> set[int]:
+    """`base` OR-ed with every union of k intervals of the `free` mask's
+    variables, taken in ascending order."""
     cum = [0]
-    for v in sorted(state.vprime):
-        cum.append(cum[-1] | (1 << (v - 1)))
+    while free:
+        bit = free & -free
+        free ^= bit
+        cum.append(cum[-1] | bit)
     # the half-open interval of V' indices p..q-1, empty when p == q
     cuts = combinations_with_replacement(range(len(cum)), 2)
     intervals = {cum[q] ^ cum[p] for p, q in cuts}
@@ -288,11 +348,16 @@ def maxsat_approx(inst: CnfInstance, *, budget: int | None = None) -> SolutionSe
             f"at most {limit} variables fit this budget at {two_k} objectives"
         )
 
-    masks: set[int] = set()
-    for state in iter_sat_states(inst):
-        masks |= _emit_masks(state, two_k // 2)
-
     table = inst._table
+    if two_k * two_k >= m:
+        # the walk would emit every assignment (see the module docstring)
+        masks: Iterable[int] = range(1 << m)
+    else:
+        full = (1 << m) - 1
+        masks = set()
+        for v0, v1 in _walk(table, m, two_k):
+            masks |= _emit_masks(v1, full & ~(v0 | v1), two_k // 2)
+
     order = list(masks)
     by_weight: dict[int, list[int]] = {}
     for mask, packed in zip(order, table.weigh(table.satisfied(order))):

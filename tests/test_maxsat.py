@@ -1,5 +1,6 @@
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from mobal.instances import GeneratorSpec, generate, parse_cnf
 from mobal.maxsat import (
     CnfInstance,
     _emit_masks,
+    _walk,
     iter_sat_states,
     maxsat_approx,
     maxsat_oracle,
@@ -44,6 +46,16 @@ def cnf(num_vars, *clauses_with_weights):
     clauses = tuple(frozenset(c) for c, _ in clauses_with_weights)
     weights = tuple(tuple(w) for _, w in clauses_with_weights)
     return CnfInstance(num_vars, clauses, weights)
+
+
+def bits(variables):
+    """Mask with bit v-1 set for each variable v."""
+    return sum(1 << (v - 1) for v in variables)
+
+
+def emit(state, half_k):
+    """`_emit_masks` on a state's forced-one and interval variables."""
+    return _emit_masks(bits(state.v1), bits(state.vprime), half_k)
 
 
 def corpus(count, seed0=20_000):
@@ -150,7 +162,7 @@ def test_emitted_assignments_respect_forced_sets():
             range(1, inst.num_vars + 1)
         )
         assert not (state.v0 & state.v1)
-        for mask in _emit_masks(state, two_k // 2):
+        for mask in emit(state, two_k // 2):
             for v in state.v1:
                 assert (mask >> (v - 1)) & 1 == 1
             for v in state.v0:
@@ -188,7 +200,7 @@ def test_single_interval_variable_still_admits_empty_interval():
     inst = cnf(1, ({1}, (1, 1)))
     state = sat_state(inst, ())
     assert state.vprime == frozenset({1})
-    assert _emit_masks(state, 1) == {0, 1}
+    assert emit(state, 1) == {0, 1}
 
 
 def test_empty_vprime_emits_forced_assignment():
@@ -367,10 +379,17 @@ def test_packed_oracle_matches_reference():
         assert maxsat_oracle(inst) == reference_maxsat_oracle(inst)
 
 
+def walked_masks(inst):
+    """The masks each walked state emits, one set per state."""
+    m, two_k = inst.num_vars, even_objectives(inst.dimension)
+    full = (1 << m) - 1
+    for v0, v1 in _walk(inst._table, m, two_k):
+        yield _emit_masks(v1, full & ~(v0 | v1), two_k // 2)
+
+
 def emitted_masks(inst):
     """Masks the sweep emits, counted per state before deduplication."""
-    half_k = even_objectives(inst.dimension) // 2
-    return sum(len(_emit_masks(state, half_k)) for state in iter_sat_states(inst))
+    return sum(map(len, walked_masks(inst)))
 
 
 def test_scan_estimate_bounds_emitted_masks():
@@ -410,7 +429,63 @@ def test_emit_masks_matches_reference():
         state = SatState(frozenset({1}), frozenset({3}), frozenset(vprime), ())
         states += [(state, 1), (state, 2)]
     for state, half_k in states:
-        assert _emit_masks(state, half_k) == reference_emit_masks(state, half_k)
+        assert emit(state, half_k) == reference_emit_masks(state, half_k)
+
+
+def walk_corpus():
+    """Small instances at dims 1-4, bounds 0, 1 and 20."""
+    for dim in (1, 2, 3, 4):
+        for m in (1, 3, 5, 8):
+            for bound in (0, 1, 20):
+                yield generate(
+                    GeneratorSpec(
+                        kind="cnf", seed=28_000 + 100 * dim + 10 * m + bound,
+                        m=m, clauses=2 * m + 1, dim=dim, bound=bound,
+                    )
+                )
+
+
+def test_walk_visits_every_v0_in_lexicographic_order():
+    for inst in walk_corpus():
+        m, two_k = inst.num_vars, even_objectives(inst.dimension)
+        cap = min(two_k * two_k, m)
+        v0s = [tuple(sorted(state.v0)) for state in iter_sat_states(inst)]
+        assert len(v0s) == sum(comb(m, s) for s in range(cap + 1))
+        assert v0s == sorted(
+            v0 for s in range(cap + 1) for v0 in combinations(range(1, m + 1), s)
+        )
+
+
+def test_v1_shrinks_along_every_walk_link():
+    # the walk tests only the parent's V1 minus x while `sat_state` tests
+    # every variable outside V0, so equal states show that no variable
+    # outside the parent's V1 would have been forced
+    for inst in walk_corpus():
+        v1_of = {}
+        for state in iter_sat_states(inst):
+            assert state == sat_state(inst, state.v0)
+            v0 = tuple(sorted(state.v0))
+            v1_of[v0] = state.v1
+            if v0:
+                *parent, x = v0
+                assert state.v1 <= v1_of[tuple(parent)] - {x}
+
+
+def test_cube_shortcut_matches_walk():
+    # with (2k)^2 >= m the sweep weighs all 2^m masks instead of walking
+    for dim in (1, 2, 3, 4):
+        two_k = even_objectives(dim)
+        for m in range(1, min(two_k * two_k, 10) + 1, 3 if dim > 2 else 1):
+            for bound, seed in ((0, 1), (1, 2), (20, 1), (20, 2)):
+                inst = generate(
+                    GeneratorSpec(
+                        kind="cnf", seed=29_000 + 100 * dim + 10 * m + seed,
+                        m=m, clauses=2 * m, dim=dim, bound=bound,
+                    )
+                )
+                masks = set().union(*walked_masks(inst))
+                assert masks == set(range(1 << m))
+                assert maxsat_approx(inst) == reference_weigh_and_filter(inst, masks)
 
 
 def test_scan_estimate_admits_small_many_objective_instances():
