@@ -20,10 +20,7 @@ from .errors import (
     SearchInvariantError,
 )
 from .graphs import (
-    ContractionRecord,
     LabeledDigraph,
-    contract,
-    expand,
     is_hamiltonian_cycle,
     is_matching,
 )
@@ -42,14 +39,12 @@ from .instances import (
 from .matching import ExactMatchingBackend, MatchingBackend
 from .maxatsp import (
     ClaimWitness,
-    extend_matching,
     matching_claim_witness,
     maxatsp_approx,
     tsp_oracle,
 )
 from .maxsat import (
     CnfInstance,
-    SatState,
     maxsat_approx,
     maxsat_oracle,
 )

@@ -31,7 +31,7 @@ from .balancing import (
     balance_paired,
     verify_balance,
 )
-from .errors import MobalError, PreconditionError
+from .errors import InstanceFormatError, MobalError, PreconditionError
 from .instances import (
     BALANCE_KINDS,
     KINDS,
@@ -275,9 +275,20 @@ def _run_balance(variant: str, inst: BalancingInstance, verify: bool, report: Ru
     report.note(key, _fmt_vec(dev) + (f" (bound {_fmt_vec(bound)})" if bound else ""))
 
 
+def _read_instance(path: str) -> str:
+    """An instance file's text; a non-ASCII byte is refused on its line,
+    numbered as the parsers number lines."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line = len((data[: exc.start] + b".").decode("ascii").splitlines())
+        raise InstanceFormatError(f"non-ASCII byte 0x{data[exc.start]:02x}", line) from None
+
+
 def _cmd_balance(args) -> RunReport:
     report = RunReport("balance", f"balance-{args.variant}")
-    text = Path(args.infile).read_text(encoding="ascii")
+    text = _read_instance(args.infile)
     variant, inst = parse_balance(text)
     if variant != args.variant:
         raise PreconditionError(
@@ -299,7 +310,7 @@ def _cmd_solve(args) -> RunReport:
     report = RunReport(
         args.subcommand, solver.oracle_algorithm if args.oracle else solver.algorithm
     )
-    text = Path(args.infile).read_text(encoding="ascii")
+    text = _read_instance(args.infile)
     inst = solver.parse(text)
     report.add("instance", "sha256:" + digest(text))
     for key, value in solver.sizes(inst):
@@ -319,7 +330,7 @@ def _cmd_solve(args) -> RunReport:
 def _cmd_certify(args) -> RunReport:
     alpha = _parse_alpha(args.alpha)
     budget = _parse_budget(args.budget)
-    text = Path(args.infile).read_text(encoding="ascii")
+    text = _read_instance(args.infile)
     kind = detect_kind(text)
     if kind == "balance":
         _refuse_for_balance(args, "budget", "alpha")

@@ -113,39 +113,6 @@ def is_matching(edges: Iterable[Edge]) -> bool:
     return True
 
 
-def path_decomposition(edges: Iterable[Edge]) -> tuple[tuple[Edge, ...], ...]:
-    """Split an edge set into vertex-disjoint simple paths, sorted by head.
-
-    Raises PreconditionError when some vertex repeats a role or when a
-    cycle hides in the set.
-    """
-    succ: dict[int, int] = {}
-    has_in: set[int] = set()
-    for u, v in edges:
-        if u == v:
-            raise PreconditionError(f"self-loop ({u}, {v}) is not a path edge")
-        if u in succ:
-            raise PreconditionError(f"vertex {u} has two outgoing edges")
-        if v in has_in:
-            raise PreconditionError(f"vertex {v} has two incoming edges")
-        succ[u] = v
-        has_in.add(v)
-    heads = sorted(u for u in succ if u not in has_in)
-    paths: list[tuple[Edge, ...]] = []
-    visited = 0
-    for head in heads:
-        path: list[Edge] = []
-        u = head
-        while u in succ:
-            path.append((u, succ[u]))
-            u = succ[u]
-        visited += len(path)
-        paths.append(tuple(path))
-    if visited != len(succ):
-        raise PreconditionError("edge set contains a cycle")
-    return tuple(paths)
-
-
 def is_hamiltonian_cycle(g: LabeledDigraph, edges: Iterable[Edge]) -> bool:
     """One directed cycle visiting every vertex of g exactly once.
 
@@ -193,43 +160,6 @@ def cycle_vertex_order(edges: Iterable[Edge]) -> tuple[int, ...]:
     return tuple(order)
 
 
-@dataclass(frozen=True)
-class ContractionRecord:
-    """Everything needed to undo a path-set contraction.
-
-    `paths` lists each contracted path as ordered edges; `vertex_map`
-    sends every original vertex to its surviving representative (the
-    head of its path, or itself).
-    """
-
-    original: LabeledDigraph
-    paths: tuple[tuple[Edge, ...], ...]
-    contracted: LabeledDigraph
-    vertex_map: dict[int, int]
-
-
-def contract(g: LabeledDigraph, q: Iterable[Edge]) -> ContractionRecord:
-    """Contract a set of pairwise vertex-disjoint paths of g.
-
-    Checks that q is a path set of g, then builds the graph with
-    `contract_ends`.
-    """
-    q_edges = set(q)
-    for e in q_edges:
-        if e not in g.weight_map:
-            raise PreconditionError(f"edge {e} not in graph")
-    paths = path_decomposition(q_edges)
-    vertex_map = {x: x for x in g.vertices}
-    last: dict[int, int] = {}
-    for path in paths:
-        head = path[0][0]
-        for _, tail in path:
-            vertex_map[tail] = head
-        last[head] = path[-1][1]
-    contracted = contract_ends(g, {v for _, v in q_edges}, last)
-    return ContractionRecord(g, paths, contracted, vertex_map)
-
-
 def contract_ends(
     g: LabeledDigraph, tails: Container[int], last: Mapping[int, int]
 ) -> LabeledDigraph:
@@ -251,23 +181,6 @@ def contract_ends(
         {(a, b): wm[(last.get(a, a), b)] for a in verts for b in verts if a != b},
         g.dimension,
     )
-
-
-def expand(rec: ContractionRecord, t: Iterable[Edge]) -> tuple[Edge, ...]:
-    """Expand a Hamiltonian cycle of the contracted graph back through
-    every contracted path.
-
-    Checks t against the contracted graph (PreconditionError), then
-    returns `lift_tour` of the contracted path edges and t's lifted
-    edges: a Hamiltonian cycle of the original graph of weight
-    w'(t) + w(paths).
-    """
-    t = frozenset(t)
-    if not is_hamiltonian_cycle(rec.contracted, t):
-        raise PreconditionError("t is not a Hamiltonian cycle of the contracted graph")
-    last = {path[0][0]: path[-1][1] for path in rec.paths}
-    path_edges = [e for path in rec.paths for e in path]
-    return lift_tour(rec.original, path_edges, lift_edges(last, t))
 
 
 def lift_edges(last: Mapping[int, int], t: Iterable[Edge]) -> tuple[Edge, ...]:

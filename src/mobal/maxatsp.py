@@ -55,7 +55,6 @@ from .errors import BudgetExceededError, PreconditionError
 from .graphs import (
     Edge,
     LabeledDigraph,
-    contract,
     contract_ends,
     cycle_vertex_order,
     is_hamiltonian_cycle,
@@ -120,23 +119,6 @@ def path_set_candidates(
         if g.num_vertices - size < 2:
             continue
         yield from grow(0, size)
-
-
-def extend_matching(g: LabeledDigraph, matching: Iterable[Edge]) -> Cycle:
-    """Deterministic completion of a matching to a Hamiltonian cycle.
-
-    Checks that the edges form a matching of g, then chains them as
-    `_chain_fragments` does and returns the sorted cycle.
-    """
-    m_edges = sorted(matching)
-    if not is_matching(m_edges):
-        raise PreconditionError("edge set is not a matching")
-    for e in m_edges:
-        if e not in g.weight_map:
-            raise PreconditionError(f"matching edge {e} not in graph")
-    if g.num_vertices < 2:
-        raise PreconditionError("cannot build a cycle on fewer than two vertices")
-    return tuple(sorted(_chain_fragments(g.vertices, m_edges)))
 
 
 def _chain_fragments(vertices: Iterable[int], m_edges: Iterable[Edge]) -> list[Edge]:
@@ -343,7 +325,8 @@ def matching_claim_witness(g: LabeledDigraph, cycle: Iterable[Edge]) -> ClaimWit
     for a, b in intervals:
         f_edges.add(odd[a - 1])
         f_edges.add(even[b - 1])
-    rec = contract(g, f_edges)
+    # F is at most 2k edges of a checked Hamiltonian cycle with n > 2k, so a path set
+    contracted = contract_ends(g, *_path_ends(f_edges))
     # Contraction leaves S - F as it is.  On the cycle, the edge entering a
     # tail of F is an F edge, and no edge of S - F leaves a path's last
     # vertex: after odd[a-1] comes even[a-1], in S only when a == b and
@@ -355,10 +338,10 @@ def matching_claim_witness(g: LabeledDigraph, cycle: Iterable[Edge]) -> ClaimWit
         f_edges=tuple(sorted(f_edges)),
         s_edges=tuple(sorted(s_edges)),
         matching=tuple(sorted(mprime)),
-        contracted=rec.contracted,
+        contracted=contracted,
         cycle_weight=g.edge_set_weight(cycle),
         f_weight=g.edge_set_weight(f_edges),
-        matching_weight=rec.contracted.edge_set_weight(mprime),
+        matching_weight=contracted.edge_set_weight(mprime),
     )
 
 
@@ -367,7 +350,6 @@ __all__ = [
     "Cycle",
     "DEFAULT_MAXATSP_BUDGET",
     "approx_cost_estimate",
-    "extend_matching",
     "matching_claim_witness",
     "maxatsp_approx",
     "path_set_candidates",

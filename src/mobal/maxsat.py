@@ -198,16 +198,6 @@ class _ClauseTable:
         return total
 
 
-@dataclass(frozen=True)
-class SatState:
-    """Per-iteration record of one V0 choice; `g` is the clause set G."""
-
-    v0: frozenset[int]
-    v1: frozenset[int]
-    vprime: frozenset[int]
-    g: tuple[int, ...]
-
-
 def _v1(table: _ClauseTable, discarded: int, two_k: int, candidates: int) -> int:
     """The V1 mask: each variable of the `candidates` mask whose negated
     occurrences in G weigh more than w(H - G) / 2k in some objective,
@@ -252,47 +242,6 @@ def _walk(table: _ClauseTable, m: int, two_k: int) -> Iterator[tuple[int, int]]:
             for x in range(m - 1, first - 1, -1):
                 bit = 1 << x
                 stack.append((v0 | bit, discarded | neg_clauses[x], v1 & ~bit, x + 1))
-
-
-def _discarded(table: _ClauseTable, v0: int) -> int:
-    """The clauses outside G: those with a negated literal of a V0 variable."""
-    out = 0
-    for j, neg in enumerate(table.neg_clauses):
-        if v0 >> j & 1:
-            out |= neg
-    return out
-
-
-def _as_state(inst: CnfInstance, v0: int, v1: int) -> SatState:
-    table = inst._table
-    g_set = table.all_clauses & ~_discarded(table, v0)
-    g = tuple([ci for ci in range(g_set.bit_length()) if g_set >> ci & 1])
-    m = inst.num_vars
-    vprime = ((1 << m) - 1) & ~(v0 | v1)
-    return SatState(_variables(v0, m), _variables(v1, m), _variables(vprime, m), g)
-
-
-def _variables(mask: int, m: int) -> frozenset[int]:
-    return frozenset(j + 1 for j in range(m) if mask >> j & 1)
-
-
-def sat_state(inst: CnfInstance, v0: Iterable[int]) -> SatState:
-    """G, V1 and V' for a given zero-forced variable set V0."""
-    v0 = frozenset(v0)
-    if any(v < 1 or v > inst.num_vars for v in v0):
-        raise PreconditionError("V0 contains an out-of-range variable")
-    table = inst._table
-    v0_mask = sum(1 << (v - 1) for v in v0)
-    outside = ((1 << inst.num_vars) - 1) & ~v0_mask
-    v1 = _v1(table, _discarded(table, v0_mask), even_objectives(inst.dimension), outside)
-    return _as_state(inst, v0_mask, v1)
-
-
-def iter_sat_states(inst: CnfInstance) -> Iterator[SatState]:
-    """States for every admissible V0, in the walk's depth-first order:
-    lexicographic in V0's sorted variable tuple."""
-    for v0, v1 in _walk(inst._table, inst.num_vars, even_objectives(inst.dimension)):
-        yield _as_state(inst, v0, v1)
 
 
 def maxsat_scan_estimate(num_vars: int, two_k: int) -> int:
@@ -410,10 +359,7 @@ def _bit_reversed(bits: int) -> list[int]:
 __all__ = [
     "Assignment",
     "CnfInstance",
-    "SatState",
-    "iter_sat_states",
     "maxsat_approx",
     "maxsat_oracle",
     "maxsat_scan_estimate",
-    "sat_state",
 ]

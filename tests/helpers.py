@@ -12,19 +12,19 @@ from typing import Mapping
 from mobal.balancing import BalanceResult, BalancingInstance, IntervalFamily
 from mobal.errors import PreconditionError
 from mobal.graphs import (
-    ContractionRecord,
     Edge,
     LabeledDigraph,
-    contract,
+    contract_ends,
     cycle_edges,
-    expand,
+    is_hamiltonian_cycle,
     is_matching,
-    path_decomposition,
+    lift_edges,
+    lift_tour,
 )
 from mobal.instances import GeneratorSpec, generate
 from mobal.matching import ExactMatchingBackend
-from mobal.maxatsp import extend_matching, maxatsp_approx, path_set_candidates
-from mobal.maxsat import Assignment, CnfInstance, SatState
+from mobal.maxatsp import _chain_fragments, maxatsp_approx, path_set_candidates
+from mobal.maxsat import Assignment, CnfInstance
 from mobal.pareto import (
     SolutionSet,
     Weight,
@@ -81,9 +81,51 @@ def is_vertex_disjoint_paths(edges) -> bool:
     return True
 
 
-def path_weight(rec: ContractionRecord) -> Weight:
-    """Total weight of the contracted path edges in the original graph."""
-    return rec.original.edge_set_weight(e for path in rec.paths for e in path)
+def path_decomposition(edges) -> tuple[tuple[Edge, ...], ...]:
+    """Split an edge set into vertex-disjoint simple paths, sorted by head.
+
+    Raises PreconditionError when some vertex repeats a role or when a
+    cycle hides in the set.
+    """
+    succ: dict[int, int] = {}
+    has_in: set[int] = set()
+    for u, v in edges:
+        if u == v:
+            raise PreconditionError(f"self-loop ({u}, {v}) is not a path edge")
+        if u in succ:
+            raise PreconditionError(f"vertex {u} has two outgoing edges")
+        if v in has_in:
+            raise PreconditionError(f"vertex {v} has two incoming edges")
+        succ[u] = v
+        has_in.add(v)
+    heads = sorted(u for u in succ if u not in has_in)
+    paths: list[tuple[Edge, ...]] = []
+    visited = 0
+    for head in heads:
+        path: list[Edge] = []
+        u = head
+        while u in succ:
+            path.append((u, succ[u]))
+            u = succ[u]
+        visited += len(path)
+        paths.append(tuple(path))
+    if visited != len(succ):
+        raise PreconditionError("edge set contains a cycle")
+    return tuple(paths)
+
+
+def path_ends(f) -> tuple[frozenset[int], dict[int, int]]:
+    """Tails of a path set and each head's last vertex, head ascending,
+    read off `path_decomposition`.  Reference for the sweep's `_path_ends`."""
+    paths = path_decomposition(f)
+    tails = frozenset(v for path in paths for _, v in path)
+    return tails, {path[0][0]: path[-1][1] for path in paths}
+
+
+def contract_path_set(g: LabeledDigraph, f) -> LabeledDigraph:
+    """G/F by `contract_ends`, after `path_decomposition` has checked that
+    f is a path set."""
+    return contract_ends(g, *path_ends(f))
 
 
 def naive_dominates(a, b) -> bool:
@@ -140,10 +182,11 @@ def zero_weight_padding(inst: CnfInstance) -> CnfInstance:
     )
 
 
-def reference_sat_state(inst: CnfInstance, v0, two_k: int) -> SatState:
-    """`sat_state` as it stood before packed clause weights: G, the
-    discarded weight and the per-variable negative weights rebuilt
-    clause by clause."""
+def reference_sat_state(inst: CnfInstance, v0, two_k: int):
+    """(V1, V') of the zero-forced variable set V0, as the sweep derived
+    them before packed clause weights: G, the discarded weight and the
+    per-variable negative weights rebuilt clause by clause, and every
+    variable outside V0 tested."""
     v0 = frozenset(v0)
     dim = inst.dimension
     g = tuple(
@@ -173,19 +216,19 @@ def reference_sat_state(inst: CnfInstance, v0, two_k: int) -> SatState:
     vprime = frozenset(
         v for v in range(1, inst.num_vars + 1) if v not in v0 and v not in v1
     )
-    return SatState(v0, v1, vprime, g)
+    return v1, vprime
 
 
-def reference_emit_masks(state: SatState, half_k: int) -> set[int]:
+def reference_emit_masks(v1, vprime, half_k: int) -> set[int]:
     """The sweep's mask emission before sorted cut points: one mask per
     endpoint pair (a, b) of V' indices, empty when a > b, OR-ed k times.
 
     Reference for `_emit_masks`, which must emit the same set.
     """
     base = 0
-    for v in state.v1:
+    for v in v1:
         base |= 1 << (v - 1)
-    idxs = sorted(state.vprime)
+    idxs = sorted(vprime)
     if not idxs:
         # the single combination of k empty intervals
         return {base}
@@ -217,8 +260,8 @@ def reference_sweep_masks(inst: CnfInstance) -> set[int]:
     masks: set[int] = set()
     for size in range(min(two_k * two_k, inst.num_vars) + 1):
         for v0 in combinations(range(1, inst.num_vars + 1), size):
-            state = reference_sat_state(inst, v0, two_k)
-            masks |= reference_emit_masks(state, two_k // 2)
+            v1, vprime = reference_sat_state(inst, v0, two_k)
+            masks |= reference_emit_masks(v1, vprime, two_k // 2)
     return masks
 
 
@@ -414,10 +457,12 @@ def odd_wrapper_reference(g: LabeledDigraph, *, backend=None, budget=None) -> So
 
     pool = {}
     for f in candidates:
-        rec = contract(g, f)
-        inner = maxatsp_approx(rec.contracted, backend=backend, budget=budget)
+        tails, last = path_ends(f)
+        h = contract_ends(g, tails, last)
+        inner = maxatsp_approx(h, backend=backend, budget=budget)
         for t_enc, _ in inner:
-            t = expand(rec, t_enc)
+            assert is_hamiltonian_cycle(h, t_enc)
+            t = lift_tour(g, f, lift_edges(last, t_enc))
             pool.setdefault(g.edge_set_weight(t), set()).add(t)
     front = nondominated(pool.keys())
     return SolutionSet.build((enc, w) for w in front for enc in pool[w])
@@ -426,16 +471,21 @@ def odd_wrapper_reference(g: LabeledDigraph, *, backend=None, budget=None) -> So
 def reference_sweep(g: LabeledDigraph, *, backend=None) -> SolutionSet:
     """`maxatsp_approx` before it matched each distinct contracted graph
     once: every path set contracted, matched, extended and expanded on
-    its own, through the checked public functions.  No budget guard."""
+    its own, with every matching and contracted tour checked.  No budget
+    guard."""
     two_k = even_objectives(g.dimension)
     odd = g.num_vertices % 2
     if backend is None:
         backend = ExactMatchingBackend(g)
     pool = {}
     for f in path_set_candidates(g, range(odd, two_k + odd + 1)):
-        rec = contract(g, f)
-        for m_enc, _ in backend.pareto_matchings(rec.contracted):
-            t = expand(rec, extend_matching(rec.contracted, m_enc))
+        tails, last = path_ends(f)
+        h = contract_ends(g, tails, last)
+        for m_enc, _ in backend.pareto_matchings(h):
+            assert is_matching(m_enc)
+            t_prime = _chain_fragments(h.vertices, m_enc)
+            assert is_hamiltonian_cycle(h, t_prime)
+            t = lift_tour(g, f, lift_edges(last, t_prime))
             pool.setdefault(g.edge_set_weight(t), set()).add(t)
     front = nondominated(pool.keys())
     return SolutionSet.build((enc, w) for w in front for enc in pool[w])
@@ -444,9 +494,8 @@ def reference_sweep(g: LabeledDigraph, *, backend=None) -> SolutionSet:
 def contracted_graph_key(f):
     """The tails of a path set and its (head, last vertex) pairs, which
     fix its contracted graph, read off `path_decomposition`."""
-    paths = path_decomposition(f)
-    tails = frozenset(v for path in paths for _, v in path)
-    return tails, tuple((path[0][0], path[-1][1]) for path in paths)
+    tails, last = path_ends(f)
+    return tails, tuple(last.items())
 
 
 def first_of_each_contracted_graph(g: LabeledDigraph, sizes) -> list[int]:
@@ -513,7 +562,7 @@ def contract_edge(g: LabeledDigraph, edge: Edge) -> LabeledDigraph:
 
     v and its incident edges vanish; u keeps its incoming weights and
     adopts v's outgoing ones: w'(u, z) = w(v, z).  Reference for the
-    one-pass `contract`.
+    one-pass `contract_ends`.
     """
     u, v = edge
     if edge not in g.weight_map:
@@ -524,6 +573,15 @@ def contract_edge(g: LabeledDigraph, edge: Edge) -> LabeledDigraph:
             continue
         wm[(a, b)] = g.weight_map[(v, b)] if a == u else w
     return LabeledDigraph(tuple(x for x in g.vertices if x != v), wm, g.dimension)
+
+
+def contract_edge_by_edge(g: LabeledDigraph, paths) -> LabeledDigraph:
+    """G/F by the definition: `contract_edge` on every edge of each path,
+    paths in the given order, each from its last edge back to its head."""
+    for path in paths:
+        for e in reversed(path):
+            g = contract_edge(g, e)
+    return g
 
 
 def contract_edge_in_set(edges: frozenset[Edge], edge: Edge) -> frozenset[Edge]:

@@ -237,6 +237,11 @@ BAD_INPUT_TABLE = [
      None, {}, "vertices must be >= 2"),
     (["gen", "--kind", "graph", "--bound", "-1", "--seed", "1", "--out", "x.txt"],
      None, {}, "bound must be >= 0"),
+    (["certify"], "cnf-non-ascii", {}, "line 3"),
+    (["maxsat"], "cnf-non-ascii", {}, "line 3"),
+    (["maxatsp"], "graph-non-ascii", {}, "line 3"),
+    (["certify"], "graph-non-ascii-crlf", {}, "line 3"),
+    (["balance", "--variant", "paired"], "balance-non-ascii", {}, "line 3"),
 ]
 
 # malformed files, each at fault on the line its BAD_INPUT_TABLE row names
@@ -257,6 +262,14 @@ BAD_FILES = {
     "integer-outside-band": "balance integer m=2 n=1\n3 -5\n1 1\n4 4\n",
 }
 
+# files holding a non-ASCII byte, written as bytes
+NON_ASCII_FILES = {
+    "cnf-non-ascii": b"c k 2\np cnf 1 1\nw 1 1 1 0 \xc3\xa9\n",
+    "graph-non-ascii": b"moatsp k=1 n=2\n0 1 4\n1 0 \xb5\n",
+    "graph-non-ascii-crlf": b"moatsp k=1 n=2\r\n0 1 4\r\n1 0 4\xff\r\n",
+    "balance-non-ascii": b"balance paired m=1 n=1\n1 0\n0 1 \xa0\n1 1\n",
+}
+
 
 @pytest.mark.parametrize("argv, infile, env, names", BAD_INPUT_TABLE)
 def test_bad_input_exits_two_with_one_error_line(
@@ -273,6 +286,9 @@ def test_bad_input_exits_two_with_one_error_line(
     for name, text in BAD_FILES.items():
         files[name] = tmp_path / f"{name}.txt"
         files[name].write_text(text)
+    for name, data in NON_ASCII_FILES.items():
+        files[name] = tmp_path / f"{name}.txt"
+        files[name].write_bytes(data)
     for key, value in env.items():
         monkeypatch.setenv(key, value)
     if infile is not None:

@@ -5,24 +5,27 @@ import pytest
 from helpers import (
     checked_is_hamiltonian_cycle,
     contract_edge,
+    contract_edge_by_edge,
     contract_edge_set,
+    contract_path_set,
     is_vertex_disjoint_paths,
-    path_weight,
+    path_decomposition,
+    path_ends,
     random_cycle,
     random_path_set,
     relabel,
 )
-from mobal.errors import PreconditionError
+from mobal.errors import PreconditionError, SearchInvariantError
 from mobal.graphs import (
-    ContractionRecord,
     LabeledDigraph,
-    contract,
+    contract_ends,
     cycle_edges,
-    expand,
     is_hamiltonian_cycle,
     is_matching,
-    path_decomposition,
+    lift_edges,
+    lift_tour,
 )
+from mobal.maxatsp import _path_ends
 from mobal.instances import GeneratorSpec, generate
 from mobal.rng import SplitMix64
 
@@ -53,38 +56,36 @@ def test_single_edge_contraction_figure_step():
     assert h.weight(0, 1) == (2,)  # ingoing edges of v untouched
 
 
+# the path u -> v -> y of the figure: tails v and y vanish, head u takes
+# the outgoing row of its last vertex y
+FIGURE_PATH = ((0, 1), (1, 3))
+FIGURE_TAILS, FIGURE_LAST = frozenset({1, 3}), {0: 3}
+
+
 def test_path_contraction_figure_values():
     g = figure_graph()
-    rec = contract(g, {(0, 1), (1, 3)})  # path u -> v -> y
-    assert rec.contracted.vertices == (0, 2)
-    assert rec.contracted.weight(0, 2) == (7,)
-    assert rec.contracted.weight(2, 0) == (1,)
+    assert path_ends(FIGURE_PATH) == _path_ends(FIGURE_PATH) == (FIGURE_TAILS, FIGURE_LAST)
+    h = contract_ends(g, FIGURE_TAILS, FIGURE_LAST)
+    assert h.vertices == (0, 2)
+    assert h.weight(0, 2) == (7,)
+    assert h.weight(2, 0) == (1,)
 
 
 def test_expansion_figure_total_weight():
     g = figure_graph()
-    rec = contract(g, {(0, 1), (1, 3)})
-    tour = expand(rec, {(0, 2), (2, 0)})
+    h = contract_ends(g, FIGURE_TAILS, FIGURE_LAST)
+    tour = lift_tour(g, FIGURE_PATH, lift_edges(FIGURE_LAST, {(0, 2), (2, 0)}))
     assert set(tour) == {(0, 1), (1, 3), (3, 2), (2, 0)}
     assert g.edge_set_weight(tour) == (13,)
-    assert rec.contracted.edge_set_weight({(0, 2), (2, 0)}) == (8,)
-    assert path_weight(rec) == (5,)
+    assert h.edge_set_weight({(0, 2), (2, 0)}) == (8,)
+    assert g.edge_set_weight(FIGURE_PATH) == (5,)
 
 
 def test_empty_contraction_is_identity():
     g = figure_graph()
-    rec = contract(g, ())
-    assert rec.contracted == g
+    assert contract_ends(g, frozenset(), {}) == g
     tour = tuple(sorted(cycle_edges((0, 1, 2, 3))))
-    assert expand(rec, tour) == tour
-
-
-def _contract_in_order(g, paths):
-    cur = g
-    for path in paths:
-        for e in reversed(path):
-            cur = contract_edge(cur, e)
-    return cur
+    assert lift_tour(g, (), lift_edges({}, tour)) == tour
 
 
 def test_contraction_order_independence():
@@ -96,23 +97,12 @@ def test_contraction_order_independence():
             continue
         results = {
             # graphs with dict fields are unhashable; compare via equality
-            idx: _contract_in_order(g, perm)
+            idx: contract_edge_by_edge(g, perm)
             for idx, perm in enumerate(permutations(paths))
         }
         first = results[0]
         assert all(r == first for r in results.values())
-        assert contract(g, q).contracted == first
-
-
-def _contract_edge_by_edge(g, q):
-    """Reference record: every path contracted edge-by-edge from its last
-    edge, as `contract_edge` defines a single contraction."""
-    paths = path_decomposition(q)
-    vertex_map = {x: x for x in g.vertices}
-    for path in paths:
-        for _, tail in path:
-            vertex_map[tail] = path[0][0]
-    return ContractionRecord(g, paths, _contract_in_order(g, paths), vertex_map)
+        assert contract_path_set(g, q) == first
 
 
 def test_one_pass_contraction_matches_edge_by_edge():
@@ -124,11 +114,10 @@ def test_one_pass_contraction_matches_edge_by_edge():
                 # `size` edges of a Hamiltonian cycle: one to four paths
                 cycle = random_cycle(g, rng)
                 q = tuple(cycle[i] for i in rng.sample(0, n - 1, size))
-                got = contract(g, q)
-                want = _contract_edge_by_edge(g, q)
-                assert got.contracted == want.contracted
-                assert got.paths == want.paths
-                assert got.vertex_map == want.vertex_map
+                want = contract_edge_by_edge(g, path_decomposition(q))
+                assert contract_path_set(g, q) == want
+                # the sweep's own ends, read without a decomposition
+                assert contract_ends(g, *_path_ends(q)) == want
                 checked += 1
     assert checked == 4 * 4 * 4
 
@@ -138,19 +127,17 @@ def test_expand_round_trip_weight_identity():
     checked = 0
     for g in graphs(25, vertices=6, seed0=41_000):
         q = random_path_set(g, rng, max_edges=3)
-        rec = contract(g, q)
-        if rec.contracted.num_vertices < 2:
+        tails, last = path_ends(q)
+        h = contract_ends(g, tails, last)
+        if h.num_vertices < 2:
             continue
-        t_prime = random_cycle(rec.contracted, rng)
-        t = expand(rec, t_prime)
+        t_prime = random_cycle(h, rng)
+        t = lift_tour(g, q, lift_edges(last, t_prime))
         assert is_hamiltonian_cycle(g, t)
         assert set(q) <= set(t)
         left = g.edge_set_weight(t)
         right = tuple(
-            a + b
-            for a, b in zip(
-                rec.contracted.edge_set_weight(t_prime), path_weight(rec)
-            )
+            a + b for a, b in zip(h.edge_set_weight(t_prime), g.edge_set_weight(q))
         )
         assert left == right
         checked += 1
@@ -158,30 +145,30 @@ def test_expand_round_trip_weight_identity():
 
 
 def test_contract_rejects_non_paths():
+    # the library contracts path sets unchecked; the test-side contraction
+    # checks them, so no test contracts a non-path by mistake
     g = figure_graph()
     with pytest.raises(PreconditionError):
-        contract(g, {(0, 1), (0, 2)})  # two outgoing at 0
+        contract_path_set(g, {(0, 1), (0, 2)})  # two outgoing at 0
     with pytest.raises(PreconditionError):
-        contract(g, {(0, 1), (2, 1)})  # two incoming at 1
+        contract_path_set(g, {(0, 1), (2, 1)})  # two incoming at 1
     with pytest.raises(PreconditionError):
-        contract(g, {(0, 1), (1, 0)})  # cycle
+        contract_path_set(g, {(0, 1), (1, 0)})  # cycle
 
 
 def test_expand_rejects_non_hamiltonian():
+    # F = {(0, 1)}: G/F has vertices 0, 2, 3 and head 0 ends at 1
     g = figure_graph()
-    rec = contract(g, {(0, 1)})
-    with pytest.raises(PreconditionError):
-        expand(rec, {(0, 2), (2, 3)})
-
-
-def test_expand_checks_its_input_cycle():
-    # (1, 2), (2, 3), (3, 0) is no cycle of the contracted graph on
-    # {0, 2, 3}: vertex 1 is gone.  Rewriting tails without the input
-    # check would return the tour (0, 1), (1, 2), (2, 3), (3, 0) of g.
-    g = figure_graph()
-    rec = contract(g, {(0, 1)})
-    with pytest.raises(PreconditionError):
-        expand(rec, {(1, 2), (2, 3), (3, 0)})
+    last = {0: 1}
+    with pytest.raises(SearchInvariantError):
+        lift_tour(g, [(0, 1)], lift_edges(last, {(0, 2), (2, 3)}))  # no tour of G/F
+    # a tour of G/F whose edge leaving the head is not lifted: 0 would
+    # have two successors
+    with pytest.raises(SearchInvariantError):
+        lift_tour(g, [(0, 1)], [(0, 2), (2, 3), (3, 0)])
+    assert lift_tour(g, [(0, 1)], lift_edges(last, [(0, 2), (2, 3), (3, 0)])) == (
+        (0, 1), (1, 2), (2, 3), (3, 0)
+    )
 
 
 def _non_tours(order, n):
@@ -232,18 +219,10 @@ def test_is_hamiltonian_cycle_matches_checked_reference():
     assert cases >= 3 * 6 * 6
 
 
-def test_vertex_map_tracks_heads():
-    g = figure_graph()
-    rec = contract(g, {(0, 1), (1, 3)})
-    assert rec.vertex_map == {0: 0, 1: 0, 3: 0, 2: 2}
-
-
 def test_contract_edge_set_matches_graph_semantics():
-    g = figure_graph()
-    rec = contract(g, {(0, 1), (1, 3)})
     # the cycle through the contracted path maps onto the 2-cycle
     cyc = {(0, 1), (1, 3), (3, 2), (2, 0)}
-    assert contract_edge_set(rec.paths, cyc) == {(0, 2), (2, 0)}
+    assert contract_edge_set(path_decomposition(FIGURE_PATH), cyc) == {(0, 2), (2, 0)}
 
 
 def test_role_predicates():

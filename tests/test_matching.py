@@ -1,13 +1,14 @@
 import pytest
 
 from helpers import (
+    contract_path_set,
     enumerated_pareto_matchings,
     matchings_by_subset_filter,
     pareto_filter,
     random_path_set,
 )
 from mobal.errors import BudgetExceededError, PreconditionError
-from mobal.graphs import LabeledDigraph, contract, is_matching
+from mobal.graphs import LabeledDigraph, is_matching
 from mobal.instances import GeneratorSpec, generate
 from mobal.matching import ExactMatchingBackend
 from mobal.pareto import (
@@ -145,12 +146,12 @@ def reuse_groups():
         )
         group = [g]
         for _ in range(6):
-            group.append(contract(g, random_path_set(g, rng, max_edges=3)).contracted)
+            group.append(contract_path_set(g, random_path_set(g, rng, max_edges=3)))
         group.append(_reweighted(g, {0}, 1))
         group.append(_reweighted(g, {1, n - 1}, 2))
         group.append(_induced(g, range(1, n, 2)))
         group.append(_induced(g, range(n - 1)))
-        group.append(contract(_reweighted(g, {2}, 3), random_path_set(g, rng, 2)).contracted)
+        group.append(contract_path_set(_reweighted(g, {2}, 3), random_path_set(g, rng, 2)))
         group.append(_reweighted(g, set(g.vertices), 4))
         group.append(g)
         yield group

@@ -3,33 +3,33 @@ from itertools import combinations
 
 import pytest
 
-import mobal.graphs
+import mobal.maxatsp
 from helpers import (
     all_cycles_with_weights,
     checked_is_hamiltonian_cycle,
     combination_path_sets,
+    contract_edge_by_edge,
     contract_edge_set,
+    contract_path_set,
     first_of_each_contracted_graph,
     is_vertex_disjoint_paths,
     matchings_by_subset_filter,
     odd_wrapper_reference,
+    path_decomposition,
+    path_ends,
     random_cycle,
     reference_sweep,
     relabel,
 )
 from mobal.errors import BudgetExceededError, PreconditionError
-from mobal.graphs import (
-    LabeledDigraph,
-    contract,
-    is_hamiltonian_cycle,
-    is_matching,
-)
+from mobal.graphs import LabeledDigraph, is_hamiltonian_cycle, is_matching
 from mobal.instances import GeneratorSpec, generate
 from mobal.matching import ExactMatchingBackend
 from mobal.maxatsp import (
     DEFAULT_MAXATSP_BUDGET,
+    _chain_fragments,
+    _path_ends,
     approx_cost_estimate,
-    extend_matching,
     matching_claim_witness,
     maxatsp_approx,
     path_set_candidates,
@@ -204,7 +204,7 @@ def test_odd_sweep_matches_each_contracted_graph_once():
             sizes = range(1, even_objectives(dim) + 2)
             cands = list(path_set_candidates(g, sizes))
             assert rec.graphs == [
-                contract(g, cands[i]).contracted
+                contract_path_set(g, cands[i])
                 for i in first_of_each_contracted_graph(g, sizes)
             ]
 
@@ -219,12 +219,14 @@ def test_sweep_matches_reference_where_ties_are_many():
 
 
 def test_backend_calls_equal_distinct_contracted_graphs(monkeypatch):
-    # the sweep reads each path set's ends off the enumerator's sets and
-    # never decomposes one again
-    def refuse(edges):
-        raise AssertionError("the sweep decomposed a path set")
+    # the sweep reads each path set's ends once, off the enumerator's set
+    ends_read = []
 
-    monkeypatch.setattr(mobal.graphs, "path_decomposition", refuse)
+    def counted_path_ends(f):
+        ends_read.append(f)
+        return _path_ends(f)
+
+    monkeypatch.setattr(mobal.maxatsp, "_path_ends", counted_path_ends)
     # the counts depend only on n and the path-set sizes: (n, dim) ->
     # (path sets, distinct contracted graphs)
     expected = {
@@ -236,10 +238,12 @@ def test_backend_calls_equal_distinct_contracted_graphs(monkeypatch):
     for (n, dim), (path_sets, calls) in expected.items():
         g = graph(78_000 + n, vertices=n, dim=dim)
         silent = SilentBackend()
+        ends_read.clear()
         maxatsp_approx(g, backend=silent, budget=10**9)
         odd = n % 2
         sizes = range(odd, even_objectives(dim) + odd + 1)
-        assert sum(1 for _ in path_set_candidates(g, sizes)) == path_sets
+        assert ends_read == list(path_set_candidates(g, sizes))
+        assert len(ends_read) == path_sets
         assert len(silent.sizes) == calls
 
 
@@ -338,6 +342,25 @@ def test_path_set_candidates_match_combination_filter():
     assert checked == 6 * 3 * 2 + 3
 
 
+def test_path_ends_match_path_decomposition():
+    # the sweep's trusted one-pass ends equal those of the checked
+    # decomposition on every path set, at both parities' size ranges
+    checked = 0
+    for n in range(3, 9):
+        dim = 3 if n <= 6 else 1
+        g = graph(64_200 + n, vertices=n, dim=dim)
+        for f in path_set_candidates(g, range(even_objectives(dim) + 2)):
+            assert _path_ends(f) == path_ends(f)
+            checked += 1
+    # Lah numbers L(n, n - s) summed over the sizes taken
+    assert checked == 21634
+
+
+def complete_matching(g, m_enc):
+    """The sweep's completion of a matching of g, as a sorted cycle."""
+    return tuple(sorted(_chain_fragments(g.vertices, m_enc)))
+
+
 def test_extend_matching_contains_matching():
     g = graph(65_000, vertices=6)
     rng = SplitMix64(5)
@@ -350,22 +373,22 @@ def test_extend_matching_contains_matching():
             if u != v and u not in used and v not in used:
                 edges.append((u, v))
                 used |= {u, v}
-        t = extend_matching(g, edges)
+        t = complete_matching(g, edges)
         assert is_hamiltonian_cycle(g, t)
         assert set(edges) <= set(t)
-    assert extend_matching(g, []) == tuple(
+    assert complete_matching(g, []) == tuple(
         sorted(((i, (i + 1) % 6) for i in range(6)))
     )
 
 
 def test_extend_matching_completes_every_matching():
-    # extend_matching no longer checks its result; the sweep relies on
-    # every matching completing to a Hamiltonian cycle that contains it
+    # the completion is not checked; the sweep relies on every matching
+    # completing to a Hamiltonian cycle that contains it
     checked = 0
     for n in range(2, 8):
         g = graph(65_100 + n, vertices=n, dim=1 + n % 3)
         for m_enc, _ in matchings_by_subset_filter(g):
-            t = extend_matching(g, m_enc)
+            t = complete_matching(g, m_enc)
             assert checked_is_hamiltonian_cycle(g, t)
             assert set(m_enc) <= set(t)
             assert t == tuple(sorted(t))
@@ -373,12 +396,6 @@ def test_extend_matching_completes_every_matching():
     # matchings of K_n with directed edges, n = 2..7: sum over j of
     # C(n, 2j) (2j)! / j! is 3, 7, 25, 81, 331 and 1303
     assert checked == 1750
-
-
-def test_extend_matching_rejects_non_matching():
-    g = graph(65_001)
-    with pytest.raises(PreconditionError):
-        extend_matching(g, [(0, 1), (1, 2)])
 
 
 def test_odd_vertex_count_half_cover():
@@ -472,8 +489,8 @@ def test_claim_witness_constructive_on_random_cycles():
 
 
 def test_claim_witness_matching_is_edge_by_edge_image():
-    # the witness takes S - F as the image of S; check it against
-    # contracting F edge by edge
+    # the witness takes S - F as the image of S and G/F from F's ends;
+    # check both against contracting F edge by edge
     rng = SplitMix64(41)
     count = 0
     for n in (4, 6, 8, 10):
@@ -483,8 +500,9 @@ def test_claim_witness_matching_is_edge_by_edge_image():
             for s in range(30):
                 g = graph(74_000 + 1000 * n + 100 * dim + s, vertices=n, dim=dim, bound=9)
                 wit = matching_claim_witness(g, random_cycle(g, rng))
-                rec = contract(g, wit.f_edges)
-                assert wit.matching == tuple(sorted(contract_edge_set(rec.paths, wit.s_edges)))
+                paths = path_decomposition(wit.f_edges)
+                assert wit.matching == tuple(sorted(contract_edge_set(paths, wit.s_edges)))
+                assert wit.contracted == contract_edge_by_edge(g, paths)
                 count += 1
     assert count == 14 * 30
 
@@ -502,9 +520,8 @@ def test_claim_existence_by_enumeration():
             for f in combinations(t, size):
                 if not is_vertex_disjoint_paths(f):
                     continue
-                rec = contract(g, f)
                 wf = g.edge_set_weight(f)
-                for m_enc, wm in matchings_by_subset_filter(rec.contracted):
+                for m_enc, wm in matchings_by_subset_filter(contract_path_set(g, f)):
                     if all(
                         2 * a >= b - 2 * c for a, b, c in zip(wm, wt, wf)
                     ):

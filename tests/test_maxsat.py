@@ -26,12 +26,9 @@ from mobal.maxsat import (
     CnfInstance,
     _emit_masks,
     _walk,
-    iter_sat_states,
     maxsat_approx,
     maxsat_oracle,
     maxsat_scan_estimate,
-    SatState,
-    sat_state,
 )
 from mobal.pareto import (
     SolutionSet,
@@ -53,9 +50,15 @@ def bits(variables):
     return sum(1 << (v - 1) for v in variables)
 
 
-def emit(state, half_k):
-    """`_emit_masks` on a state's forced-one and interval variables."""
-    return _emit_masks(bits(state.v1), bits(state.vprime), half_k)
+def variables(mask):
+    """The sorted variables whose bits the mask sets."""
+    return tuple(j + 1 for j in range(mask.bit_length()) if mask >> j & 1)
+
+
+def walked_v1(inst, v0=()):
+    """The V1 mask the walk derives for the zero-forced set v0."""
+    table, two_k = inst._table, even_objectives(inst.dimension)
+    return dict(_walk(table, inst.num_vars, two_k))[bits(v0)]
 
 
 def corpus(count, seed0=20_000):
@@ -155,52 +158,48 @@ def test_half_cover_on_corpus():
 
 def test_emitted_assignments_respect_forced_sets():
     inst = next(iter(corpus(1, seed0=22_222)))
-    two_k = even_objectives(inst.dimension)
-    for state in iter_sat_states(inst):
-        assert len(state.v0) <= two_k * two_k
-        assert state.v0 | state.v1 | state.vprime == set(
-            range(1, inst.num_vars + 1)
-        )
-        assert not (state.v0 & state.v1)
-        for mask in emit(state, two_k // 2):
-            for v in state.v1:
-                assert (mask >> (v - 1)) & 1 == 1
-            for v in state.v0:
-                assert (mask >> (v - 1)) & 1 == 0
+    m, two_k = inst.num_vars, even_objectives(inst.dimension)
+    full = (1 << m) - 1
+    for v0, v1 in _walk(inst._table, m, two_k):
+        assert v0.bit_count() <= two_k * two_k
+        assert not (v0 & v1) and (v0 | v1) <= full
+        for mask in _emit_masks(v1, full & ~(v0 | v1), two_k // 2):
+            assert mask & v1 == v1
+            assert not mask & v0
 
 
 def test_v1_condition_is_some_objective_exceeds():
     # G[-v1] = {(-v1, w=(5,0))}; discarded weight is zero, so objective 1
     # satisfies 2k*5 > 0 and v1 is forced to one
     inst = cnf(2, ({-1}, (5, 0)), ({2}, (1, 1)))
-    state = sat_state(inst, ())
-    assert 1 in state.v1
+    assert walked_v1(inst) & bits({1})
     # all-objective comparison would fail: component 2 gives 0 > 0 false
     assert not all(2 * w > 0 for w in (5, 0))
 
 
 def test_v1_not_forced_when_componentwise_small():
-    # G[-v1] weighs (1, 1); dropping clause 0 via V0={1} puts (8, 8) into
-    # the discarded side, and 2k*(1,1) <= (8,8) keeps v1 free there
-    inst = cnf(2, ({-1}, (8, 8)), ({-1, 2}, (1, 1)))
-    state = sat_state(inst, (1,))
-    assert state.v1 == frozenset()
+    # with V0 empty nothing is discarded and G[-2] = (1, 1) forces v2;
+    # V0 = {1} discards clause 0, so w(H - G) = (8, 8) and
+    # 2k * (1, 1) <= (8, 8) leaves v2 free there
+    inst = cnf(2, ({-1}, (8, 8)), ({-2}, (1, 1)))
+    assert walked_v1(inst) == bits({1, 2})
+    assert walked_v1(inst, (1,)) == 0
 
 
 def test_gprime_definition():
-    inst = cnf(3, ({-1, 2}, (1, 1)), ({1}, (1, 1)), ({3}, (2, 2)))
-    state = sat_state(inst, (1,))
-    # clause 0 contains -v1 with v1 in V0: satisfied, out of G
-    assert 0 not in state.g
+    # clause 0 contains -v1 with v1 in V0: satisfied, out of G.  In G it
+    # would make G[-2] = (5, 5) > w(H - G) = 0 and force v2
+    inst = cnf(2, ({-1, -2}, (5, 5)), ({2}, (1, 1)))
+    assert walked_v1(inst) == bits({1, 2})
+    assert walked_v1(inst, (1,)) == 0
 
 
 def test_single_interval_variable_still_admits_empty_interval():
     # with |V'| = 1 no endpoint tuple has a > b, yet the all-empty
     # combination is one of the k-interval choices and must be emitted
     inst = cnf(1, ({1}, (1, 1)))
-    state = sat_state(inst, ())
-    assert state.vprime == frozenset({1})
-    assert emit(state, 1) == {0, 1}
+    assert walked_v1(inst) == 0  # V' = {1}
+    assert _emit_masks(0, bits({1}), 1) == {0, 1}
 
 
 def test_empty_vprime_emits_forced_assignment():
@@ -367,9 +366,11 @@ def differential_corpus():
 
 def test_packed_sweep_matches_reference():
     for inst in differential_corpus():
-        two_k = even_objectives(inst.dimension)
-        for state in iter_sat_states(inst):
-            assert state == reference_sat_state(inst, state.v0, two_k)
+        m, two_k = inst.num_vars, even_objectives(inst.dimension)
+        for v0, v1 in _walk(inst._table, m, two_k):
+            want_v1, want_vprime = reference_sat_state(inst, variables(v0), two_k)
+            assert v1 == bits(want_v1)
+            assert ((1 << m) - 1) & ~(v0 | v1) == bits(want_vprime)
         expected = reference_weigh_and_filter(inst, reference_sweep_masks(inst))
         assert maxsat_approx(inst) == expected
 
@@ -414,7 +415,8 @@ def test_scan_estimate_bounds_emitted_masks():
 
 
 def test_emit_masks_matches_reference():
-    states = []
+    # (V1, V', k) triples as variable tuples
+    cases = []
     for i in range(100):
         # the instances of acceptance criterion 2
         inst = generate(
@@ -423,13 +425,17 @@ def test_emit_masks_matches_reference():
                 dim=1 + (i % 2), bound=20,
             )
         )
-        states += [(state, even_objectives(inst.dimension) // 2) for state in iter_sat_states(inst)]
+        m, two_k = inst.num_vars, even_objectives(inst.dimension)
+        for v0, v1 in _walk(inst._table, m, two_k):
+            vprime = ((1 << m) - 1) & ~(v0 | v1)
+            cases.append((variables(v1), variables(vprime), two_k // 2))
     # |V'| = 0, 1 and 2 next to forced variables, at one and two intervals
     for vprime in ((), (2,), (2, 4)):
-        state = SatState(frozenset({1}), frozenset({3}), frozenset(vprime), ())
-        states += [(state, 1), (state, 2)]
-    for state, half_k in states:
-        assert emit(state, half_k) == reference_emit_masks(state, half_k)
+        cases += [((3,), vprime, 1), ((3,), vprime, 2)]
+    for v1, vprime, half_k in cases:
+        assert _emit_masks(bits(v1), bits(vprime), half_k) == reference_emit_masks(
+            v1, vprime, half_k
+        )
 
 
 def walk_corpus():
@@ -449,7 +455,7 @@ def test_walk_visits_every_v0_in_lexicographic_order():
     for inst in walk_corpus():
         m, two_k = inst.num_vars, even_objectives(inst.dimension)
         cap = min(two_k * two_k, m)
-        v0s = [tuple(sorted(state.v0)) for state in iter_sat_states(inst)]
+        v0s = [variables(v0) for v0, _ in _walk(inst._table, m, two_k)]
         assert len(v0s) == sum(comb(m, s) for s in range(cap + 1))
         assert v0s == sorted(
             v0 for s in range(cap + 1) for v0 in combinations(range(1, m + 1), s)
@@ -457,18 +463,19 @@ def test_walk_visits_every_v0_in_lexicographic_order():
 
 
 def test_v1_shrinks_along_every_walk_link():
-    # the walk tests only the parent's V1 minus x while `sat_state` tests
-    # every variable outside V0, so equal states show that no variable
-    # outside the parent's V1 would have been forced
+    # the walk tests only the parent's V1 minus x while the reference
+    # tests every variable outside V0, so equal V1 sets show that no
+    # variable outside the parent's V1 would have been forced
     for inst in walk_corpus():
+        two_k = even_objectives(inst.dimension)
         v1_of = {}
-        for state in iter_sat_states(inst):
-            assert state == sat_state(inst, state.v0)
-            v0 = tuple(sorted(state.v0))
-            v1_of[v0] = state.v1
+        for v0_mask, v1_mask in _walk(inst._table, inst.num_vars, two_k):
+            v0, v1 = variables(v0_mask), frozenset(variables(v1_mask))
+            assert v1 == reference_sat_state(inst, v0, two_k)[0]
+            v1_of[v0] = v1
             if v0:
                 *parent, x = v0
-                assert state.v1 <= v1_of[tuple(parent)] - {x}
+                assert v1 <= v1_of[tuple(parent)] - {x}
 
 
 def test_cube_shortcut_matches_walk():
