@@ -19,11 +19,7 @@ from .errors import (
     PreconditionError,
     SearchInvariantError,
 )
-from .graphs import (
-    LabeledDigraph,
-    is_hamiltonian_cycle,
-    is_matching,
-)
+from .graphs import LabeledDigraph, is_hamiltonian_cycle
 from .instances import (
     GeneratorSpec,
     detect_kind,
@@ -37,12 +33,7 @@ from .instances import (
     serialize_graph,
 )
 from .matching import ExactMatchingBackend, MatchingBackend
-from .maxatsp import (
-    ClaimWitness,
-    matching_claim_witness,
-    maxatsp_approx,
-    tsp_oracle,
-)
+from .maxatsp import maxatsp_approx, tsp_oracle
 from .maxsat import (
     CnfInstance,
     maxsat_approx,

@@ -36,7 +36,9 @@ from .pareto import Weight, vec_add, vec_sub, vec_total
 PAIRED = "paired"
 INTEGER = "integer"
 COMBINATORIAL = "combinatorial"
-VARIANTS = (PAIRED, INTEGER, COMBINATORIAL)
+# the sequences each variant reads besides x, in file order
+CARRIES = {PAIRED: ("y", "z"), INTEGER: ("z",), COMBINATORIAL: ("y",)}
+VARIANTS = tuple(CARRIES)
 
 
 @dataclass(frozen=True)
@@ -56,14 +58,13 @@ class IntervalFamily:
 class BalancingInstance:
     """Input sequences for one balancing run.
 
-    All vectors share the even dimension 2n; `y` is absent for the
-    integer variant and `z` is absent for the combinatorial one.
+    All vectors share the even dimension 2n; a variant reads `y` and
+    `z` only where CARRIES names them.
     """
 
     x: tuple[Weight, ...]
     y: tuple[Weight, ...] | None = None
     z: Weight | None = None
-    n: int | None = None
 
     def __post_init__(self):
         if not self.x:
@@ -71,10 +72,6 @@ class BalancingInstance:
         dim = len(self.x[0])
         if dim == 0 or dim % 2:
             raise PreconditionError(f"vector dimension must be even >= 2, got {dim}")
-        if self.n is None:
-            object.__setattr__(self, "n", dim // 2)
-        if 2 * self.n != dim:
-            raise PreconditionError(f"n={self.n} does not match dimension {dim}")
         for seq in (self.x, self.y or ()):
             for v in seq:
                 if len(v) != dim:
@@ -91,6 +88,10 @@ class BalancingInstance:
     @property
     def dimension(self) -> int:
         return len(self.x[0])
+
+    @property
+    def n(self) -> int:
+        return self.dimension // 2
 
 
 @dataclass(frozen=True)
@@ -118,8 +119,8 @@ def _prefix(seq: tuple[Weight, ...], dim: int) -> list[list[int]]:
 
 
 def _check_present(inst: BalancingInstance, variant: str) -> None:
-    for name, needed in (("y", variant != INTEGER), ("z", variant != COMBINATORIAL)):
-        if needed and getattr(inst, name) is None:
+    for name in CARRIES[variant]:
+        if getattr(inst, name) is None:
             raise PreconditionError(f"{variant} balancing needs {name}")
 
 
@@ -132,7 +133,7 @@ def precondition_faults(inst: BalancingInstance, variant: str) -> Iterator[tuple
     _check_present(inst, variant)
     z = inst.z
     rows = inst.x + (inst.y or ())
-    if variant != COMBINATORIAL and min(z) < 0:
+    if "z" in CARRIES[variant] and min(z) < 0:
         yield len(rows), "z must be nonnegative"
     for row, v in enumerate(rows):
         if variant == INTEGER:
@@ -270,7 +271,7 @@ def _check_family_shape(
         if prev_b is not None:
             if variant == COMBINATORIAL and a <= prev_b:
                 raise PreconditionError("combinatorial intervals must satisfy b_j < a_{j+1}")
-            if variant != COMBINATORIAL and a < prev_b:
+            if a < prev_b:
                 raise PreconditionError("intervals must be sorted with b_j <= a_{j+1}")
         prev_b = b
     cap = min(n, m) if variant == COMBINATORIAL else n

@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -34,6 +34,7 @@ from .balancing import (
 from .errors import InstanceFormatError, MobalError, PreconditionError
 from .instances import (
     BALANCE_KINDS,
+    KIND_FIELDS,
     KINDS,
     SEED_LIMIT,
     GeneratorSpec,
@@ -178,10 +179,6 @@ _BALANCERS = {
     COMBINATORIAL: balance_combinatorial,
 }
 
-# generator flags shared by `gen` and `bench`, with their defaults; --dim
-# is registered with None instead, so that `_add_shape` can tell it was given
-_SHAPE = dict(bound=10, dim=2, m=4, n=1, clauses=4, vertices=4)
-
 
 def _solve(solver: _Solver, inst, budget: int | None, alpha: Fraction | None):
     """The approximation and, unless alpha is None, its certificate.  The
@@ -209,23 +206,22 @@ def _refuse_for_balance(args, *flags: str) -> None:
             raise PreconditionError(f"--{flag} does not apply to balancing")
 
 
-def _add_shape(report: RunReport, args, leading: tuple[str, ...]) -> dict[str, int]:
-    """Report the leading keys, then bound, dim and the sizes of the kind,
-    and return those generator flags.  A balance kind's vector dimension
-    is 2n, so it takes no --dim."""
+def _generator_spec(report: RunReport, args, leading: tuple[str, ...]) -> GeneratorSpec:
+    """The spec that the generator flags resolve to, checked before any
+    work.  A flag left unset takes the spec's default and a flag the kind
+    does not read is ignored; a balance kind's vector dimension is 2n, so
+    it refuses --dim.  The report names the leading flags, then every
+    field the kind reads."""
     if args.kind in BALANCE_KINDS:
         _refuse_for_balance(args, "dim")
-        keys = ("bound", "m", "n")
-    else:
-        keys = ("bound", "dim") + (("m", "clauses") if args.kind == "cnf" else ("vertices",))
+    fields = KIND_FIELDS[args.kind]
+    given = {key: getattr(args, key) for key in fields if getattr(args, key) is not None}
+    spec = GeneratorSpec(args.kind, args.seed, **given)
     for key in leading:
         report.add(key, getattr(args, key))
-    shape = {}
-    for key in keys:
-        value = getattr(args, key)
-        shape[key] = _SHAPE[key] if value is None else value
-        report.add(key, shape[key])
-    return shape
+    for key in fields:
+        report.add(key, getattr(spec, key))
+    return spec
 
 
 def _imbalance_ratio(dev, bound) -> Fraction:
@@ -240,9 +236,12 @@ def _imbalance_ratio(dev, bound) -> Fraction:
 def _cmd_gen(args) -> RunReport:
     _check_seeds(args.seed)
     report = RunReport("gen", "splitmix64-generator")
-    shape = _add_shape(report, args, ("kind", "seed"))
-    text = serialize(args.kind, generate(GeneratorSpec(args.kind, args.seed, **shape)))
-    Path(args.out).write_text(text, encoding="ascii")
+    spec = _generator_spec(report, args, ("kind", "seed"))
+    text = serialize(args.kind, generate(spec))
+    try:
+        Path(args.out).write_text(text, encoding="ascii")
+    except OSError as exc:
+        raise PreconditionError(f"--out {args.out}: {exc.strerror}") from None
     report.add("out", args.out)
     report.add("instance", "sha256:" + digest(text))
     report.note("generated", f"{args.kind} instance (seed {args.seed}) -> {args.out}")
@@ -278,7 +277,10 @@ def _run_balance(variant: str, inst: BalancingInstance, verify: bool, report: Ru
 def _read_instance(path: str) -> str:
     """An instance file's text; a non-ASCII byte is refused on its line,
     numbered as the parsers number lines."""
-    data = Path(path).read_bytes()
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise PreconditionError(f"--in {path}: {exc.strerror}") from None
     try:
         return data.decode("ascii")
     except UnicodeDecodeError as exc:
@@ -359,12 +361,12 @@ def _cmd_bench(args) -> RunReport:
     if variant:
         _refuse_for_balance(args, "budget", "alpha")
     report = RunReport("bench", f"bench-{args.kind}")
-    shape = _add_shape(report, args, ("kind", "count", "seed"))
+    spec = _generator_spec(report, args, ("kind", "count", "seed"))
     passed = 0  # verified balances or certified fronts
     worst_ratio = Fraction(0)
     cover_min: Fraction | None = None
     for i in range(args.count):
-        instance = generate(GeneratorSpec(args.kind, args.seed + i, **shape))
+        instance = generate(replace(spec, seed=args.seed + i))
         if variant:
             result = _BALANCERS[variant](instance)
             passed += verify_balance(instance, result, variant)
@@ -417,8 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def shape_flags(p, **defaults):
         p.add_argument("--kind", required=True, choices=KINDS)
-        for key, default in {**_SHAPE, "dim": None, **defaults}.items():
-            p.add_argument(f"--{key}", type=int, default=default)
+        for key in dict.fromkeys(key for fields in KIND_FIELDS.values() for key in fields):
+            p.add_argument(f"--{key}", type=int, default=defaults.get(key))
 
     p = sub.add_parser("gen", help="generate a seeded instance file")
     shape_flags(p)
@@ -467,7 +469,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         report = args.handler(args)
-    except (MobalError, OSError) as exc:
+    except MobalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     report.wall_time = time.perf_counter() - start

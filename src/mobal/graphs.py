@@ -19,8 +19,7 @@ through the public constructor are always validated.
 
 Edge sets double as solutions in three roles: matchings (no two edges
 share any endpoint), path sets, and Hamiltonian cycles.  They are kept
-as plain edge collections with predicate helpers; canonical encodings
-are sorted edge tuples.
+as plain edge collections; canonical encodings are sorted edge tuples.
 """
 
 from __future__ import annotations
@@ -83,7 +82,8 @@ class LabeledDigraph:
         """Graph on vertices 0..n-1; `weights` maps every ordered pair."""
         if n < 2:
             raise PreconditionError("need at least two vertices")
-        some = next(iter(weights.values()))
+        # an empty map gives dimension 0 and fails the coverage check
+        some = next(iter(weights.values()), ())
         return cls(tuple(range(n)), {e: tuple(w) for e, w in weights.items()}, len(some))
 
     @property
@@ -100,17 +100,6 @@ class LabeledDigraph:
         # every weight has the graph's dimension, checked when it was built
         weights = map(self.weight_map.__getitem__, edges)
         return tuple(map(sum, zip(*weights))) or (0,) * self.dimension
-
-
-def is_matching(edges: Iterable[Edge]) -> bool:
-    """No two edges share a vertex, as head or as tail."""
-    seen: set[int] = set()
-    for u, v in edges:
-        if u == v or u in seen or v in seen:
-            return False
-        seen.add(u)
-        seen.add(v)
-    return True
 
 
 def is_hamiltonian_cycle(g: LabeledDigraph, edges: Iterable[Edge]) -> bool:
@@ -145,19 +134,6 @@ def cycle_edges(order: tuple[int, ...]) -> tuple[Edge, ...]:
     return tuple(
         (order[i], order[(i + 1) % len(order)]) for i in range(len(order))
     )
-
-
-def cycle_vertex_order(edges: Iterable[Edge]) -> tuple[int, ...]:
-    """Vertices of a cycle in traversal order, beginning at its smallest
-    vertex."""
-    succ = {u: v for u, v in edges}
-    start = min(succ)
-    order = [start]
-    u = succ[start]
-    while u != start:
-        order.append(u)
-        u = succ[u]
-    return tuple(order)
 
 
 def contract_ends(

@@ -31,26 +31,14 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from .balancing import (
-    COMBINATORIAL,
-    INTEGER,
-    PAIRED,
-    VARIANTS,
-    BalancingInstance,
-    precondition_faults,
-)
+from .balancing import CARRIES, INTEGER, VARIANTS, BalancingInstance, precondition_faults
 from .errors import BudgetExceededError, InstanceFormatError, PreconditionError
 from .graphs import LabeledDigraph
 from .maxsat import CnfInstance
 from .pareto import Weight
 from .rng import SplitMix64
 
-BALANCE_KINDS = {
-    "balance-paired": PAIRED,
-    "balance-integer": INTEGER,
-    "balance-combinatorial": COMBINATORIAL,
-}
-KINDS = tuple(BALANCE_KINDS) + ("cnf", "graph")
+BALANCE_KINDS = {f"balance-{variant}": variant for variant in VARIANTS}
 
 MAX_SEQUENCE = 64
 MAX_VARS = 20
@@ -60,15 +48,25 @@ MAX_DIMENSION = 8
 MAX_BOUND = 10**6
 SEED_LIMIT = 1 << 64  # SplitMix64 keeps 64 bits: any other seed aliases one below
 
+# the fields each generator kind reads, in report order, with their
+# (floor, cap); a graph needs two vertices to hold a tour
+_BOUND = dict(bound=(0, MAX_BOUND))
+KIND_FIELDS = {
+    **dict.fromkeys(BALANCE_KINDS, dict(_BOUND, m=(1, MAX_SEQUENCE), n=(1, MAX_DIMENSION // 2))),
+    "cnf": dict(_BOUND, dim=(1, MAX_DIMENSION), m=(1, MAX_VARS), clauses=(1, MAX_CLAUSES)),
+    "graph": dict(_BOUND, dim=(1, MAX_DIMENSION), vertices=(2, MAX_VERTICES)),
+}
+KINDS = tuple(KIND_FIELDS)
+
 
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Everything that pins one random instance.
 
-    `m`/`n` size the balancing kinds, `m`/`clauses` the CNF kind and
-    `vertices` the graph kind; `dim` is the objective count of the CNF
-    and graph kinds, 2 when left None.  A balancing kind's vector
-    dimension 2n is fixed by n, so it refuses an explicit `dim`.
+    KIND_FIELDS names the fields each kind reads and bounds them; a kind
+    ignores the others.  `dim` is the objective count of the CNF and
+    graph kinds, 2 when left None.  A balancing kind's vector dimension
+    2n is fixed by n, so it refuses an explicit `dim`.
     """
 
     kind: str
@@ -81,34 +79,22 @@ class GeneratorSpec:
     vertices: int = 4
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in KIND_FIELDS:
             raise PreconditionError(f"unknown generator kind {self.kind!r}")
         if not 0 <= self.seed < SEED_LIMIT:
             raise PreconditionError(f"seed must be in [0, 2^64), got {self.seed}")
-        balance = self.kind in BALANCE_KINDS
-        if self.dim is None:
-            if not balance:
+        fields = KIND_FIELDS[self.kind]
+        if "dim" in fields:
+            if self.dim is None:
                 object.__setattr__(self, "dim", 2)
-        elif balance:
+        elif self.dim is not None:
             raise PreconditionError(
                 f"dim does not apply to {self.kind}: its vector dimension is 2n"
             )
-        # a graph needs two vertices to hold a tour
-        floors = dict(bound=0, dim=1, m=1, n=1, clauses=1, vertices=2)
-        for name, floor in floors.items():
+        for name, (floor, cap) in fields.items():
             value = getattr(self, name)
-            if value is not None and value < floor:
+            if value < floor:
                 raise PreconditionError(f"{name} must be >= {floor}, got {value}")
-        caps = ((self.bound, MAX_BOUND, "bound"),)
-        if balance:
-            caps += ((self.m, MAX_SEQUENCE, "m"), (self.n, MAX_DIMENSION // 2, "n"))
-        else:
-            caps += ((self.dim, MAX_DIMENSION, "dim"),)
-            if self.kind == "cnf":
-                caps += ((self.m, MAX_VARS, "m"), (self.clauses, MAX_CLAUSES, "clauses"))
-            else:
-                caps += ((self.vertices, MAX_VERTICES, "vertices"),)
-        for value, cap, name in caps:
             if value > cap:
                 raise BudgetExceededError(f"{name}={value} exceeds generator cap {cap}")
 
@@ -130,13 +116,13 @@ def _gen_balance(variant: str, spec: GeneratorSpec, rng: SplitMix64) -> Balancin
         tuple(rng.randint(lo, spec.bound) for _ in range(dim)) for _ in range(spec.m)
     )
     y = None
-    if variant in (PAIRED, COMBINATORIAL):
+    if "y" in CARRIES[variant]:
         y = tuple(
             tuple(rng.randint(0, spec.bound) for _ in range(dim))
             for _ in range(spec.m)
         )
-    z = (spec.bound,) * dim if variant in (PAIRED, INTEGER) else None
-    return BalancingInstance(x=x, y=y, z=z, n=spec.n)
+    z = (spec.bound,) * dim if "z" in CARRIES[variant] else None
+    return BalancingInstance(x=x, y=y, z=z)
 
 
 def _gen_cnf(spec: GeneratorSpec, rng: SplitMix64) -> CnfInstance:
@@ -199,16 +185,14 @@ def _keyval(token: str, key: str, lineno: int) -> int:
 def serialize_balance(variant: str, inst: BalancingInstance) -> str:
     if variant not in VARIANTS:
         raise PreconditionError(f"unknown variant {variant!r}")
+    rows = list(inst.x)
+    for name in CARRIES[variant]:
+        value = getattr(inst, name)
+        if value is None:
+            raise PreconditionError(f"{variant} instance must carry {name}")
+        rows += value if name == "y" else [value]
     lines = [f"balance {variant} m={inst.m} n={inst.n}"]
-    lines += [" ".join(map(str, v)) for v in inst.x]
-    if variant in (PAIRED, COMBINATORIAL):
-        if inst.y is None:
-            raise PreconditionError(f"{variant} instance must carry y")
-        lines += [" ".join(map(str, v)) for v in inst.y]
-    if variant in (PAIRED, INTEGER):
-        if inst.z is None:
-            raise PreconditionError(f"{variant} instance must carry z")
-        lines.append(" ".join(map(str, inst.z)))
+    lines += [" ".join(map(str, v)) for v in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -228,8 +212,8 @@ def parse_balance(text: str) -> tuple[str, BalancingInstance]:
     if m < 1 or n < 1:
         raise InstanceFormatError("m and n must be >= 1", lineno)
     dim = 2 * n
-    need = m + (m if variant in (PAIRED, COMBINATORIAL) else 0)
-    need += 1 if variant in (PAIRED, INTEGER) else 0
+    carries = CARRIES[variant]
+    need = m + m * ("y" in carries) + ("z" in carries)
     body = lines[1:]
     if len(body) != need:
         last = lines[-1][0]
@@ -238,15 +222,10 @@ def parse_balance(text: str) -> tuple[str, BalancingInstance]:
             last,
         )
     rows = [tuple(_ints(line.split(), no, dim)) for no, line in body]
-    x = tuple(rows[:m])
-    pos = m
-    y = None
-    if variant in (PAIRED, COMBINATORIAL):
-        y = tuple(rows[pos : pos + m])
-        pos += m
-    z = rows[pos] if variant in (PAIRED, INTEGER) else None
+    y = tuple(rows[m : 2 * m]) if "y" in carries else None
+    z = rows[-1] if "z" in carries else None
     try:
-        inst = BalancingInstance(x=x, y=y, z=z, n=n)
+        inst = BalancingInstance(x=tuple(rows[:m]), y=y, z=z)
     except PreconditionError as exc:
         raise InstanceFormatError(str(exc), lines[0][0])
     for row, message in precondition_faults(inst, variant):

@@ -45,20 +45,15 @@ on one path leave their one interior vertex a single place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, factorial
 from operator import add
 from typing import Iterable, Iterator
 
-from .balancing import BalancingInstance, balance_combinatorial
 from .errors import BudgetExceededError, PreconditionError
 from .graphs import (
     Edge,
     LabeledDigraph,
     contract_ends,
-    cycle_vertex_order,
-    is_hamiltonian_cycle,
-    is_matching,
     iter_hamiltonian_cycles,
     lift_edges,
     lift_tour,
@@ -254,103 +249,10 @@ def tsp_oracle(g: LabeledDigraph) -> SolutionSet:
     )
 
 
-@dataclass(frozen=True)
-class ClaimWitness:
-    """Constructive evidence that a cycle hides a heavy matching.
-
-    Splitting the cycle into alternating odd/even edges and balancing
-    their weights yields a path set `f_edges` (at most 2k edges) and an
-    edge set `s_edges` containing it whose contraction `matching` is a
-    matching of the F-contracted graph with
-    w'(matching) >= w(cycle)/2 - w(f_edges), componentwise.
-    """
-
-    cycle: Cycle
-    f_edges: tuple[Edge, ...]
-    s_edges: tuple[Edge, ...]
-    matching: tuple[Edge, ...]
-    contracted: LabeledDigraph
-    cycle_weight: Weight
-    f_weight: Weight
-    matching_weight: Weight
-
-    @property
-    def ok(self) -> bool:
-        return all(
-            2 * mw >= cw - 2 * fw
-            for mw, cw, fw in zip(self.matching_weight, self.cycle_weight, self.f_weight)
-        ) and is_matching(self.matching)
-
-
-def matching_claim_witness(g: LabeledDigraph, cycle: Iterable[Edge]) -> ClaimWitness:
-    """Build the witness for one Hamiltonian cycle of g.
-
-    Requires an even vertex count larger than the padded objective count
-    (so the witness path set is a proper subset of the cycle).
-    """
-    cycle = tuple(sorted(cycle))
-    if not is_hamiltonian_cycle(g, cycle):
-        raise PreconditionError("not a Hamiltonian cycle of g")
-    n = g.num_vertices
-    if n % 2:
-        raise PreconditionError("witness construction needs an even vertex count")
-    two_k = even_objectives(g.dimension)
-    if n <= two_k:
-        raise PreconditionError(
-            f"{n} vertices too few for {two_k} objectives; F could swallow the cycle"
-        )
-    order = cycle_vertex_order(cycle)
-    seq = [(order[i], order[(i + 1) % n]) for i in range(n)]
-    odd = seq[0::2]
-    even = seq[1::2]
-    pad = two_k - g.dimension
-
-    def padded(e: Edge) -> Weight:
-        return g.weight_map[e] + (0,) * pad
-
-    inst = BalancingInstance(
-        x=tuple(padded(e) for e in odd),
-        y=tuple(padded(e) for e in even),
-    )
-    res = balance_combinatorial(inst)
-    intervals = res.family.intervals
-    in_interval = {
-        i for a, b in intervals for i in range(a, b + 1)
-    }
-    p = n // 2
-    s_edges = {even[b - 1] for _, b in intervals}
-    s_edges |= {odd[i - 1] for i in in_interval}
-    s_edges |= {even[i - 1] for i in range(1, p + 1) if i not in in_interval}
-    f_edges = set()
-    for a, b in intervals:
-        f_edges.add(odd[a - 1])
-        f_edges.add(even[b - 1])
-    # F is at most 2k edges of a checked Hamiltonian cycle with n > 2k, so a path set
-    contracted = contract_ends(g, *_path_ends(f_edges))
-    # Contraction leaves S - F as it is.  On the cycle, the edge entering a
-    # tail of F is an F edge, and no edge of S - F leaves a path's last
-    # vertex: after odd[a-1] comes even[a-1], in S only when a == b and
-    # then in F; after even[b-1] comes the next odd edge (odd[0] when
-    # b = p), in S only when an interval starts at its index and then in F.
-    mprime = s_edges - f_edges
-    return ClaimWitness(
-        cycle=cycle,
-        f_edges=tuple(sorted(f_edges)),
-        s_edges=tuple(sorted(s_edges)),
-        matching=tuple(sorted(mprime)),
-        contracted=contracted,
-        cycle_weight=g.edge_set_weight(cycle),
-        f_weight=g.edge_set_weight(f_edges),
-        matching_weight=contracted.edge_set_weight(mprime),
-    )
-
-
 __all__ = [
-    "ClaimWitness",
     "Cycle",
     "DEFAULT_MAXATSP_BUDGET",
     "approx_cost_estimate",
-    "matching_claim_witness",
     "maxatsp_approx",
     "path_set_candidates",
     "tsp_oracle",

@@ -86,9 +86,6 @@ class SolutionSet:
     def __iter__(self) -> Iterator[Entry]:
         return iter(self.entries)
 
-    def __bool__(self) -> bool:
-        return bool(self.entries)
-
     def weights(self) -> tuple[Weight, ...]:
         return tuple(w for _, w in self.entries)
 
@@ -105,8 +102,6 @@ def nondominated(weights: Iterable[Weight]) -> set[Weight]:
     for w in distinct:
         if len(w) != dim:
             raise DimensionMismatchError("mixed dimensions in weight collection")
-    if dim == 1:
-        return {max(distinct)}
     if dim == 2:
         # Descending sweep: a vector survives iff its second component
         # beats everything with a lexicographically larger weight.

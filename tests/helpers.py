@@ -6,10 +6,16 @@ against the library's internals, so the cross-checks stay meaningful.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations, permutations, product
-from typing import Mapping
+from typing import Iterable, Mapping
 
-from mobal.balancing import BalanceResult, BalancingInstance, IntervalFamily
+from mobal.balancing import (
+    BalanceResult,
+    BalancingInstance,
+    IntervalFamily,
+    balance_combinatorial,
+)
 from mobal.errors import PreconditionError
 from mobal.graphs import (
     Edge,
@@ -17,13 +23,18 @@ from mobal.graphs import (
     contract_ends,
     cycle_edges,
     is_hamiltonian_cycle,
-    is_matching,
     lift_edges,
     lift_tour,
 )
 from mobal.instances import GeneratorSpec, generate
 from mobal.matching import ExactMatchingBackend
-from mobal.maxatsp import _chain_fragments, maxatsp_approx, path_set_candidates
+from mobal.maxatsp import (
+    Cycle,
+    _chain_fragments,
+    _path_ends,
+    maxatsp_approx,
+    path_set_candidates,
+)
 from mobal.maxsat import Assignment, CnfInstance
 from mobal.pareto import (
     SolutionSet,
@@ -71,6 +82,17 @@ def assignment_weight(inst: CnfInstance, assignment: Assignment) -> Weight:
         ),
         inst.dimension,
     )
+
+
+def is_matching(edges: Iterable[Edge]) -> bool:
+    """No two edges share a vertex, as head or as tail."""
+    seen: set[int] = set()
+    for u, v in edges:
+        if u == v or u in seen or v in seen:
+            return False
+        seen.add(u)
+        seen.add(v)
+    return True
 
 
 def is_vertex_disjoint_paths(edges) -> bool:
@@ -650,3 +672,110 @@ def graph_corpus(count, *, seed0, vertices, dim, bound):
         yield generate(
             GeneratorSpec(kind="graph", seed=seed0 + i, vertices=vertices, dim=dim, bound=bound)
         )
+
+
+# -- the matching claim harness ----------------------------------------------
+
+
+def cycle_vertex_order(edges: Iterable[Edge]) -> tuple[int, ...]:
+    """Vertices of a cycle in traversal order, beginning at its smallest
+    vertex."""
+    succ = {u: v for u, v in edges}
+    start = min(succ)
+    order = [start]
+    u = succ[start]
+    while u != start:
+        order.append(u)
+        u = succ[u]
+    return tuple(order)
+
+
+@dataclass(frozen=True)
+class ClaimWitness:
+    """Constructive evidence that a cycle hides a heavy matching.
+
+    Splitting the cycle into alternating odd/even edges and balancing
+    their weights yields a path set `f_edges` (at most 2k edges) and an
+    edge set `s_edges` containing it whose contraction `matching` is a
+    matching of the F-contracted graph with
+    w'(matching) >= w(cycle)/2 - w(f_edges), componentwise.
+    """
+
+    cycle: Cycle
+    f_edges: tuple[Edge, ...]
+    s_edges: tuple[Edge, ...]
+    matching: tuple[Edge, ...]
+    contracted: LabeledDigraph
+    cycle_weight: Weight
+    f_weight: Weight
+    matching_weight: Weight
+
+    @property
+    def ok(self) -> bool:
+        return all(
+            2 * mw >= cw - 2 * fw
+            for mw, cw, fw in zip(self.matching_weight, self.cycle_weight, self.f_weight)
+        ) and is_matching(self.matching)
+
+
+def matching_claim_witness(g: LabeledDigraph, cycle: Iterable[Edge]) -> ClaimWitness:
+    """Build the witness for one Hamiltonian cycle of g.
+
+    Requires an even vertex count larger than the padded objective count
+    (so the witness path set is a proper subset of the cycle).
+    """
+    cycle = tuple(sorted(cycle))
+    if not is_hamiltonian_cycle(g, cycle):
+        raise PreconditionError("not a Hamiltonian cycle of g")
+    n = g.num_vertices
+    if n % 2:
+        raise PreconditionError("witness construction needs an even vertex count")
+    two_k = even_objectives(g.dimension)
+    if n <= two_k:
+        raise PreconditionError(
+            f"{n} vertices too few for {two_k} objectives; F could swallow the cycle"
+        )
+    order = cycle_vertex_order(cycle)
+    seq = [(order[i], order[(i + 1) % n]) for i in range(n)]
+    odd = seq[0::2]
+    even = seq[1::2]
+    pad = two_k - g.dimension
+
+    def padded(e: Edge) -> Weight:
+        return g.weight_map[e] + (0,) * pad
+
+    inst = BalancingInstance(
+        x=tuple(padded(e) for e in odd),
+        y=tuple(padded(e) for e in even),
+    )
+    res = balance_combinatorial(inst)
+    intervals = res.family.intervals
+    in_interval = {
+        i for a, b in intervals for i in range(a, b + 1)
+    }
+    p = n // 2
+    s_edges = {even[b - 1] for _, b in intervals}
+    s_edges |= {odd[i - 1] for i in in_interval}
+    s_edges |= {even[i - 1] for i in range(1, p + 1) if i not in in_interval}
+    f_edges = set()
+    for a, b in intervals:
+        f_edges.add(odd[a - 1])
+        f_edges.add(even[b - 1])
+    # F is at most 2k edges of a checked Hamiltonian cycle with n > 2k, so a path set
+    contracted = contract_ends(g, *_path_ends(f_edges))
+    # Contraction leaves S - F as it is.  On the cycle, the edge entering a
+    # tail of F is an F edge, and no edge of S - F leaves a path's last
+    # vertex: after odd[a-1] comes even[a-1], in S only when a == b and
+    # then in F; after even[b-1] comes the next odd edge (odd[0] when
+    # b = p), in S only when an interval starts at its index and then in F.
+    mprime = s_edges - f_edges
+    return ClaimWitness(
+        cycle=cycle,
+        f_edges=tuple(sorted(f_edges)),
+        s_edges=tuple(sorted(s_edges)),
+        matching=tuple(sorted(mprime)),
+        contracted=contracted,
+        cycle_weight=g.edge_set_weight(cycle),
+        f_weight=g.edge_set_weight(f_edges),
+        matching_weight=contracted.edge_set_weight(mprime),
+    )

@@ -15,6 +15,7 @@ from pathlib import Path
 import mobal
 from helpers import (
     contract_edge_by_edge,
+    matching_claim_witness,
     matchings_by_subset_filter,
     naive_pareto_entries,
     pareto_filter,
@@ -37,7 +38,7 @@ from mobal.graphs import (
 )
 from mobal.instances import GeneratorSpec, generate
 from mobal.matching import ExactMatchingBackend
-from mobal.maxatsp import matching_claim_witness, maxatsp_approx, tsp_oracle
+from mobal.maxatsp import maxatsp_approx, tsp_oracle
 from mobal.maxsat import maxsat_approx, maxsat_oracle
 from mobal.pareto import (
     SolutionSet,

@@ -148,6 +148,13 @@ def test_bench_balance(capsys):
     assert "worst_imbalance_ratio=" in out
 
 
+def test_generator_flags_the_kind_does_not_read_are_ignored(capsys, tmp_path):
+    path = tmp_path / "g.txt"
+    code, out, _ = run(capsys, "gen", "--kind", "graph", "--m", "0", "--seed", "1", "--out", str(path))
+    assert code == 0
+    assert "kind=graph\nseed=1\nbound=10\ndim=2\nvertices=4\nout=" in out
+
+
 def test_bench_maxatsp(capsys):
     code, out, _ = run(
         capsys, "bench", "--kind", "graph", "--count", "3",
@@ -242,6 +249,12 @@ BAD_INPUT_TABLE = [
     (["maxatsp"], "graph-non-ascii", {}, "line 3"),
     (["certify"], "graph-non-ascii-crlf", {}, "line 3"),
     (["balance", "--variant", "paired"], "balance-non-ascii", {}, "line 3"),
+    (["maxsat", "--in", "missing.wcnf"], None, {}, "--in"),
+    (["certify", "--in", "."], None, {}, "--in"),
+    (["balance", "--variant", "paired", "--in", "g.txt/x"], None, {}, "--in"),
+    (["gen", "--kind", "graph", "--seed", "1", "--out", "."], None, {}, "--out"),
+    (["gen", "--kind", "cnf", "--seed", "1", "--out", "no/such/dir.wcnf"], None, {}, "--out"),
+    (["bench", "--kind", "cnf", "--count", "0", "--m", "99"], None, {}, "m=99 exceeds generator cap 20"),
 ]
 
 # malformed files, each at fault on the line its BAD_INPUT_TABLE row names

@@ -8,6 +8,7 @@ from helpers import (
     contract_edge_by_edge,
     contract_edge_set,
     contract_path_set,
+    is_matching,
     is_vertex_disjoint_paths,
     path_decomposition,
     path_ends,
@@ -21,7 +22,6 @@ from mobal.graphs import (
     contract_ends,
     cycle_edges,
     is_hamiltonian_cycle,
-    is_matching,
     lift_edges,
     lift_tour,
 )
@@ -234,6 +234,11 @@ def test_role_predicates():
     g = figure_graph()
     assert is_hamiltonian_cycle(g, cycle_edges((0, 1, 2, 3)))
     assert not is_hamiltonian_cycle(g, [(0, 1), (1, 0), (2, 3), (3, 2)])
+
+
+def test_from_weights_refuses_an_empty_map():
+    with pytest.raises(PreconditionError, match="all ordered pairs"):
+        LabeledDigraph.from_weights(3, {})
 
 
 def test_relabel_preserves_weight_multiset():

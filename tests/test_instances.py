@@ -1,9 +1,12 @@
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mobal.balancing import CARRIES, VARIANTS, verify_balance
+from mobal.cli import _BALANCERS
 from mobal.errors import BudgetExceededError, InstanceFormatError, PreconditionError
 from mobal.instances import (
     BALANCE_KINDS,
@@ -165,6 +168,32 @@ def test_truncated_balance_file_names_line():
         parse_balance(truncated)
     assert err.value.line is not None
     assert "line" in str(err.value)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_variant_table_drives_generator_serializer_searches_and_parser(variant):
+    inst = generate(GeneratorSpec(kind=f"balance-{variant}", seed=4, m=3, n=1, bound=5))
+    carried = tuple(name for name in ("y", "z") if getattr(inst, name) is not None)
+    assert carried == CARRIES[variant]
+    result = _BALANCERS[variant](inst)
+    for name in CARRIES[variant]:
+        lacking = replace(inst, **{name: None})
+        with pytest.raises(PreconditionError, match=f"{variant} instance must carry {name}"):
+            serialize_balance(variant, lacking)
+        with pytest.raises(PreconditionError, match=f"{variant} balancing needs {name}"):
+            _BALANCERS[variant](lacking)
+        with pytest.raises(PreconditionError, match=f"{variant} balancing needs {name}"):
+            verify_balance(lacking, result, variant)
+    # header, three x lines, then three y lines and one z line where carried
+    lines = serialize_balance(variant, inst).splitlines()
+    need = len(lines) - 1
+    assert need == 3 + 3 * ("y" in carried) + ("z" in carried)
+    with pytest.raises(InstanceFormatError) as err:
+        parse_balance("\n".join(lines[:-1]) + "\n")
+    assert err.value.line == need
+    assert str(err.value) == (
+        f"line {need}: expected {need} data lines for {variant} m=3, found {need - 1}"
+    )
 
 
 def test_truncated_graph_file():

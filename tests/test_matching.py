@@ -3,12 +3,13 @@ import pytest
 from helpers import (
     contract_path_set,
     enumerated_pareto_matchings,
+    is_matching,
     matchings_by_subset_filter,
     pareto_filter,
     random_path_set,
 )
 from mobal.errors import BudgetExceededError, PreconditionError
-from mobal.graphs import LabeledDigraph, is_matching
+from mobal.graphs import LabeledDigraph
 from mobal.instances import GeneratorSpec, generate
 from mobal.matching import ExactMatchingBackend
 from mobal.pareto import (

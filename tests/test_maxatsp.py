@@ -12,7 +12,9 @@ from helpers import (
     contract_edge_set,
     contract_path_set,
     first_of_each_contracted_graph,
+    is_matching,
     is_vertex_disjoint_paths,
+    matching_claim_witness,
     matchings_by_subset_filter,
     odd_wrapper_reference,
     path_decomposition,
@@ -22,7 +24,7 @@ from helpers import (
     relabel,
 )
 from mobal.errors import BudgetExceededError, PreconditionError
-from mobal.graphs import LabeledDigraph, is_hamiltonian_cycle, is_matching
+from mobal.graphs import LabeledDigraph, is_hamiltonian_cycle
 from mobal.instances import GeneratorSpec, generate
 from mobal.matching import ExactMatchingBackend
 from mobal.maxatsp import (
@@ -30,7 +32,6 @@ from mobal.maxatsp import (
     _chain_fragments,
     _path_ends,
     approx_cost_estimate,
-    matching_claim_witness,
     maxatsp_approx,
     path_set_candidates,
     tsp_oracle,
