@@ -41,6 +41,20 @@ contracted graph and keeps its lifted tours for the later path sets of
 the same size.  Two path sets can share a graph only when |F| >= 3 and
 some vertex is interior (|F| exceeds the number of paths): two edges
 on one path leave their one interior vertex a single place.
+
+When n - 2 is one of the sweep's sizes (n <= 2k+2 at even n, n <= 2k+3
+at odd n), the sweep's pool is exactly the set of all (n-1)!
+Hamiltonian cycles of G.  Drop any two edges of a tour T; the
+other n - 2 edges form two vertex-disjoint paths covering V, a path set
+F of T that `path_set_candidates` yields.  G/F has two vertices, so its
+only Hamiltonian cycle is the 2-cycle, and `_chain_fragments` turns
+every matching of G/F into it, the empty one included.  The exact
+backend's front is never empty, and lifting the 2-cycle through F
+gives the one tour of G that contains F, which is T.  Every pooled tour
+is a Hamiltonian cycle of G, so the pool holds every tour and nothing
+else, and every tour of each front weight is kept.  `maxatsp_approx`
+then weighs every tour directly and skips path sets, contraction and
+the backend; the output is the sweep's, byte for byte.
 """
 
 from __future__ import annotations
@@ -169,7 +183,10 @@ def maxatsp_approx(
 
     The output 1/2-covers every Hamiltonian cycle of g.  Path sets have
     0..2k edges for an even vertex count and 1..2k+1 for an odd one;
-    the module docstring proves the guarantee for both.
+    the module docstring proves the guarantee for both.  When n - 2 is
+    one of those sizes the sweep would emit every tour, so every tour is
+    weighed directly instead (module docstring); `backend` is consulted
+    only when the sweep runs.
     """
     if g.num_vertices < 2:
         raise PreconditionError("need at least two vertices")
@@ -183,17 +200,33 @@ def maxatsp_approx(
             f"~{estimate} DP subsets over {sum(counts.values())} path sets exceed "
             f"budget {budget} ({g.num_vertices} vertices, {two_k} objectives)"
         )
-    # one backend serves the whole sweep; the exact one is built for g, so
-    # every contracted graph (contraction rewrites only head rows) shares
-    # its head-free states
-    if backend is None:
-        backend = ExactMatchingBackend(g)
+    if g.num_vertices - 2 in counts:
+        # the sweep would pool every tour (module docstring)
+        pool: dict[Weight, set[Cycle]] = {}
+        for t in iter_hamiltonian_cycles(g):
+            pool.setdefault(g.edge_set_weight(t), set()).add(tuple(sorted(t)))
+    else:
+        # one backend serves the whole sweep; the exact one is built for g,
+        # so every contracted graph (contraction rewrites only head rows)
+        # shares its head-free states
+        if backend is None:
+            backend = ExactMatchingBackend(g)
+        pool = _sweep(g, counts, backend)
+    front = nondominated(pool.keys())
+    return SolutionSet.build((enc, w) for w in front for enc in pool[w])
+
+
+def _sweep(
+    g: LabeledDigraph, sizes: Iterable[int], backend: MatchingBackend
+) -> dict[Weight, set[Cycle]]:
+    """Every tour the sweep over the path sets of the given sizes emits,
+    keyed by weight: one backend call per distinct contracted graph."""
     pool: dict[Weight, set[Cycle]] = {}
     # (lifted edges, w'(T')) of every tour T' of each contracted graph
     # that a later path set of the same size can share (module docstring)
     shared: dict[tuple, list[tuple[tuple[Edge, ...], Weight]]] = {}
     size = -1
-    for f in path_set_candidates(g, counts):
+    for f in path_set_candidates(g, sizes):
         if len(f) != size:
             size = len(f)
             shared.clear()
@@ -214,8 +247,7 @@ def maxatsp_approx(
         for lifted, w in tours:
             t = lift_tour(g, f, lifted)
             pool.setdefault(tuple(map(add, f_weight, w)), set()).add(t)
-    front = nondominated(pool.keys())
-    return SolutionSet.build((enc, w) for w in front for enc in pool[w])
+    return pool
 
 
 def _path_ends(f: Iterable[Edge]) -> tuple[frozenset[int], dict[int, int]]:

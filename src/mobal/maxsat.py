@@ -31,9 +31,21 @@ w(H - G) // 2k is non-decreasing.  A variable that fails the V1 test
 once fails it in every descendant, so a child tests only its parent's
 V1 minus x.
 
-When (2k)^2 >= m every assignment A is emitted: V0 = zeros(A) is
-admissible, and one interval over all of V' gives A.  The sweep then
-weighs the 2^m cube directly instead of walking.
+When (2k)^2 + 1 >= m every assignment A is emitted, and the sweep
+weighs the 2^m cube directly instead of walking.  An A with a 1 has at
+most m - 1 <= (2k)^2 zeros, so V0 = zeros(A) is admissible, V1 lies
+among A's ones, and one interval over all of V' gives A.  The zero
+mask is emitted by V0 = V when (2k)^2 >= m.  At m = (2k)^2 + 1, take
+V0_x = V - {x} for a variable x, and G_x the clauses it keeps.  Its
+only V1 candidate is x, and G_x[-x] = A_x, the clauses whose only
+negated literal is -x.  The sets A_x are disjoint, and A_y lies in
+H - G_x for every y != x.  If x is not in V1, V' = {x} and the empty
+interval emits the zero mask.  Suppose every x were in V1.  Then each
+x has an objective c(x) with 2k * a_x > w_c(H - G_x) >= sum_{y != x} a_y,
+where a_y = w_c(A_y).  Let X_c be the x with c(x) = c, and S_c their
+sum of a_x: each x in X_c has a_x > 0 and (2k + 1) * a_x > S_c, and
+summing over X_c gives |X_c| <= 2k.  With at most 2k objectives, at
+most (2k)^2 < m variables could be in V1, a contradiction.
 
 Both the sweep and the 2^m oracle weigh assignments through one clause
 table (`_ClauseTable`).  Each clause's weight vector is packed into a
@@ -298,7 +310,7 @@ def maxsat_approx(inst: CnfInstance, *, budget: int | None = None) -> SolutionSe
         )
 
     table = inst._table
-    if two_k * two_k >= m:
+    if two_k * two_k + 1 >= m:
         # the walk would emit every assignment (see the module docstring)
         masks: Iterable[int] = range(1 << m)
     else:

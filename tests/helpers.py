@@ -32,7 +32,7 @@ from mobal.maxatsp import (
     Cycle,
     _chain_fragments,
     _path_ends,
-    maxatsp_approx,
+    _sweep,
     path_set_candidates,
 )
 from mobal.maxsat import Assignment, CnfInstance
@@ -455,13 +455,30 @@ def enumerated_pareto_matchings(g: LabeledDigraph) -> SolutionSet:
     return SolutionSet.build((best[w], w) for w in front)
 
 
-def odd_wrapper_reference(g: LabeledDigraph, *, backend=None, budget=None) -> SolutionSet:
+def sweep_sizes(g: LabeledDigraph) -> range:
+    """The path-set sizes of the sweep: 0..2k at even n, 1..2k+1 at odd n."""
+    odd = g.num_vertices % 2
+    return range(odd, even_objectives(g.dimension) + odd + 1)
+
+
+def swept(g: LabeledDigraph, *, backend=None) -> SolutionSet:
+    """What the path-set sweep outputs for g, with every tour of each
+    front weight it pools; also where `maxatsp_approx` weighs every tour
+    instead of sweeping.  No budget guard."""
+    if backend is None:
+        backend = ExactMatchingBackend(g)
+    pool = _sweep(g, sweep_sizes(g), backend)
+    front = nondominated(pool.keys())
+    return SolutionSet.build((enc, w) for w in front for enc in pool[w])
+
+
+def odd_wrapper_reference(g: LabeledDigraph, *, backend=None) -> SolutionSet:
     """The heavy-edge wrapper's odd vertex-count branch, as it stood
     before `maxatsp_approx` took odd graphs over.
 
     Odd-size path sets are contracted first and the sweep runs on each
     even remainder.  The wrapper's `eps = 1/n` argument is left out: the
-    exact matching backend ignored it.
+    exact matching backend ignored it, and so is the budget guard.
     """
     if g.num_vertices < 2:
         raise PreconditionError("need at least two vertices")
@@ -481,7 +498,7 @@ def odd_wrapper_reference(g: LabeledDigraph, *, backend=None, budget=None) -> So
     for f in candidates:
         tails, last = path_ends(f)
         h = contract_ends(g, tails, last)
-        inner = maxatsp_approx(h, backend=backend, budget=budget)
+        inner = swept(h, backend=backend)
         for t_enc, _ in inner:
             assert is_hamiltonian_cycle(h, t_enc)
             t = lift_tour(g, f, lift_edges(last, t_enc))

@@ -17,11 +17,14 @@ from helpers import (
     matching_claim_witness,
     matchings_by_subset_filter,
     odd_wrapper_reference,
+    pareto_filter,
     path_decomposition,
     path_ends,
     random_cycle,
     reference_sweep,
     relabel,
+    sweep_sizes,
+    swept,
 )
 from mobal.errors import BudgetExceededError, PreconditionError
 from mobal.graphs import LabeledDigraph, is_hamiltonian_cycle
@@ -31,6 +34,7 @@ from mobal.maxatsp import (
     DEFAULT_MAXATSP_BUDGET,
     _chain_fragments,
     _path_ends,
+    _sweep,
     approx_cost_estimate,
     maxatsp_approx,
     path_set_candidates,
@@ -103,9 +107,16 @@ def test_custom_backend_plugs_in():
             calls.append(g.num_vertices)
             return super().pareto_matchings(g)
 
-    g = graph(63_000)
+    # six vertices at two objectives: n - 2 = 4 exceeds the largest
+    # path-set size 2, so the sweep runs
+    g = graph(63_000, vertices=6)
     out = maxatsp_approx(g, backend=CountingBackend(g))
     assert calls and out == maxatsp_approx(g)
+    # at four vertices every tour is weighed and the backend is not asked
+    calls.clear()
+    small = graph(63_000)
+    assert maxatsp_approx(small, backend=CountingBackend(small)) == maxatsp_approx(small)
+    assert calls == []
 
 
 class RecordingBackend:
@@ -154,12 +165,11 @@ def test_shared_memo_sweep_matches_fresh_backends():
         fresh = RecordingBackend()
         # SolutionSet equality compares every weight and every witness;
         # the reference asks a fresh backend about every path set
-        assert maxatsp_approx(g, backend=shared) == reference_sweep(g, backend=fresh)
+        assert swept(g, backend=shared) == reference_sweep(g, backend=fresh)
         # the pooled output can hide a wrong matching front behind other
         # path sets' cycles, so every answer is compared on its own too:
         # one call per distinct contracted graph, in first-seen order
-        odd = g.num_vertices % 2
-        sizes = range(odd, even_objectives(g.dimension) + odd + 1)
+        sizes = sweep_sizes(g)
         firsts = first_of_each_contracted_graph(g, sizes)
         assert len(fresh.graphs) == len(list(path_set_candidates(g, sizes)))
         assert shared.graphs == [fresh.graphs[i] for i in firsts]
@@ -169,7 +179,7 @@ def test_shared_memo_sweep_matches_fresh_backends():
 def test_odd_output_unchanged_by_shared_memo():
     for s in range(4):
         g = graph(68_000 + s, vertices=5, bound=20)
-        assert maxatsp_approx(g) == maxatsp_approx(g, backend=RecordingBackend())
+        assert swept(g) == swept(g, backend=RecordingBackend())
 
 
 def odd_corpus():
@@ -189,9 +199,10 @@ def odd_corpus():
 def test_odd_vertex_count_matches_wrapper_reference():
     for g in odd_corpus():
         # SolutionSet equality compares every weight and every witness
-        out = maxatsp_approx(g)
+        out = swept(g)
         assert out == odd_wrapper_reference(g)
         assert out == reference_sweep(g)
+        assert out == maxatsp_approx(g)
 
 
 def test_odd_sweep_matches_each_contracted_graph_once():
@@ -201,8 +212,8 @@ def test_odd_sweep_matches_each_contracted_graph_once():
         for dim in (1, 2, 3):
             g = graph(74_000 + 10 * n + dim, vertices=n, dim=dim)
             rec = RecordingBackend(ExactMatchingBackend(g))
-            maxatsp_approx(g, backend=rec)
             sizes = range(1, even_objectives(dim) + 2)
+            _sweep(g, sizes, rec)
             cands = list(path_set_candidates(g, sizes))
             assert rec.graphs == [
                 contract_path_set(g, cands[i])
@@ -216,7 +227,65 @@ def test_sweep_matches_reference_where_ties_are_many():
     for dim in (3, 4):
         for bound in (0, 1):
             g = graph(77_000 + 10 * dim + bound, vertices=6, dim=dim, bound=bound)
-            assert maxatsp_approx(g) == reference_sweep(g)
+            assert swept(g) == reference_sweep(g)
+
+
+def every_tour_corpus():
+    """Seeded graphs for every (n, dim) with n in 2..7 and dim in 1..4
+    whose largest path-set size reaches n - 2, at weight bounds
+    0/1/2/30.  Each n = 7 sweep takes about a second, so n = 7 takes
+    one all-zero graph, where every tour ties, per dimension."""
+    cases = [
+        (n, dim, bound)
+        for n in range(2, 7)
+        for dim in (1, 2, 3, 4)
+        for bound in (0, 1, 2, 30)
+        if n - 2 <= even_objectives(dim) + n % 2
+    ]
+    cases += [(7, 3, 0), (7, 4, 0)]
+    for n, dim, bound in cases:
+        yield generate(
+            GeneratorSpec(
+                kind="graph", seed=79_000 + 100 * n + 10 * dim + bound,
+                vertices=n, dim=dim, bound=bound,
+            )
+        )
+
+
+def all_tours_front(g):
+    """Every tour of each nondominated tour weight."""
+    return pareto_filter(SolutionSet.build(all_cycles_with_weights(g)))
+
+
+def test_every_tour_shortcut_matches_sweep():
+    # where n - 2 is a path-set size, maxatsp_approx weighs every tour
+    # instead of sweeping; fronts and every tied witness must agree
+    checked = 0
+    for g in every_tour_corpus():
+        out = maxatsp_approx(g)
+        assert out == swept(g)
+        assert out == all_tours_front(g)
+        checked += 1
+    # n = 2..5 at every dim, n = 6 at dims 3-4, two n = 7 cases
+    assert checked == 4 * 16 + 8 + 2
+
+
+def test_every_tour_shortcut_stops_at_n_minus_2():
+    # at the next n of each parity past the shortcut (n = 2k + 4 even,
+    # 2k + 5 odd) the sweep misses tours of front weights: all-zero graphs
+    # pool only 87 of 120 tours at n = 6 and 640 of 720 at n = 7
+    differ = {6: 0, 7: 0}
+    for n, bounds in ((6, (0, 1, 2, 30)), (7, (0,))):
+        for dim in (1, 2):
+            for bound in bounds:
+                for seed in range(3 if n == 6 else 1):
+                    g = graph(
+                        79_000 + 1000 * seed + 100 * n + 10 * dim + bound,
+                        vertices=n, dim=dim, bound=bound,
+                    )
+                    assert n - 2 not in sweep_sizes(g)
+                    differ[n] += maxatsp_approx(g) != all_tours_front(g)
+    assert differ == {6: 7, 7: 2}
 
 
 def test_backend_calls_equal_distinct_contracted_graphs(monkeypatch):
@@ -240,9 +309,8 @@ def test_backend_calls_equal_distinct_contracted_graphs(monkeypatch):
         g = graph(78_000 + n, vertices=n, dim=dim)
         silent = SilentBackend()
         ends_read.clear()
-        maxatsp_approx(g, backend=silent, budget=10**9)
-        odd = n % 2
-        sizes = range(odd, even_objectives(dim) + odd + 1)
+        sizes = sweep_sizes(g)
+        _sweep(g, sizes, silent)
         assert ends_read == list(path_set_candidates(g, sizes))
         assert len(ends_read) == path_sets
         assert len(silent.sizes) == calls

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import comb
 
 import pytest
@@ -478,21 +478,54 @@ def test_v1_shrinks_along_every_walk_link():
                 assert v1 <= v1_of[tuple(parent)] - {x}
 
 
-def test_cube_shortcut_matches_walk():
-    # with (2k)^2 >= m the sweep weighs all 2^m masks instead of walking
+def cube_corpus():
+    """Instances with (2k)^2 + 1 >= m at dims 1-4, m up to 10."""
     for dim in (1, 2, 3, 4):
         two_k = even_objectives(dim)
-        for m in range(1, min(two_k * two_k, 10) + 1, 3 if dim > 2 else 1):
+        for m in range(1, min(two_k * two_k + 1, 10) + 1, 3 if dim > 2 else 1):
             for bound, seed in ((0, 1), (1, 2), (20, 1), (20, 2)):
-                inst = generate(
+                yield generate(
                     GeneratorSpec(
                         kind="cnf", seed=29_000 + 100 * dim + 10 * m + seed,
                         m=m, clauses=2 * m, dim=dim, bound=bound,
                     )
                 )
-                masks = set().union(*walked_masks(inst))
-                assert masks == set(range(1 << m))
-                assert maxsat_approx(inst) == reference_weigh_and_filter(inst, masks)
+
+
+def two_objective_corpus(m):
+    """80 instances at 2k = 2 (dims 1-2), bounds 0/1/5/20, 3 and 10
+    clauses, five seeds each."""
+    for dim in (1, 2):
+        for bound in (0, 1, 5, 20):
+            for clauses in (3, 10):
+                for seed in range(5):
+                    yield generate(
+                        GeneratorSpec(
+                            kind="cnf", seed=32_000 + 100 * dim + 10 * bound + seed,
+                            m=m, clauses=clauses, dim=dim, bound=bound,
+                        )
+                    )
+
+
+def test_cube_shortcut_matches_walk():
+    # with (2k)^2 + 1 >= m the sweep weighs all 2^m masks instead of
+    # walking; at m = (2k)^2 + 1 = 5 the walk still emits the zero mask
+    # (module docstring), checked on 80 more instances
+    for inst in chain(cube_corpus(), two_objective_corpus(5)):
+        masks = set().union(*walked_masks(inst))
+        assert masks == set(range(1 << inst.num_vars))
+        assert maxsat_approx(inst) == reference_weigh_and_filter(inst, masks)
+
+
+def test_walk_runs_at_square_plus_three():
+    # m = (2k)^2 + 3 = 7: the walk misses masks, and in 42 of the 80
+    # cases the cube's output differs from the walk's
+    differ = 0
+    for inst in two_objective_corpus(7):
+        out = maxsat_approx(inst)
+        assert out == reference_weigh_and_filter(inst, set().union(*walked_masks(inst)))
+        differ += out != reference_weigh_and_filter(inst, range(1 << 7))
+    assert differ == 42
 
 
 def test_scan_estimate_admits_small_many_objective_instances():
