@@ -1,21 +1,18 @@
-"""Vector-weighted complete digraphs with path contraction and expansion.
+"""Vector-weighted complete digraphs, and tours lifted through path sets.
 
 Contracting an edge (u, v) merges v into u: u keeps its own incoming
 edges and takes over v's outgoing weights, and v disappears.  Doing
 that for every edge of a path, from its last edge back to its head h,
 leaves h with the outgoing row of the path's last vertex and every
-other surviving edge with its own weight.  A set of pairwise
-vertex-disjoint paths is contracted in one pass by that rule,
-w'(h, z) = w(last, z) for each head h, so the path order is
-irrelevant, and so is everything but the ends of the paths: the tails
-that vanish and each head's last vertex (`contract_ends`).  Expansion
-inverts it in one pass on a Hamiltonian cycle T of the contracted
-graph: each edge (h, x) leaving a head becomes (last, x), every other
-edge of T stays (`lift_edges`), and the path edges are added back
-(`lift_tour`), which adds back exactly the contracted weight.  A
-contracted graph is built without re-validation, since its rows are
-copied from a graph that was validated when it was built; graphs built
-through the public constructor are always validated.
+other surviving edge with its own weight.  So G/F, for a set F of
+pairwise vertex-disjoint paths, is fixed by F's ends alone: the tails
+that vanish and each head's last vertex, w'(h, z) = w(last[h], z), in
+any path order.  The matching backend reads G/F off G and those ends
+without building it.  Expansion inverts the contraction in one pass on
+a Hamiltonian cycle T of G/F: each edge (h, x) leaving a head becomes
+(last, x), every other edge of T stays (`lift_edges`), and the path
+edges are added back (`lift_tour`), which adds back exactly the
+contracted weight.
 
 Edge sets double as solutions in three roles: matchings (no two edges
 share any endpoint), path sets, and Hamiltonian cycles.  They are kept
@@ -25,7 +22,7 @@ as plain edge collections; canonical encodings are sorted edge tuples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Container, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import PreconditionError, SearchInvariantError
 from .pareto import Weight
@@ -64,18 +61,6 @@ class LabeledDigraph:
                 raise PreconditionError(f"edge {e} weight has wrong dimension")
             if any(c < 0 for c in w):
                 raise PreconditionError(f"edge {e} weight {w} is negative")
-
-    @classmethod
-    def _trusted(
-        cls, vertices: tuple[int, ...], weight_map: dict[Edge, Weight], dimension: int
-    ) -> "LabeledDigraph":
-        """Build without `__post_init__`: for callers whose sorted vertices
-        and weights are copied from a graph that was already validated."""
-        g = object.__new__(cls)
-        object.__setattr__(g, "vertices", vertices)
-        object.__setattr__(g, "weight_map", weight_map)
-        object.__setattr__(g, "dimension", dimension)
-        return g
 
     @classmethod
     def from_weights(cls, n: int, weights: Mapping[Edge, Weight]) -> "LabeledDigraph":
@@ -136,33 +121,10 @@ def cycle_edges(order: tuple[int, ...]) -> tuple[Edge, ...]:
     )
 
 
-def contract_ends(
-    g: LabeledDigraph, tails: Container[int], last: Mapping[int, int]
-) -> LabeledDigraph:
-    """G/F from the ends of a path set F of g alone, without checks.
-
-    `tails` holds every vertex of F that some edge of F enters, and
-    `last` maps each path's head to its last vertex.  The tails vanish,
-    each head h takes the outgoing row of last[h], w'(h, z) = w(last, z),
-    and every other surviving edge keeps its weight.  This is the graph
-    that contracting each path edge-by-edge from its last edge yields,
-    in any path order.  The result is not validated again: its vertices
-    are a sorted subset of g's and every weight is copied from g, which
-    was validated when it was built, so no check could fail.
-    """
-    verts = tuple(x for x in g.vertices if x not in tails)
-    wm = g.weight_map
-    return LabeledDigraph._trusted(
-        verts,
-        {(a, b): wm[(last.get(a, a), b)] for a in verts for b in verts if a != b},
-        g.dimension,
-    )
-
-
 def lift_edges(last: Mapping[int, int], t: Iterable[Edge]) -> tuple[Edge, ...]:
     """The edges of g that the edges of a tour of G/F stand for.
 
-    The inverse of `contract_ends`: a head h left the contraction with
+    The inverse of contraction: a head h left the contraction with
     the outgoing row of its path's last vertex, so an edge (h, x) stands
     for (last[h], x) of the same weight, while every other edge,
     entering h included, stands for itself.

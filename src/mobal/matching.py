@@ -1,4 +1,4 @@
-"""Pareto-optimal matchings of complete digraphs.
+"""Pareto-optimal matchings of complete digraphs and of their contractions.
 
 The shipped backend is an exact Pareto dynamic program over vertex
 subsets.  For a subset S and a vertex v of S, every matching of S
@@ -14,42 +14,49 @@ added to it and its dominator).  Witnesses follow one rule: every state
 keeps, per key (weight, edge count), the smallest sorted edge tuple.
 Keying by weight alone would not be exact: inserting one edge into two
 sorted tuples keeps their order when they have equal length, but can
-reverse it when one is a proper prefix of the other.  At the root the
-smallest tuple per front weight is the witness, which is the canonical
-one an exhaustive enumeration would pick.
+reverse it when one is a proper prefix of the other.  The root inserts
+no further edge, so it keeps the smallest tuple per weight directly,
+and per front weight that is the canonical witness an exhaustive
+enumeration would pick.
 
-A state f(S) so defined depends only on the weights of the edges inside
-S, not on which vertex v the DP removes.  A backend is built for one
-reference graph and answers graphs of its dimension on subsets of its
-vertices.  A vertex is dirty when one of its outgoing weights differs
-from the reference's; every edge lies in one outgoing row, so a
-dirty-free subset has the reference's weights.  The DP removes the
-lowest dirty vertex of S while there is one, else the lowest vertex.
-States of subsets holding a dirty vertex stay local to the call, and
-states of dirty-free subsets are shared across calls.  Contraction
-rewrites only the rows of the path heads, so a sweep over the path sets
-of the reference shares all head-free states.  An instance must not
-serve concurrent callers.
+A backend is built for one reference graph G and answers G/F for path
+sets F of G from F's ends alone: the tails, which vanish, and each head
+h's last vertex last[h], whose outgoing row h takes (`mobal.graphs`).
+So each surviving vertex reads the row of its row source: last[h] for
+a head h, itself otherwise.  A state f(S) depends only on the weights
+inside S, which the row sources of S's vertices fix, and not on which
+vertex v the DP removes.  So a head-free subset has G's weights and its
+state serves every call, and a state holding heads is keyed, exactly,
+by its vertex mask and its heads' (h, last[h]) pairs.  The DP removes
+heads first, the smallest head h0 last, so below the other heads a
+state holds h0 alone, and the path sets a sweep visits in a row often
+share h0's path and so those states.  Keyed states are kept only while
+the calls with two or more heads keep (h0, last[h0]), and are dropped
+when either changes; a call with one head removes it at the root and
+makes no keyed state.  An instance must not serve concurrent callers.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
 from operator import add
-from typing import Protocol
+from typing import Collection, Mapping, Protocol
 
 from .errors import BudgetExceededError, PreconditionError
 from .graphs import Edge, LabeledDigraph
-from .pareto import SolutionSet, Weight, nondominated, pareto_front_witnesses
+from .pareto import SolutionSet, Weight, nondominated
 
 # largest graph `ExactMatchingBackend` takes: its DP visits every vertex subset
 VERTEX_CAP = 10
 
 
 class MatchingBackend(Protocol):
-    """Producer of exact Pareto sets of matchings."""
+    """Producer of exact Pareto sets of matchings of G/F, F given by its
+    ends (tails, head -> last vertex); no ends means G itself."""
 
-    def pareto_matchings(self, g: LabeledDigraph) -> SolutionSet:
+    def pareto_matchings(
+        self, tails: Collection[int] = (), last: Mapping[int, int] | None = None
+    ) -> SolutionSet:
         ...
 
 
@@ -66,69 +73,94 @@ class ExactMatchingBackend:
 
     def __init__(self, reference: LabeledDigraph):
         self.reference = reference
-        self._bit = {v: 1 << i for i, v in enumerate(reference.vertices)}
+        self._index = {v: i for i, v in enumerate(reference.vertices)}
         self._memo: dict[int, _State] = {0: {((0,) * reference.dimension, 0): ()}}
+        # states holding heads, while the smallest head's path is `_scope`
+        self._keyed: dict[int, _State] = {}
+        self._scope: tuple[int, int] | None = None
 
-    def pareto_matchings(self, g: LabeledDigraph) -> SolutionSet:
-        if g.num_vertices > VERTEX_CAP:
+    def pareto_matchings(
+        self, tails: Collection[int] = (), last: Mapping[int, int] | None = None
+    ) -> SolutionSet:
+        last = last or {}
+        index = self._index
+        labels = self.reference.vertices
+        n = len(labels)
+        tails = set(tails)
+        if not index.keys() >= {*tails, *last, *last.values()} or len(tails) == n:
+            raise PreconditionError("path ends must name vertices of the reference and leave one")
+        if n - len(tails) > VERTEX_CAP:
             raise BudgetExceededError(
-                f"exact matching backend refuses {g.num_vertices} vertices "
-                f"(cap {VERTEX_CAP})"
+                f"exact matching backend refuses {n - len(tails)} vertices (cap {VERTEX_CAP})"
             )
-        ref = self.reference
-        bit = self._bit
-        verts = g.vertices
-        if g.dimension != ref.dimension or any(v not in bit for v in verts):
-            raise PreconditionError(
-                "graph has another dimension or a vertex outside the backend's reference"
-            )
-        ref_wm = ref.weight_map
-        labels = ref.vertices
-        wm = g.weight_map
-        dirty = 0
-        for v in verts:
-            if any(wm[(v, z)] != ref_wm[(v, z)] for z in verts if z != v):
-                dirty |= bit[v]
+        root = (1 << n) - 1 - sum(1 << index[v] for v in tails)
+        rows = list(labels)  # each vertex's row source, by bit index
+        # a head's row source index plus one, in the head's slot above the
+        # mask's n bits; a state holding heads is keyed by mask | their codes
+        codes = [0] * n
+        width = n.bit_length()
+        for h, end in last.items():
+            i = index[h]
+            rows[i] = end
+            codes[i] = (index[end] + 1) << (n + i * width)
+        root_code = sum(codes)
+        heads = others = sum(1 << index[h] for h in last)
+        if len(last) > 1:
+            # a lone head is removed at the root and makes no keyed state
+            pin = min(last)
+            others -= 1 << index[pin]
+            if self._scope != (pin, last[pin]):
+                self._scope = (pin, last[pin])
+                self._keyed = {}
+        wm = self.reference.weight_map
         shared = self._memo
-        local: dict[int, _State] = {}
+        keyed = self._keyed
 
-        def candidates(mask: int) -> _State:
-            """Every key reachable from the states below mask, unfiltered."""
-            # remove a dirty vertex while one is left, so that every
-            # dirty-free subset below is solved with the reference weights
-            pick = (mask & dirty) or mask
+        def candidates(mask: int, code: int, counted: bool) -> dict:
+            """Every key below mask, unfiltered: (weight, edge count) keys,
+            or weights alone when not `counted` (the root)."""
+            # heads first, the smallest last (module docstring)
+            pick = (mask & others) or (mask & heads) or mask
             low = pick & -pick
-            v = labels[low.bit_length() - 1]
-            rest = mask ^ low
-            best = dict(solve(rest))  # v uncovered
-            others = rest
-            while others:
-                b = others & -others
-                others ^= b
-                u = labels[b.bit_length() - 1]
-                sub = solve(rest ^ b)
-                for e in ((v, u), (u, v)):
-                    we = wm[e]
+            i = low.bit_length() - 1
+            v, row = labels[i], rows[i]
+            rest, rest_code = mask ^ low, code - codes[i]
+            sub = solve(rest, rest_code)  # v uncovered
+            if counted:
+                best = dict(sub)
+            else:
+                best = {}
+                for (w, _), enc in sub.items():
+                    if w not in best or enc < best[w]:
+                        best[w] = enc
+            partners = rest
+            while partners:
+                b = partners & -partners
+                partners ^= b
+                j = b.bit_length() - 1
+                u = labels[j]
+                sub = solve(rest ^ b, rest_code - codes[j])
+                for e, we in (((v, u), wm[(row, u)]), ((u, v), wm[(rows[j], v)])):
                     for (w, count), enc in sub.items():
-                        key = (tuple(map(add, w, we)), count + 1)
-                        i = bisect(enc, e)
-                        cand = enc[:i] + (e,) + enc[i:]
+                        total = tuple(map(add, w, we))
+                        key = (total, count + 1) if counted else total
+                        k = bisect(enc, e)
+                        cand = enc[:k] + (e,) + enc[k:]
                         cur = best.get(key)
                         if cur is None or cand < cur:
                             best[key] = cand
             return best
 
-        def solve(mask: int) -> _State:
-            memo = local if mask & dirty else shared
-            state = memo.get(mask)
+        def solve(mask: int, code: int) -> _State:
+            memo = keyed if code else shared
+            state = memo.get(mask | code)
             if state is None:
-                best = candidates(mask)
+                best = candidates(mask, code, True)
                 front = nondominated(w for w, _ in best)
                 state = {k: enc for k, enc in best.items() if k[0] in front}
-                memo[mask] = state
+                memo[mask | code] = state
             return state
 
-        # the root is filtered once, by pareto_front_witnesses
-        root = candidates(sum(bit[v] for v in verts))
-        return pareto_front_witnesses((enc, w) for (w, _), enc in root.items())
-
+        best = candidates(root, root_code, False)
+        # weights are distinct, so weight order is the canonical order
+        return SolutionSet(tuple((best[w], w) for w in sorted(nondominated(best))))

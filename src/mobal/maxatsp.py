@@ -3,7 +3,7 @@
 One sweep serves every vertex count n.  With 2k the objective count
 rounded up to even, it enumerates every vertex-disjoint path set F of
 0..2k edges when n is even, or of 1..2k+1 edges when n is odd,
-contracts it, asks a matching backend for Pareto-optimal matchings of
+hands its ends to a matching backend for Pareto-optimal matchings of
 the contracted graph G/F, completes each matching deterministically to
 a Hamiltonian cycle, and expands it back through F.  Pooled,
 deduplicated and Pareto-filtered, the emitted cycles 1/2-cover every
@@ -67,7 +67,6 @@ from .errors import BudgetExceededError, PreconditionError
 from .graphs import (
     Edge,
     LabeledDigraph,
-    contract_ends,
     iter_hamiltonian_cycles,
     lift_edges,
     lift_tour,
@@ -185,8 +184,9 @@ def maxatsp_approx(
     0..2k edges for an even vertex count and 1..2k+1 for an odd one;
     the module docstring proves the guarantee for both.  When n - 2 is
     one of those sizes the sweep would emit every tour, so every tour is
-    weighed directly instead (module docstring); `backend` is consulted
-    only when the sweep runs.
+    weighed directly instead (module docstring); `backend`, which
+    answers the ends of path sets of g, is consulted only when the sweep
+    runs.
     """
     if g.num_vertices < 2:
         raise PreconditionError("need at least two vertices")
@@ -206,9 +206,8 @@ def maxatsp_approx(
         for t in iter_hamiltonian_cycles(g):
             pool.setdefault(g.edge_set_weight(t), set()).add(tuple(sorted(t)))
     else:
-        # one backend serves the whole sweep; the exact one is built for g,
-        # so every contracted graph (contraction rewrites only head rows)
-        # shares its head-free states
+        # one backend, built for g, answers every path set from its ends
+        # and shares DP states between them (`mobal.matching`)
         if backend is None:
             backend = ExactMatchingBackend(g)
         pool = _sweep(g, counts, backend)
@@ -236,10 +235,10 @@ def _sweep(
             key = (tails, tuple(sorted(last.items())))
         tours = shared.get(key)
         if tours is None:
-            h = contract_ends(g, tails, last)
+            verts = [x for x in g.vertices if x not in tails]  # those of G/F
             tours = []
-            for m_enc, _ in backend.pareto_matchings(h):
-                lifted = lift_edges(last, _chain_fragments(h.vertices, m_enc))
+            for m_enc, _ in backend.pareto_matchings(tails, last):
+                lifted = lift_edges(last, _chain_fragments(verts, m_enc))
                 tours.append((lifted, g.edge_set_weight(lifted)))
             if key is not None:
                 shared[key] = tours

@@ -20,7 +20,6 @@ from mobal.errors import PreconditionError
 from mobal.graphs import (
     Edge,
     LabeledDigraph,
-    contract_ends,
     cycle_edges,
     is_hamiltonian_cycle,
     lift_edges,
@@ -142,6 +141,30 @@ def path_ends(f) -> tuple[frozenset[int], dict[int, int]]:
     paths = path_decomposition(f)
     tails = frozenset(v for path in paths for _, v in path)
     return tails, {path[0][0]: path[-1][1] for path in paths}
+
+
+def contract_ends(g: LabeledDigraph, tails, last) -> LabeledDigraph:
+    """G/F from the ends of a path set F of g alone, without checks.
+
+    `tails` holds every vertex of F that some edge of F enters, and
+    `last` maps each path's head to its last vertex.  The tails vanish,
+    each head h takes the outgoing row of last[h], w'(h, z) = w(last, z),
+    and every other surviving edge keeps its weight.  This is the graph
+    that contracting each path edge-by-edge from its last edge yields,
+    in any path order.  The result is built without `__post_init__`:
+    its vertices are a sorted subset of g's and every weight is copied
+    from g, which was validated when it was built.
+    """
+    verts = tuple(x for x in g.vertices if x not in tails)
+    wm = g.weight_map
+    h = object.__new__(LabeledDigraph)
+    object.__setattr__(h, "vertices", verts)
+    object.__setattr__(
+        h, "weight_map",
+        {(a, b): wm[(last.get(a, a), b)] for a in verts for b in verts if a != b},
+    )
+    object.__setattr__(h, "dimension", g.dimension)
+    return h
 
 
 def contract_path_set(g: LabeledDigraph, f) -> LabeledDigraph:
@@ -472,21 +495,20 @@ def swept(g: LabeledDigraph, *, backend=None) -> SolutionSet:
     return SolutionSet.build((enc, w) for w in front for enc in pool[w])
 
 
-def odd_wrapper_reference(g: LabeledDigraph, *, backend=None) -> SolutionSet:
+def odd_wrapper_reference(g: LabeledDigraph) -> SolutionSet:
     """The heavy-edge wrapper's odd vertex-count branch, as it stood
     before `maxatsp_approx` took odd graphs over.
 
     Odd-size path sets are contracted first and the sweep runs on each
-    even remainder.  The wrapper's `eps = 1/n` argument is left out: the
-    exact matching backend ignored it, and so is the budget guard.
+    even remainder, with a backend of its own.  The wrapper's
+    `eps = 1/n` argument is left out: the exact matching backend
+    ignored it, and so is the budget guard.
     """
     if g.num_vertices < 2:
         raise PreconditionError("need at least two vertices")
     two_k = even_objectives(g.dimension)
     n = g.num_vertices
     assert n % 2, "reference for odd vertex counts only"
-    if backend is None:
-        backend = ExactMatchingBackend(g)
     sizes = [s for s in range(two_k + 1) if s % 2 == n % 2]
     candidates = list(path_set_candidates(g, sizes))
     if not candidates:
@@ -498,7 +520,7 @@ def odd_wrapper_reference(g: LabeledDigraph, *, backend=None) -> SolutionSet:
     for f in candidates:
         tails, last = path_ends(f)
         h = contract_ends(g, tails, last)
-        inner = swept(h, backend=backend)
+        inner = swept(h)
         for t_enc, _ in inner:
             assert is_hamiltonian_cycle(h, t_enc)
             t = lift_tour(g, f, lift_edges(last, t_enc))
@@ -507,20 +529,23 @@ def odd_wrapper_reference(g: LabeledDigraph, *, backend=None) -> SolutionSet:
     return SolutionSet.build((enc, w) for w in front for enc in pool[w])
 
 
-def reference_sweep(g: LabeledDigraph, *, backend=None) -> SolutionSet:
+def reference_sweep(g: LabeledDigraph, *, asked: list | None = None) -> SolutionSet:
     """`maxatsp_approx` before it matched each distinct contracted graph
-    once: every path set contracted, matched, extended and expanded on
-    its own, with every matching and contracted tour checked.  No budget
-    guard."""
+    once: every path set contracted, matched by a new backend built on
+    the contracted graph (so no state is shared between path sets),
+    extended and expanded on its own, with every matching and contracted
+    tour checked.  `asked`, when given, receives the ends and the answer
+    of every path set in order.  No budget guard."""
     two_k = even_objectives(g.dimension)
     odd = g.num_vertices % 2
-    if backend is None:
-        backend = ExactMatchingBackend(g)
     pool = {}
     for f in path_set_candidates(g, range(odd, two_k + odd + 1)):
         tails, last = path_ends(f)
         h = contract_ends(g, tails, last)
-        for m_enc, _ in backend.pareto_matchings(h):
+        answer = ExactMatchingBackend(h).pareto_matchings()
+        if asked is not None:
+            asked.append(((tails, last), answer))
+        for m_enc, _ in answer:
             assert is_matching(m_enc)
             t_prime = _chain_fragments(h.vertices, m_enc)
             assert is_hamiltonian_cycle(h, t_prime)

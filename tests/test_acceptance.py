@@ -15,6 +15,7 @@ from pathlib import Path
 import mobal
 from helpers import (
     contract_edge_by_edge,
+    contract_ends,
     matching_claim_witness,
     matchings_by_subset_filter,
     naive_pareto_entries,
@@ -31,7 +32,6 @@ from mobal.balancing import (
 )
 from mobal.graphs import (
     LabeledDigraph,
-    contract_ends,
     is_hamiltonian_cycle,
     lift_edges,
     lift_tour,
@@ -235,7 +235,7 @@ def test_criterion_6_oracle_cross_checks():
                 bound=9,
             )
         )
-        ours = ExactMatchingBackend(g).pareto_matchings(g)
+        ours = ExactMatchingBackend(g).pareto_matchings()
         independent = matchings_by_subset_filter(g)
         front = set(nondominated(w for _, w in independent))
         if set(ours.weights()) == front and all(

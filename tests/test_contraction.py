@@ -5,6 +5,7 @@ import pytest
 from helpers import (
     checked_is_hamiltonian_cycle,
     contract_edge,
+    contract_ends,
     contract_edge_by_edge,
     contract_edge_set,
     contract_path_set,
@@ -19,7 +20,6 @@ from helpers import (
 from mobal.errors import PreconditionError, SearchInvariantError
 from mobal.graphs import (
     LabeledDigraph,
-    contract_ends,
     cycle_edges,
     is_hamiltonian_cycle,
     lift_edges,

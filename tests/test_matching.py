@@ -1,17 +1,20 @@
 import pytest
 
 from helpers import (
-    contract_path_set,
+    contract_ends,
     enumerated_pareto_matchings,
     is_matching,
     matchings_by_subset_filter,
     pareto_filter,
+    path_ends,
     random_path_set,
+    sweep_sizes,
 )
 from mobal.errors import BudgetExceededError, PreconditionError
 from mobal.graphs import LabeledDigraph
 from mobal.instances import GeneratorSpec, generate
 from mobal.matching import ExactMatchingBackend
+from mobal.maxatsp import path_set_candidates
 from mobal.pareto import (
     SolutionSet,
     nondominated,
@@ -26,7 +29,7 @@ def two_vertex_graph():
 
 def test_two_vertex_example():
     g = two_vertex_graph()
-    out = ExactMatchingBackend(g).pareto_matchings(g)
+    out = ExactMatchingBackend(g).pareto_matchings()
     assert set(out.weights()) == {(3, 1), (1, 3)}
     solutions = {sol for sol, _ in out}
     assert solutions == {((0, 1),), ((1, 0),)}
@@ -36,7 +39,7 @@ def test_two_vertex_example():
 
 def test_all_zero_weights_single_representative():
     g = LabeledDigraph.from_weights(2, {(0, 1): (0, 0), (1, 0): (0, 0)})
-    out = ExactMatchingBackend(g).pareto_matchings(g)
+    out = ExactMatchingBackend(g).pareto_matchings()
     assert len(out) == 1
     assert out.entries[0][1] == (0, 0)
     assert out.entries[0][0] == ()  # smallest encoding: the empty matching
@@ -48,7 +51,7 @@ def test_backend_agrees_with_subset_filter_enumerator():
         g = generate(
             GeneratorSpec(kind="graph", seed=50_000 + i, vertices=vertices, dim=2, bound=9)
         )
-        ours = ExactMatchingBackend(g).pareto_matchings(g)
+        ours = ExactMatchingBackend(g).pareto_matchings()
         independent = matchings_by_subset_filter(g)
         assert set(ours.weights()) == set(nondominated(w for _, w in independent))
         filtered = pareto_filter(SolutionSet.build(independent))
@@ -63,7 +66,7 @@ def test_vertex_cap():
     # one vertex over the backend's cap of 10
     g = generate(GeneratorSpec(kind="graph", seed=1, vertices=11, dim=1, bound=3))
     with pytest.raises(BudgetExceededError):
-        ExactMatchingBackend(g).pareto_matchings(g)
+        ExactMatchingBackend(g).pareto_matchings()
 
 
 def differential_corpus():
@@ -86,7 +89,7 @@ def differential_corpus():
 def test_subset_dp_matches_enumerators_with_witnesses():
     checked = 0
     for g in differential_corpus():
-        out = ExactMatchingBackend(g).pareto_matchings(g)
+        out = ExactMatchingBackend(g).pareto_matchings()
         # SolutionSet equality compares every weight and every witness
         assert out == enumerated_pareto_matchings(g)
         # the subset filter walks every edge subset, ~400k per graph at
@@ -108,34 +111,21 @@ def test_prefix_witness_counterexample():
     g = LabeledDigraph.from_weights(4, wm)
     expected = SolutionSet.build([(((1, 2), (3, 0)), (5,))])
     assert enumerated_pareto_matchings(g) == expected
-    assert ExactMatchingBackend(g).pareto_matchings(g) == expected
+    assert ExactMatchingBackend(g).pareto_matchings() == expected
 
 
-def _reweighted(g, rows, seed):
-    """g with fresh weights on the outgoing rows of `rows`."""
-    rng = SplitMix64(seed)
-    wm = dict(g.weight_map)
-    for (u, v), w in g.weight_map.items():
-        if u in rows:
-            wm[(u, v)] = tuple(rng.randint(0, 3) for _ in w)
-    return LabeledDigraph(g.vertices, wm, g.dimension)
-
-
-def _induced(g, keep):
-    keep = set(keep)
-    wm = {e: w for e, w in g.weight_map.items() if keep >= set(e)}
-    return LabeledDigraph(tuple(sorted(keep)), wm, g.dimension)
+def _tails_only(g, keep):
+    """Ends whose contraction is the subgraph induced by `keep`."""
+    return frozenset(g.vertices) - set(keep), {}
 
 
 def reuse_groups():
-    """Lists of graphs on the labels of each list's first graph, the
-    reference of the backend that answers the list.
+    """The reference graph of a backend, followed by path-set ends of it
+    to ask that backend about.
 
-    The reference is followed by contractions of several path sets
-    (dirty heads), reweighted rows (dirty vertices, heads or not),
-    induced subgraphs (no dirty vertex), a contraction of a reweighted
-    graph, fresh weights on every row (every vertex dirty) and the
-    reference again.
+    The ends are the reference itself (no ends), contractions of several
+    random path sets (heads take other rows), ends with tails only
+    (induced subgraphs, no head) and no ends again.
     """
     rng = SplitMix64(8_123)
     for n, dim, bound in ((6, 2, 3), (6, 2, 1), (7, 3, 2), (6, 1, 30), (8, 2, 2)):
@@ -145,42 +135,86 @@ def reuse_groups():
                 vertices=n, dim=dim, bound=bound,
             )
         )
-        group = [g]
+        group = [(frozenset(), {})]
         for _ in range(6):
-            group.append(contract_path_set(g, random_path_set(g, rng, max_edges=3)))
-        group.append(_reweighted(g, {0}, 1))
-        group.append(_reweighted(g, {1, n - 1}, 2))
-        group.append(_induced(g, range(1, n, 2)))
-        group.append(_induced(g, range(n - 1)))
-        group.append(contract_path_set(_reweighted(g, {2}, 3), random_path_set(g, rng, 2)))
-        group.append(_reweighted(g, set(g.vertices), 4))
-        group.append(g)
-        yield group
+            group.append(path_ends(random_path_set(g, rng, max_edges=3)))
+        group.append(_tails_only(g, range(1, n, 2)))
+        group.append(_tails_only(g, range(n - 1)))
+        group.append(path_ends(random_path_set(g, rng, 2)))
+        group.append(_tails_only(g, (0,)))
+        group.append((frozenset(), {}))
+        yield g, group
 
 
 def test_reused_backend_matches_enumeration_with_witnesses():
-    for group in reuse_groups():
-        expected = [enumerated_pareto_matchings(h) for h in group]
-        backend = ExactMatchingBackend(group[0])
+    for g, group in reuse_groups():
+        expected = [enumerated_pareto_matchings(contract_ends(g, *ends)) for ends in group]
+        backend = ExactMatchingBackend(g)
         # SolutionSet equality compares every weight and every witness
-        assert [backend.pareto_matchings(h) for h in group] == expected
+        assert [backend.pareto_matchings(*ends) for ends in group] == expected
         # the same backend, asked again in reverse order, still agrees,
-        # and so does a new one whose first graph is not its reference
-        for b in (backend, ExactMatchingBackend(group[0])):
-            assert [b.pareto_matchings(h) for h in reversed(group)] == expected[::-1]
+        # and so does a new one asked in reverse order first
+        for b in (backend, ExactMatchingBackend(g)):
+            assert [b.pareto_matchings(*ends) for ends in reversed(group)] == expected[::-1]
 
 
 def test_backend_refuses_new_vertex_or_dimension():
+    # ends may name only vertices of the reference, and must leave one
     small = generate(GeneratorSpec(kind="graph", seed=3, vertices=4, dim=2, bound=5))
-    large = generate(GeneratorSpec(kind="graph", seed=4, vertices=6, dim=2, bound=5))
-    other_dim = generate(GeneratorSpec(kind="graph", seed=5, vertices=4, dim=3, bound=5))
     backend = ExactMatchingBackend(small)
-    assert backend.pareto_matchings(small) == enumerated_pareto_matchings(small)
-    memo = dict(backend._memo)
-    for g in (large, other_dim):
+    assert backend.pareto_matchings() == enumerated_pareto_matchings(small)
+    # two heads, so a keyed state is made
+    assert backend.pareto_matchings({1, 3}, {0: 1, 2: 3}) is not None
+    assert backend._keyed
+    memo, keyed = dict(backend._memo), dict(backend._keyed)
+    for ends in (({4}, {}), ({1}, {0: 7}), ({1}, {9: 1}), ({0, 1, 2, 3}, {})):
         with pytest.raises(PreconditionError):
-            backend.pareto_matchings(g)
+            backend.pareto_matchings(*ends)
     # the refusals wrote no state, and the backend still answers exactly
-    assert backend._memo == memo
-    for g in (_reweighted(small, {1}, 6), _induced(small, (0, 2, 3))):
-        assert backend.pareto_matchings(g) == enumerated_pareto_matchings(g)
+    assert (backend._memo, backend._keyed) == (memo, keyed)
+    for ends in (({1, 3}, {0: 3}), _tails_only(small, (0, 2, 3)), ({1, 3}, {0: 1, 2: 3})):
+        assert backend.pareto_matchings(*ends) == enumerated_pareto_matchings(
+            contract_ends(small, *ends)
+        )
+
+
+def path_ends_corpus():
+    """Seeded graphs of both parities, n in 3..8, for the path-ends DP.
+
+    n = 3 to 5 cover dims 1-4 at weight bounds 0/1/2/30.  Checking every
+    path set against enumeration costs ~0.4 s per graph at n = 6, dims
+    3-4, and 1-2 s per graph at n = 7 and 8, so those sizes take a few
+    cases of the grid.
+    """
+    cases = [(n, dim, bound) for n in (3, 4, 5) for dim in (1, 2, 3, 4) for bound in (0, 1, 2, 30)]
+    cases += [(6, dim, bound) for dim in (1, 2) for bound in (0, 1, 2, 30)]
+    cases += [(6, 3, 1), (6, 4, 2), (7, 2, 1), (8, 1, 2)]
+    for n, dim, bound in cases:
+        yield generate(
+            GeneratorSpec(
+                kind="graph", seed=55_000 + 100 * n + 10 * dim + bound,
+                vertices=n, dim=dim, bound=bound,
+            )
+        )
+
+
+def test_path_ends_answers_match_enumeration_in_sweep_order_and_reverse():
+    # one backend answers every path set of the sweep, in sweep order and
+    # then in reverse, so keyed states are made and dropped in both
+    # orders; each answer must equal enumeration on the contracted graph
+    checked = 0
+    for g in path_ends_corpus():
+        ends = [path_ends(f) for f in path_set_candidates(g, sweep_sizes(g))]
+        enumerated = {}
+        expected = []
+        for tails, last in ends:
+            key = (tails, tuple(sorted(last.items())))
+            if key not in enumerated:
+                enumerated[key] = enumerated_pareto_matchings(contract_ends(g, tails, last))
+            expected.append(enumerated[key])
+        backend = ExactMatchingBackend(g)
+        # SolutionSet equality compares every weight and every witness
+        assert [backend.pareto_matchings(*e) for e in ends] == expected
+        assert [backend.pareto_matchings(*e) for e in reversed(ends)] == expected[::-1]
+        checked += len(ends)
+    assert checked == 4 * (6 + 49 + 380) * 4 + 4 * 331 * 2 + 3331 * 2 + 4872 + 1233

@@ -10,6 +10,7 @@ from helpers import (
     combination_path_sets,
     contract_edge_by_edge,
     contract_edge_set,
+    contract_ends,
     contract_path_set,
     first_of_each_contracted_graph,
     is_matching,
@@ -103,9 +104,9 @@ def test_custom_backend_plugs_in():
     calls = []
 
     class CountingBackend(ExactMatchingBackend):
-        def pareto_matchings(self, g):
-            calls.append(g.num_vertices)
-            return super().pareto_matchings(g)
+        def pareto_matchings(self, tails=(), last=None):
+            calls.append(len(tails))
+            return super().pareto_matchings(tails, last)
 
     # six vertices at two objectives: n - 2 = 4 exceeds the largest
     # path-set size 2, so the sweep runs
@@ -120,18 +121,23 @@ def test_custom_backend_plugs_in():
 
 
 class RecordingBackend:
-    """Keeps every graph asked about and every answer of `backend`, or of
-    a new exact backend per call (no shared memo) when `backend` is None."""
+    """Keeps the path-set ends of g asked about and every answer of
+    `backend`, or of a new exact backend per call, built on the
+    contracted graph (no shared memo), when `backend` is None."""
 
-    def __init__(self, backend=None):
+    def __init__(self, g, backend=None):
+        self.g = g
         self.backend = backend
-        self.graphs = []
+        self.ends = []
         self.answers = []
 
-    def pareto_matchings(self, g):
-        backend = ExactMatchingBackend(g) if self.backend is None else self.backend
-        out = backend.pareto_matchings(g)
-        self.graphs.append(g)
+    def pareto_matchings(self, tails=(), last=None):
+        if self.backend is None:
+            h = contract_ends(self.g, tails, last or {})
+            out = ExactMatchingBackend(h).pareto_matchings()
+        else:
+            out = self.backend.pareto_matchings(tails, last)
+        self.ends.append((tails, last))
         self.answers.append(out)
         return out
 
@@ -161,25 +167,44 @@ def shared_memo_corpus():
 
 def test_shared_memo_sweep_matches_fresh_backends():
     for g in shared_memo_corpus():
-        shared = RecordingBackend(ExactMatchingBackend(g))
-        fresh = RecordingBackend()
+        shared = RecordingBackend(g, ExactMatchingBackend(g))
+        fresh = []
         # SolutionSet equality compares every weight and every witness;
         # the reference asks a fresh backend about every path set
-        assert swept(g, backend=shared) == reference_sweep(g, backend=fresh)
+        assert swept(g, backend=shared) == reference_sweep(g, asked=fresh)
         # the pooled output can hide a wrong matching front behind other
         # path sets' cycles, so every answer is compared on its own too:
         # one call per distinct contracted graph, in first-seen order
         sizes = sweep_sizes(g)
         firsts = first_of_each_contracted_graph(g, sizes)
-        assert len(fresh.graphs) == len(list(path_set_candidates(g, sizes)))
-        assert shared.graphs == [fresh.graphs[i] for i in firsts]
-        assert shared.answers == [fresh.answers[i] for i in firsts]
+        assert len(fresh) == len(list(path_set_candidates(g, sizes)))
+        assert shared.ends == [fresh[i][0] for i in firsts]
+        assert shared.answers == [fresh[i][1] for i in firsts]
+
+
+def test_keyed_states_stay_scoped():
+    # the backend keeps head-holding states only while the path of the
+    # smallest head stays; sweeping the seed-1 n = 8 graph at two
+    # objectives leaves at most 35 live, where keeping them for the
+    # whole sweep would hold 1400 at its end
+    live = []
+
+    class ScopeWatch(ExactMatchingBackend):
+        def pareto_matchings(self, tails=(), last=None):
+            out = super().pareto_matchings(tails, last)
+            live.append(len(self._keyed))
+            return out
+
+    g = graph(1, vertices=8)
+    _sweep(g, sweep_sizes(g), ScopeWatch(g))
+    assert len(live) == 1233
+    assert 0 < max(live) <= 50
 
 
 def test_odd_output_unchanged_by_shared_memo():
     for s in range(4):
         g = graph(68_000 + s, vertices=5, bound=20)
-        assert swept(g) == swept(g, backend=RecordingBackend())
+        assert swept(g) == swept(g, backend=RecordingBackend(g))
 
 
 def odd_corpus():
@@ -211,13 +236,12 @@ def test_odd_sweep_matches_each_contracted_graph_once():
     for n in (3, 5):
         for dim in (1, 2, 3):
             g = graph(74_000 + 10 * n + dim, vertices=n, dim=dim)
-            rec = RecordingBackend(ExactMatchingBackend(g))
+            rec = RecordingBackend(g, ExactMatchingBackend(g))
             sizes = range(1, even_objectives(dim) + 2)
             _sweep(g, sizes, rec)
             cands = list(path_set_candidates(g, sizes))
-            assert rec.graphs == [
-                contract_path_set(g, cands[i])
-                for i in first_of_each_contracted_graph(g, sizes)
+            assert rec.ends == [
+                path_ends(cands[i]) for i in first_of_each_contracted_graph(g, sizes)
             ]
 
 
@@ -317,14 +341,14 @@ def test_backend_calls_equal_distinct_contracted_graphs(monkeypatch):
 
 
 class SilentBackend:
-    """Records each contracted graph's vertex count and finds no matching,
-    so a sweep costs only its path sets and contractions."""
+    """Records the tail count of each path set asked about and finds no
+    matching, so a sweep costs only its path sets and their ends."""
 
     def __init__(self):
         self.sizes = []
 
-    def pareto_matchings(self, g):
-        self.sizes.append(g.num_vertices)
+    def pareto_matchings(self, tails=(), last=None):
+        self.sizes.append(len(tails))
         return SolutionSet.build(())
 
 
