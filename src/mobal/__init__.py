@@ -32,7 +32,7 @@ from .instances import (
     serialize_cnf,
     serialize_graph,
 )
-from .matching import ExactMatchingBackend, MatchingBackend
+from .matching import ExactMatchingBackend
 from .maxatsp import maxatsp_approx, tsp_oracle
 from .maxsat import (
     CnfInstance,

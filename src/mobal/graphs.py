@@ -75,9 +75,6 @@ class LabeledDigraph:
     def num_vertices(self) -> int:
         return len(self.vertices)
 
-    def weight(self, u: int, v: int) -> Weight:
-        return self.weight_map[(u, v)]
-
     def edges(self) -> tuple[Edge, ...]:
         return tuple(sorted(self.weight_map))
 

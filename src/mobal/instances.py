@@ -224,10 +224,7 @@ def parse_balance(text: str) -> tuple[str, BalancingInstance]:
     rows = [tuple(_ints(line.split(), no, dim)) for no, line in body]
     y = tuple(rows[m : 2 * m]) if "y" in carries else None
     z = rows[-1] if "z" in carries else None
-    try:
-        inst = BalancingInstance(x=tuple(rows[:m]), y=y, z=z)
-    except PreconditionError as exc:
-        raise InstanceFormatError(str(exc), lines[0][0])
+    inst = BalancingInstance(x=tuple(rows[:m]), y=y, z=z)
     for row, message in precondition_faults(inst, variant):
         raise InstanceFormatError(message, body[row][0])
     return variant, inst
@@ -279,7 +276,7 @@ def parse_cnf(text: str) -> CnfInstance:
                 )
             weight = tuple(values[:dim])
             lits = values[dim:-1]
-            if not lits or any(lit == 0 for lit in lits):
+            if 0 in lits:  # the length check leaves at least one literal
                 raise InstanceFormatError("clause needs nonzero literals before the 0", no)
             ci = len(clause_lines)
             for lit in lits:
@@ -350,10 +347,7 @@ def parse_graph(text: str) -> LabeledDigraph:
         if any(c < 0 for c in w):
             raise InstanceFormatError(f"edge ({u}, {v}) weight {w} is negative", no)
         wm[(u, v)] = w
-    try:
-        return LabeledDigraph(tuple(range(n)), wm, dim)
-    except PreconditionError as exc:
-        raise InstanceFormatError(str(exc), lineno)
+    return LabeledDigraph(tuple(range(n)), wm, dim)
 
 
 def detect_kind(text: str) -> str:

@@ -1,8 +1,8 @@
 """Pareto-optimal matchings of complete digraphs and of their contractions.
 
-The shipped backend is an exact Pareto dynamic program over vertex
-subsets.  For a subset S and a vertex v of S, every matching of S
-either leaves v uncovered or pairs it with some u in S - v through
+The backend is an exact Pareto dynamic program over vertex subsets.
+For a subset S and a vertex v of S, every matching of S either
+leaves v uncovered or pairs it with some u in S - v through
 (v, u) or (u, v), so
 
     f(S) = ND( f(S - v) union { w(e) + f(S - v - u) : u in S - v,
@@ -17,7 +17,11 @@ sorted tuples keeps their order when they have equal length, but can
 reverse it when one is a proper prefix of the other.  The root inserts
 no further edge, so it keeps the smallest tuple per weight directly,
 and per front weight that is the canonical witness an exhaustive
-enumeration would pick.
+enumeration would pick.  It must compare, not keep the first tuple of
+each weight: with heads it removes a head, not the smallest vertex, so
+a matching extended through that head need not sort first (with tail 5
+and head 4 on six vertices, ((0, 4), (1, 2)) comes before
+((0, 3), (1, 2)); `tests/test_matching.py`).
 
 A backend is built for one reference graph G and answers G/F for path
 sets F of G from F's ends alone: the tails, which vanish, and each head
@@ -40,25 +44,11 @@ from __future__ import annotations
 
 from bisect import bisect
 from operator import add
-from typing import Collection, Mapping, Protocol
+from typing import Collection, Mapping
 
-from .errors import BudgetExceededError, PreconditionError
+from .errors import PreconditionError
 from .graphs import Edge, LabeledDigraph
 from .pareto import SolutionSet, Weight, nondominated
-
-# largest graph `ExactMatchingBackend` takes: its DP visits every vertex subset
-VERTEX_CAP = 10
-
-
-class MatchingBackend(Protocol):
-    """Producer of exact Pareto sets of matchings of G/F, F given by its
-    ends (tails, head -> last vertex); no ends means G itself."""
-
-    def pareto_matchings(
-        self, tails: Collection[int] = (), last: Mapping[int, int] | None = None
-    ) -> SolutionSet:
-        ...
-
 
 # one DP state: (weight, edge count) -> smallest sorted edge tuple
 _State = dict[tuple[Weight, int], tuple[Edge, ...]]
@@ -89,10 +79,6 @@ class ExactMatchingBackend:
         tails = set(tails)
         if not index.keys() >= {*tails, *last, *last.values()} or len(tails) == n:
             raise PreconditionError("path ends must name vertices of the reference and leave one")
-        if n - len(tails) > VERTEX_CAP:
-            raise BudgetExceededError(
-                f"exact matching backend refuses {n - len(tails)} vertices (cap {VERTEX_CAP})"
-            )
         root = (1 << n) - 1 - sum(1 << index[v] for v in tails)
         rows = list(labels)  # each vertex's row source, by bit index
         # a head's row source index plus one, in the head's slot above the

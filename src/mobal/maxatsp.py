@@ -7,7 +7,7 @@ hands its ends to a matching backend for Pareto-optimal matchings of
 the contracted graph G/F, completes each matching deterministically to
 a Hamiltonian cycle, and expands it back through F.  Pooled,
 deduplicated and Pareto-filtered, the emitted cycles 1/2-cover every
-Hamiltonian cycle of the input when the matching backend is exact.
+Hamiltonian cycle of the input.
 
 Even n: every cycle T hides a path set F of at most 2k edges and a
 matching of G/F of weight at least w(T)/2 - w(F), componentwise, and
@@ -71,7 +71,7 @@ from .graphs import (
     lift_edges,
     lift_tour,
 )
-from .matching import ExactMatchingBackend, MatchingBackend
+from .matching import ExactMatchingBackend
 from .pareto import SolutionSet, Weight, even_objectives, nondominated, pareto_front_witnesses
 
 DEFAULT_MAXATSP_BUDGET = 10**6
@@ -172,21 +172,15 @@ def approx_cost_estimate(num_vertices: int, two_k: int) -> int:
     return sum(count << (num_vertices - s) for s, count in counts.items())
 
 
-def maxatsp_approx(
-    g: LabeledDigraph,
-    *,
-    backend: MatchingBackend | None = None,
-    budget: int | None = None,
-) -> SolutionSet:
+def maxatsp_approx(g: LabeledDigraph, *, budget: int | None = None) -> SolutionSet:
     """Contract-match-extend-expand sweep over all small path sets.
 
     The output 1/2-covers every Hamiltonian cycle of g.  Path sets have
     0..2k edges for an even vertex count and 1..2k+1 for an odd one;
     the module docstring proves the guarantee for both.  When n - 2 is
     one of those sizes the sweep would emit every tour, so every tour is
-    weighed directly instead (module docstring); `backend`, which
-    answers the ends of path sets of g, is consulted only when the sweep
-    runs.
+    weighed directly instead (module docstring).  `approx_cost_estimate`
+    is the only size guard.
     """
     if g.num_vertices < 2:
         raise PreconditionError("need at least two vertices")
@@ -208,15 +202,13 @@ def maxatsp_approx(
     else:
         # one backend, built for g, answers every path set from its ends
         # and shares DP states between them (`mobal.matching`)
-        if backend is None:
-            backend = ExactMatchingBackend(g)
-        pool = _sweep(g, counts, backend)
+        pool = _sweep(g, counts, ExactMatchingBackend(g))
     front = nondominated(pool.keys())
     return SolutionSet.build((enc, w) for w in front for enc in pool[w])
 
 
 def _sweep(
-    g: LabeledDigraph, sizes: Iterable[int], backend: MatchingBackend
+    g: LabeledDigraph, sizes: Iterable[int], backend: ExactMatchingBackend
 ) -> dict[Weight, set[Cycle]]:
     """Every tour the sweep over the path sets of the given sizes emits,
     keyed by weight: one backend call per distinct contracted graph."""

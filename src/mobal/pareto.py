@@ -89,9 +89,6 @@ class SolutionSet:
     def weights(self) -> tuple[Weight, ...]:
         return tuple(w for _, w in self.entries)
 
-    def dimension(self) -> int | None:
-        return len(self.entries[0][1]) if self.entries else None
-
 
 def nondominated(weights: Iterable[Weight]) -> set[Weight]:
     """The nondominated members of a collection of weight vectors."""

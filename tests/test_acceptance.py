@@ -145,8 +145,8 @@ def test_criterion_4_contraction_expansion_identity():
     h0 = contract_ends(g0, {1, 3}, {0: 3})
     tour = lift_tour(g0, q0, lift_edges({0: 3}, {(0, 2), (2, 0)}))
     figure_ok = (
-        h0.weight(0, 2) == (7,)
-        and h0.weight(2, 0) == (1,)
+        h0.weight_map[(0, 2)] == (7,)
+        and h0.weight_map[(2, 0)] == (1,)
         and h0 == contract_edge_by_edge(g0, path_decomposition(q0))
         and g0.edge_set_weight(tour) == (13,)
         and h0.edge_set_weight({(0, 2), (2, 0)}) == (8,)

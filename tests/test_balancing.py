@@ -1,3 +1,4 @@
+import re
 from itertools import combinations_with_replacement
 
 import pytest
@@ -276,6 +277,22 @@ def test_verify_rejects_malformed_family():
         verify_balance(inst, bad, "paired")
     with pytest.raises(PreconditionError):
         verify_balance(inst, res, "nonsense")
+
+
+@pytest.mark.parametrize(
+    "variant, intervals, m, message",
+    [
+        ("paired", ((1, 2),), 4, "family covers m=4, instance has m=3"),
+        ("combinatorial", ((1, 2), (2, 3)), 3, "must satisfy b_j < a_{j+1}"),
+        ("paired", ((2, 3), (1, 2)), 3, "must be sorted"),
+        ("paired", ((1, 2), (2, 3)), 3, "exceed the cap of 1 for paired"),
+    ],
+)
+def test_verify_names_each_family_fault(variant, intervals, m, message):
+    inst = BalancingInstance(x=((1, 1),) * 3, y=((1, 1),) * 3, z=(1, 1))
+    bad = BalanceResult(IntervalFamily(intervals, m), (0, 0), (0, 0), (0, 0))
+    with pytest.raises(PreconditionError, match=re.escape(message)):
+        verify_balance(inst, bad, variant)
 
 
 def test_verify_detects_shifted_intervals():

@@ -255,6 +255,22 @@ BAD_INPUT_TABLE = [
     (["gen", "--kind", "graph", "--seed", "1", "--out", "."], None, {}, "--out"),
     (["gen", "--kind", "cnf", "--seed", "1", "--out", "no/such/dir.wcnf"], None, {}, "--out"),
     (["bench", "--kind", "cnf", "--count", "0", "--m", "99"], None, {}, "m=99 exceeds generator cap 20"),
+    (["maxsat"], "cnf-no-clauses", {}, "line 2: need at least one clause"),
+    (["maxsat"], "cnf-second-header", {}, "line 3: second 'p' header"),
+    (["maxsat"], "cnf-dnf-header", {}, "line 2: header must be 'p cnf"),
+    (["maxsat"], "cnf-no-literals", {}, "line 3: clause line needs 1 weights"),
+    (["maxsat"], "cnf-zero-literal", {}, "line 3: clause needs nonzero literals"),
+    (["maxsat"], "cnf-unrecognized-line", {}, "line 3: unrecognized line"),
+    (["maxsat"], "cnf-no-header", {}, "line 1: missing 'p cnf' header"),
+    (["maxsat"], "cnf-no-dim", {}, "line 1: missing 'c k <dim>' line"),
+    (["maxsat"], "cnf-non-integer", {}, "line 2: expected integers"),
+    (["maxatsp"], "graph-empty", {}, "line 1: empty graph file"),
+    (["maxatsp"], "graph-duplicate-edge", {}, "line 3: duplicate edge (0, 1)"),
+    (["maxatsp"], "graph-bad-k", {}, "line 1: bad integer in 'k=x'"),
+    (["maxatsp"], "graph-long-header", {}, "line 1: header must be 'moatsp"),
+    (["balance", "--variant", "paired"], "balance-short-header", {}, "line 1: header must be 'balance"),
+    (["balance", "--variant", "paired"], "balance-zero-m", {}, "line 1: m and n must be >= 1"),
+    (["balance", "--variant", "paired"], "balance-unknown-variant", {}, "line 1: unknown variant"),
 ]
 
 # malformed files, each at fault on the line its BAD_INPUT_TABLE row names
@@ -273,6 +289,22 @@ BAD_FILES = {
     "paired-negative-z": "balance paired m=1 n=1\n1 0\n0 1\n-1 2\n",
     "combinatorial-negative": "balance combinatorial m=2 n=1\n1 0\n1 1\n0 -2\n2 2\n",
     "integer-outside-band": "balance integer m=2 n=1\n3 -5\n1 1\n4 4\n",
+    "cnf-no-clauses": "c k 2\np cnf 3 0\n",
+    "cnf-second-header": "c k 1\np cnf 2 1\np cnf 2 1\nw 1 1 0\n",
+    "cnf-dnf-header": "c k 1\np dnf 2 1\nw 1 1 0\n",
+    "cnf-no-literals": "c k 1\np cnf 2 1\nw 1 0\n",
+    "cnf-zero-literal": "c k 1\np cnf 2 1\nw 1 0 1 0\n",
+    "cnf-unrecognized-line": "c k 1\np cnf 2 1\nx 1 1 0\n",
+    "cnf-no-header": "c k 1\n",
+    "cnf-no-dim": "p cnf 2 1\n",
+    "cnf-non-integer": "c k 1\np cnf x 1\nw 1 1 0\n",
+    "graph-empty": "",
+    "graph-duplicate-edge": "moatsp k=1 n=2\n0 1 1\n0 1 1\n",
+    "graph-bad-k": "moatsp k=x n=2\n0 1 1\n1 0 1\n",
+    "graph-long-header": "moatsp k=1 n=2 x=1\n0 1 1\n1 0 1\n",
+    "balance-short-header": "balance paired m=1\n1 0\n0 1\n1 1\n",
+    "balance-zero-m": "balance paired m=0 n=1\n",
+    "balance-unknown-variant": "balance mixed m=1 n=1\n1 0\n",
 }
 
 # files holding a non-ASCII byte, written as bytes

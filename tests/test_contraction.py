@@ -51,9 +51,9 @@ def test_single_edge_contraction_figure_step():
     g = figure_graph()
     h = contract_edge(g, (1, 3))  # contract (v, y)
     assert h.vertices == (0, 1, 2)
-    assert h.weight(1, 2) == (7,)  # v -> x inherits w(y, x)
-    assert h.weight(1, 0) == (5,)  # v -> u inherits w(y, u)
-    assert h.weight(0, 1) == (2,)  # ingoing edges of v untouched
+    assert h.weight_map[(1, 2)] == (7,)  # v -> x inherits w(y, x)
+    assert h.weight_map[(1, 0)] == (5,)  # v -> u inherits w(y, u)
+    assert h.weight_map[(0, 1)] == (2,)  # ingoing edges of v untouched
 
 
 # the path u -> v -> y of the figure: tails v and y vanish, head u takes
@@ -67,8 +67,8 @@ def test_path_contraction_figure_values():
     assert path_ends(FIGURE_PATH) == _path_ends(FIGURE_PATH) == (FIGURE_TAILS, FIGURE_LAST)
     h = contract_ends(g, FIGURE_TAILS, FIGURE_LAST)
     assert h.vertices == (0, 2)
-    assert h.weight(0, 2) == (7,)
-    assert h.weight(2, 0) == (1,)
+    assert h.weight_map[(0, 2)] == (7,)
+    assert h.weight_map[(2, 0)] == (1,)
 
 
 def test_expansion_figure_total_weight():

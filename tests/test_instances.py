@@ -89,7 +89,7 @@ def test_generator_caps():
     # 0 is a valid weight bound, and a tour needs two vertices
     with pytest.raises(PreconditionError, match="bound must be >= 0"):
         GeneratorSpec(kind="graph", seed=0, bound=-1)
-    assert generate(GeneratorSpec(kind="graph", seed=0, bound=0)).weight(0, 1) == (0, 0)
+    assert generate(GeneratorSpec(kind="graph", seed=0, bound=0)).weight_map[(0, 1)] == (0, 0)
     with pytest.raises(PreconditionError, match="vertices must be >= 2"):
         GeneratorSpec(kind="graph", seed=0, vertices=1)
 
@@ -97,7 +97,7 @@ def test_generator_caps():
 def test_dim_defaults_to_two_and_balance_kinds_refuse_it():
     assert GeneratorSpec(kind="graph", seed=0).dim == 2
     assert GeneratorSpec(kind="cnf", seed=0).dim == 2
-    assert len(generate(GeneratorSpec(kind="graph", seed=0)).weight(0, 1)) == 2
+    assert len(generate(GeneratorSpec(kind="graph", seed=0)).weight_map[(0, 1)]) == 2
     # a balance kind's vector dimension is 2n, under the cap or over it
     for dim in (2, 7, 9):
         with pytest.raises(PreconditionError):

@@ -14,7 +14,7 @@ from mobal.errors import BudgetExceededError, PreconditionError
 from mobal.graphs import LabeledDigraph
 from mobal.instances import GeneratorSpec, generate
 from mobal.matching import ExactMatchingBackend
-from mobal.maxatsp import path_set_candidates
+from mobal.maxatsp import maxatsp_approx, path_set_candidates
 from mobal.pareto import (
     SolutionSet,
     nondominated,
@@ -63,10 +63,16 @@ def test_backend_agrees_with_subset_filter_enumerator():
 
 
 def test_vertex_cap():
-    # one vertex over the backend's cap of 10
+    # the backend has no vertex cap of its own: the sweep's budget guard
+    # refuses an 11-vertex graph, while the backend answers it directly
     g = generate(GeneratorSpec(kind="graph", seed=1, vertices=11, dim=1, bound=3))
-    with pytest.raises(BudgetExceededError):
-        ExactMatchingBackend(g).pareto_matchings()
+    with pytest.raises(BudgetExceededError, match="path sets exceed budget"):
+        maxatsp_approx(g)
+    ones = LabeledDigraph.from_weights(
+        11, {(u, v): (1,) for u in range(11) for v in range(11) if u != v}
+    )
+    expected = SolutionSet.build([(((0, 1), (2, 3), (4, 5), (6, 7), (8, 9)), (5,))])
+    assert ExactMatchingBackend(ones).pareto_matchings() == expected
 
 
 def differential_corpus():
@@ -112,6 +118,19 @@ def test_prefix_witness_counterexample():
     expected = SolutionSet.build([(((1, 2), (3, 0)), (5,))])
     assert enumerated_pareto_matchings(g) == expected
     assert ExactMatchingBackend(g).pareto_matchings() == expected
+
+
+def test_root_keeps_smallest_witness_per_weight():
+    # Every edge weighs 0 except (1, 2).  With tail 5 and head 4 taking
+    # 5's row, the root removes head 4, not the smallest vertex, so the
+    # weight-1 matching ((0, 4), (1, 2)) found through it precedes the
+    # smaller ((0, 3), (1, 2)); the root must compare, not keep the first.
+    wm = {(u, v): (0,) for u in range(6) for v in range(6) if u != v}
+    wm[(1, 2)] = (1,)
+    g = LabeledDigraph.from_weights(6, wm)
+    expected = SolutionSet.build([(((0, 3), (1, 2)), (1,))])
+    assert enumerated_pareto_matchings(contract_ends(g, frozenset({5}), {4: 5})) == expected
+    assert ExactMatchingBackend(g).pareto_matchings({5}, {4: 5}) == expected
 
 
 def _tails_only(g, keep):

@@ -94,13 +94,18 @@ def test_requires_even_vertex_count():
     assert cert.ok
 
 
+def test_single_vertex_refused():
+    with pytest.raises(PreconditionError, match="need at least two vertices"):
+        maxatsp_approx(LabeledDigraph((0,), {}, 1))
+
+
 def test_budget_guard():
     for g in (graph(2, vertices=8), graph(2, vertices=7)):
         with pytest.raises(BudgetExceededError):
             maxatsp_approx(g, budget=1000)
 
 
-def test_custom_backend_plugs_in():
+def test_custom_backend_plugs_in(monkeypatch):
     calls = []
 
     class CountingBackend(ExactMatchingBackend):
@@ -111,13 +116,23 @@ def test_custom_backend_plugs_in():
     # six vertices at two objectives: n - 2 = 4 exceeds the largest
     # path-set size 2, so the sweep runs
     g = graph(63_000, vertices=6)
-    out = maxatsp_approx(g, backend=CountingBackend(g))
-    assert calls and out == maxatsp_approx(g)
-    # at four vertices every tour is weighed and the backend is not asked
+    out = maxatsp_approx(g)
+    assert swept(g, backend=CountingBackend(g)) == out
+    assert calls
+    # `maxatsp_approx` builds one backend for g and asks it; at four
+    # vertices every tour is weighed, and no backend is built or asked
+    built = []
+    monkeypatch.setattr(
+        mobal.maxatsp, "ExactMatchingBackend", lambda h: built.append(h) or CountingBackend(h)
+    )
+    calls.clear()
+    assert maxatsp_approx(g) == out
+    assert built == [g] and calls
+    built.clear()
     calls.clear()
     small = graph(63_000)
-    assert maxatsp_approx(small, backend=CountingBackend(small)) == maxatsp_approx(small)
-    assert calls == []
+    assert maxatsp_approx(small) == swept(small)
+    assert built == [] and calls == []
 
 
 class RecordingBackend:
@@ -371,28 +386,29 @@ def test_cost_estimate_orders_nine_vertices_above_ten():
     assert approx_cost_estimate(9, 2) > DEFAULT_MAXATSP_BUDGET > approx_cost_estimate(10, 2)
 
 
-def check_default_budget_verdicts(vertex_counts, admitted):
+def check_default_budget_verdicts(monkeypatch, vertex_counts, admitted):
     """Exactly the admitted (n, 2k) fit the default budget; the guard
-    refuses every other one before the backend is asked anything."""
+    refuses every other one before a backend is built."""
+    built = []
+    monkeypatch.setattr(mobal.maxatsp, "ExactMatchingBackend", built.append)
     for n in vertex_counts:
         for two_k in (2, 4):
             fits = approx_cost_estimate(n, two_k) <= DEFAULT_MAXATSP_BUDGET
             assert fits == ((n, two_k) in admitted)
             if not fits:
-                silent = SilentBackend()
                 with pytest.raises(BudgetExceededError, match="path sets exceed budget"):
-                    maxatsp_approx(graph(76_000 + n, vertices=n, dim=two_k), backend=silent)
-                assert silent.sizes == []
+                    maxatsp_approx(graph(76_000 + n, vertices=n, dim=two_k))
+    assert built == []
 
 
-def test_default_budget_verdicts_for_odd_vertex_counts():
+def test_default_budget_verdicts_for_odd_vertex_counts(monkeypatch):
     admitted = {(3, 2), (5, 2), (7, 2), (3, 4), (5, 4), (7, 4)}
-    check_default_budget_verdicts((3, 5, 7, 9, 11), admitted)
+    check_default_budget_verdicts(monkeypatch, (3, 5, 7, 9, 11), admitted)
 
 
-def test_default_budget_verdicts_for_even_vertex_counts():
+def test_default_budget_verdicts_for_even_vertex_counts(monkeypatch):
     admitted = {(n, 2) for n in (2, 4, 6, 8, 10)} | {(n, 4) for n in (2, 4, 6)}
-    check_default_budget_verdicts((2, 4, 6, 8, 10, 12), admitted)
+    check_default_budget_verdicts(monkeypatch, (2, 4, 6, 8, 10, 12), admitted)
 
 
 def test_path_set_candidates_are_valid_and_ordered():
@@ -545,7 +561,7 @@ def test_half_cover_odd_objective_counts():
         for s in range(seeds):
             g = graph(900_000 + s, vertices=vertices, dim=dim, bound=12)
             out = maxatsp_approx(g)
-            assert out.dimension() == dim
+            assert len(out.entries[0][1]) == dim
             cert = is_alpha_approx_set(out, tsp_oracle(g), Fraction(1, 2))
             assert cert.ok
 
