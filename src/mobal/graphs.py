@@ -22,7 +22,7 @@ as plain edge collections; canonical encodings are sorted edge tuples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .errors import PreconditionError, SearchInvariantError
 from .pareto import Weight
@@ -111,13 +111,6 @@ def is_hamiltonian_cycle(g: LabeledDigraph, edges: Iterable[Edge]) -> bool:
     return succ[u] == start
 
 
-def cycle_edges(order: tuple[int, ...]) -> tuple[Edge, ...]:
-    """Closed edge sequence visiting `order` and returning to its start."""
-    return tuple(
-        (order[i], order[(i + 1) % len(order)]) for i in range(len(order))
-    )
-
-
 def lift_edges(last: Mapping[int, int], t: Iterable[Edge]) -> tuple[Edge, ...]:
     """The edges of g that the edges of a tour of G/F stand for.
 
@@ -143,15 +136,3 @@ def lift_tour(
     if not is_hamiltonian_cycle(g, tour):
         raise SearchInvariantError("expansion produced a non-Hamiltonian edge set")
     return tuple(tour)
-
-
-def iter_hamiltonian_cycles(g: LabeledDigraph) -> Iterator[tuple[Edge, ...]]:
-    """All (n-1)! directed Hamiltonian cycles, canonical start vertex."""
-    from itertools import permutations
-
-    if g.num_vertices < 2:
-        raise PreconditionError("Hamiltonian cycles need at least two vertices")
-    start = g.vertices[0]
-    rest = g.vertices[1:]
-    for perm in permutations(rest):
-        yield cycle_edges((start,) + perm)

@@ -124,23 +124,6 @@ def nondominated(weights: Iterable[Weight]) -> set[Weight]:
     return set(kept)
 
 
-def pareto_front_witnesses(pairs: Iterable[Entry]) -> SolutionSet:
-    """One canonical witness per nondominated weight.
-
-    Streaming reduction used by the brute-force oracles: solutions tied
-    on weight collapse to the smallest encoding, then dominated weights
-    are dropped.
-    """
-    best: dict[Weight, Any] = {}
-    for solution, weight in pairs:
-        weight = tuple(weight)
-        current = best.get(weight)
-        if current is None or solution < current:
-            best[weight] = solution
-    front = nondominated(best.keys())
-    return SolutionSet.build((best[w], w) for w in front)
-
-
 def covers(candidate: Weight, reference: Weight, alpha: Fraction) -> bool:
     """True iff candidate alpha-approximates reference in every objective."""
     _require_same_dim(candidate, reference)

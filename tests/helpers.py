@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
-from typing import Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
 from mobal.balancing import (
     BalanceResult,
@@ -20,7 +20,6 @@ from mobal.errors import PreconditionError
 from mobal.graphs import (
     Edge,
     LabeledDigraph,
-    cycle_edges,
     is_hamiltonian_cycle,
     lift_edges,
     lift_tour,
@@ -36,11 +35,11 @@ from mobal.maxatsp import (
 )
 from mobal.maxsat import Assignment, CnfInstance
 from mobal.pareto import (
+    Entry,
     SolutionSet,
     Weight,
     even_objectives,
     nondominated,
-    pareto_front_witnesses,
     vec_sub,
     vec_total,
 )
@@ -58,6 +57,23 @@ def pareto_filter(s: SolutionSet) -> SolutionSet:
         return s
     front = nondominated(w for _, w in s.entries)
     return SolutionSet(tuple(e for e in s.entries if e[1] in front))
+
+
+def pareto_front_witnesses(pairs: Iterable[Entry]) -> SolutionSet:
+    """One canonical witness per nondominated weight.
+
+    Streaming reduction used by the brute-force oracles: solutions tied
+    on weight collapse to the smallest encoding, then dominated weights
+    are dropped.
+    """
+    best: dict[Weight, Any] = {}
+    for solution, weight in pairs:
+        weight = tuple(weight)
+        current = best.get(weight)
+        if current is None or solution < current:
+            best[weight] = solution
+    front = nondominated(best.keys())
+    return SolutionSet.build((best[w], w) for w in front)
 
 
 def clause_satisfied(clause: frozenset[int], assignment: Assignment) -> bool:
@@ -676,6 +692,13 @@ def relabel(g: LabeledDigraph, mapping: Mapping[int, int]) -> LabeledDigraph:
         raise PreconditionError("mapping must be a bijection on the vertices")
     wm = {(mapping[u], mapping[v]): w for (u, v), w in g.weight_map.items()}
     return LabeledDigraph(tuple(sorted(mapping.values())), wm, g.dimension)
+
+
+def cycle_edges(order: tuple[int, ...]) -> tuple[Edge, ...]:
+    """Closed edge sequence visiting `order` and returning to its start."""
+    return tuple(
+        (order[i], order[(i + 1) % len(order)]) for i in range(len(order))
+    )
 
 
 def all_cycles_with_weights(g: LabeledDigraph):

@@ -9,6 +9,7 @@ from helpers import (
     contract_edge_by_edge,
     contract_edge_set,
     contract_path_set,
+    cycle_edges,
     is_matching,
     is_vertex_disjoint_paths,
     path_decomposition,
@@ -20,7 +21,6 @@ from helpers import (
 from mobal.errors import PreconditionError, SearchInvariantError
 from mobal.graphs import (
     LabeledDigraph,
-    cycle_edges,
     is_hamiltonian_cycle,
     lift_edges,
     lift_tour,

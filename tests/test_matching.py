@@ -6,6 +6,7 @@ from helpers import (
     is_matching,
     matchings_by_subset_filter,
     pareto_filter,
+    pareto_front_witnesses,
     path_ends,
     random_path_set,
     sweep_sizes,
@@ -15,11 +16,7 @@ from mobal.graphs import LabeledDigraph
 from mobal.instances import GeneratorSpec, generate
 from mobal.matching import ExactMatchingBackend
 from mobal.maxatsp import maxatsp_approx, path_set_candidates
-from mobal.pareto import (
-    SolutionSet,
-    nondominated,
-    pareto_front_witnesses,
-)
+from mobal.pareto import SolutionSet, nondominated
 from mobal.rng import SplitMix64
 
 

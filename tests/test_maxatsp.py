@@ -19,6 +19,7 @@ from helpers import (
     matchings_by_subset_filter,
     odd_wrapper_reference,
     pareto_filter,
+    pareto_front_witnesses,
     path_decomposition,
     path_ends,
     random_cycle,
@@ -46,7 +47,6 @@ from mobal.pareto import (
     even_objectives,
     is_alpha_approx_set,
     nondominated,
-    pareto_front_witnesses,
 )
 from mobal.rng import SplitMix64
 
@@ -97,6 +97,9 @@ def test_requires_even_vertex_count():
 def test_single_vertex_refused():
     with pytest.raises(PreconditionError, match="need at least two vertices"):
         maxatsp_approx(LabeledDigraph((0,), {}, 1))
+    # the oracle's tour pass refuses too, not a KeyError on a loop (0, 0)
+    with pytest.raises(PreconditionError, match="need at least two vertices"):
+        tsp_oracle(LabeledDigraph((0,), {}, 1))
 
 
 def test_budget_guard():
@@ -534,8 +537,10 @@ def test_tsp_oracle_three_vertices_both_orientations():
 
 
 def test_tsp_oracle_matches_full_enumeration():
-    for seed in range(5):
-        g = graph(69_000 + seed, vertices=6, bound=9)
+    # the every-tour corpus adds n 2-7, dims 1-4 and the tie-heavy
+    # bounds 0/1/2, where the witness must be the smallest tied tour
+    graphs = [graph(69_000 + seed, vertices=6, bound=9) for seed in range(5)]
+    for g in graphs + list(every_tour_corpus()):
         full = all_cycles_with_weights(g)
         assert set(tsp_oracle(g).weights()) == set(nondominated(w for _, w in full))
         assert tsp_oracle(g) == pareto_front_witnesses(full)

@@ -12,6 +12,7 @@ from helpers import (
     clause_bucket,
     naive_assignment_weight,
     pareto_filter,
+    pareto_front_witnesses,
     reference_emit_masks,
     reference_maxsat_oracle,
     reference_sat_state,
@@ -35,7 +36,6 @@ from mobal.pareto import (
     even_objectives,
     is_alpha_approx_set,
     nondominated,
-    pareto_front_witnesses,
 )
 
 

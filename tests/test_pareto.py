@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import naive_dominates, naive_pareto_entries, pareto_filter
+from helpers import (
+    naive_dominates,
+    naive_pareto_entries,
+    pareto_filter,
+    pareto_front_witnesses,
+)
 from mobal.errors import DimensionMismatchError, PreconditionError
 from mobal.pareto import (
     SolutionSet,
@@ -12,7 +17,6 @@ from mobal.pareto import (
     covers,
     is_alpha_approx_set,
     nondominated,
-    pareto_front_witnesses,
 )
 from mobal.rng import SplitMix64
 
