@@ -34,11 +34,7 @@ from .instances import (
 )
 from .matching import ExactMatchingBackend
 from .maxatsp import maxatsp_approx, tsp_oracle
-from .maxsat import (
-    CnfInstance,
-    maxsat_approx,
-    maxsat_oracle,
-)
+from .maxsat import CnfInstance, maxsat_approx, maxsat_oracle
 from .pareto import (
     ApproxCertificate,
     SolutionSet,

@@ -127,17 +127,11 @@ def _add_certificate(report: RunReport, cert: ApproxCertificate) -> None:
     finite = [r for r in ratios if r is not None]
     if cert.ok:
         report.add("cover_min", _fmt_ratio(min(finite) if finite else None))
-    else:
-        entry = cert.uncovered_entry()
-        assert entry is not None
-        report.add("uncovered_weight", _fmt_vec(entry[1]))
-    if cert.ok:
         report.note("certificate", f"SUCCESS at alpha={cert.alpha} ({len(cert.pairs)} points covered)")
     else:
-        report.note(
-            "certificate",
-            f"FAILED at alpha={cert.alpha}: weight {cert.uncovered_entry()[1]} uncovered",
-        )
+        weight = cert.uncovered_entry()[1]
+        report.add("uncovered_weight", _fmt_vec(weight))
+        report.note("certificate", f"FAILED at alpha={cert.alpha}: weight {weight} uncovered")
         report.exit_code = EXIT_CERT_FAILED
 
 

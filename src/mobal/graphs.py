@@ -47,9 +47,7 @@ class LabeledDigraph:
         if len(set(verts)) != len(verts) or not verts:
             raise PreconditionError("vertices must be distinct and nonempty")
         object.__setattr__(self, "vertices", verts)
-        expected = {
-            (u, v) for u in verts for v in verts if u != v
-        }
+        expected = {(u, v) for u in verts for v in verts if u != v}
         if set(self.weight_map) != expected:
             raise PreconditionError(
                 "weight map must cover exactly all ordered pairs of distinct vertices"
@@ -96,10 +94,8 @@ def is_hamiltonian_cycle(g: LabeledDigraph, edges: Iterable[Edge]) -> bool:
     n = g.num_vertices
     if len(edge_list) != n or n < 2:
         return False
-    wm = g.weight_map
-    for e in edge_list:
-        if e not in wm:
-            return False
+    if not all(e in g.weight_map for e in edge_list):
+        return False
     succ = dict(edge_list)
     if len(succ) != n:
         return False

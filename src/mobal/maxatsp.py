@@ -54,10 +54,8 @@ gives the one tour of G that contains F, which is T.  Every pooled tour
 is a Hamiltonian cycle of G, so the pool holds every tour and nothing
 else, and every tour of each front weight is kept.  So
 `maxatsp_approx` skips path sets, contraction and the backend and runs
-`_front_tours`, the pass `tsp_oracle` shares: weigh first, witness last.
-It sums the edge weights of each vertex order's cycle, groups the
-orders by weight, and builds sorted edge tuples only for the orders of
-front weights.  The output is the sweep's, byte for byte.
+`_front_tours`, the pass `tsp_oracle` shares: weigh first, witness
+last.  The output is the sweep's, byte for byte.
 """
 
 from __future__ import annotations
@@ -67,11 +65,10 @@ from math import comb, factorial
 from operator import add
 from typing import Iterable, Iterator
 
-from . import pareto
-from .errors import BudgetExceededError, PreconditionError
-from .graphs import Edge, LabeledDigraph, lift_edges, lift_tour
+from .errors import BudgetExceededError, PreconditionError, SearchInvariantError
+from .graphs import Edge, LabeledDigraph, is_hamiltonian_cycle, lift_edges
 from .matching import ExactMatchingBackend
-from .pareto import SolutionSet, Weight, even_objectives, nondominated
+from .pareto import Packing, SolutionSet, Weight, even_objectives, nondominated, vec_total
 
 DEFAULT_MAXATSP_BUDGET = 10**6
 # `tsp_oracle` enumerates all (n - 1)! tours
@@ -198,16 +195,15 @@ def maxatsp_approx(g: LabeledDigraph, *, budget: int | None = None) -> SolutionS
         return SolutionSet.build((t, w) for w, ts in _front_tours(g).items() for t in ts)
     # one backend, built for g, answers every path set from its ends
     # and shares DP states between them (`mobal.matching`)
-    pool = _sweep(g, counts, ExactMatchingBackend(g))
-    front = nondominated(pool.keys())
-    return SolutionSet.build((enc, w) for w in front for enc in pool[w])
+    return _sweep(g, counts, ExactMatchingBackend(g))
 
 
 def _sweep(
     g: LabeledDigraph, sizes: Iterable[int], backend: ExactMatchingBackend
-) -> dict[Weight, set[Cycle]]:
-    """Every tour the sweep over the path sets of the given sizes emits,
-    keyed by weight: one backend call per distinct contracted graph."""
+) -> SolutionSet:
+    """Every tour of each front weight that the sweep over path sets of the
+    given sizes emits, one backend call per distinct contracted graph.  Tours
+    are joined as in `lift_tour`, whose check runs on output tours alone."""
     pool: dict[Weight, set[Cycle]] = {}
     # (lifted edges, w'(T')) of every tour T' of each contracted graph
     # that a later path set of the same size can share (module docstring)
@@ -232,9 +228,12 @@ def _sweep(
                 shared[key] = tours
         f_weight = g.edge_set_weight(f)
         for lifted, w in tours:
-            t = lift_tour(g, f, lifted)
-            pool.setdefault(tuple(map(add, f_weight, w)), set()).add(t)
-    return pool
+            tour = tuple(sorted((*f, *lifted)))
+            pool.setdefault(tuple(map(add, f_weight, w)), set()).add(tour)
+    front = [(t, w) for w in nondominated(pool) for t in pool[w]]
+    if not all(is_hamiltonian_cycle(g, t) for t, _ in front):
+        raise SearchInvariantError("expansion produced a non-Hamiltonian edge set")
+    return SolutionSet.build(front)
 
 
 def _path_ends(f: Iterable[Edge]) -> tuple[frozenset[int], dict[int, int]]:
@@ -257,24 +256,24 @@ def _front_tours(g: LabeledDigraph) -> dict[Weight, list[Cycle]]:
     """Every Hamiltonian cycle of g of each nondominated tour weight,
     as sorted edge tuples keyed by that weight.
 
-    One pass over the (n - 1)! orders of the vertices after the first:
-    each order is weighed along its cycle from the first vertex and back
-    and grouped by weight, and only the orders of front weights become
-    edge tuples.  Every order is held until the front is known.
+    Each of the (n - 1)! orders of the vertices after the first is
+    weighed along its cycle as a sum of edge weights packed by
+    `pareto.Packing`, bounded by the total of all edges, which no tour
+    exceeds.  Only front weights are unpacked and only their orders
+    become edge tuples; every order is held until the front is known.
     """
     if g.num_vertices < 2:
         raise PreconditionError("need at least two vertices")
     start, *rest = g.vertices
-    weight_of = g.weight_map.__getitem__
-    by_weight: dict[Weight, list[tuple[int, ...]]] = {}
+    packing = Packing(vec_total(g.weight_map.values(), g.dimension))
+    weight_of = {e: packing.pack(w) for e, w in g.weight_map.items()}.__getitem__
+    by_weight: dict[int, list[tuple[int, ...]]] = {}
     for order in permutations(rest):
-        weights = map(weight_of, zip((start, *order), (*order, start)))
-        by_weight.setdefault(tuple(map(sum, zip(*weights))), []).append(order)
-    # called through `pareto`: perfbench times this module's `nondominated`
-    # as the approximation's pool filter, and the oracle runs this pass too
+        packed = sum(map(weight_of, zip((start, *order), (*order, start))))
+        by_weight.setdefault(packed, []).append(order)
     return {
-        w: [tuple(sorted(zip((start, *order), (*order, start)))) for order in by_weight[w]]
-        for w in pareto.nondominated(by_weight)
+        packing.unpack(p): [tuple(sorted(zip((start, *o), (*o, start)))) for o in by_weight[p]]
+        for p in packing.front(by_weight)
     }
 
 
@@ -283,8 +282,8 @@ def tsp_oracle(g: LabeledDigraph) -> SolutionSet:
 
     One canonical witness (smallest sorted edge tuple) per nondominated
     weight.  `_front_tours` holds all 8! vertex orders at the cap, n = 9,
-    until the front is known: tracemalloc read peaks of 4.7 MiB at dim
-    1, 6.6 MiB at dim 2 and 13.3 MiB at dim 3 (CPython 3.11, bound 30).
+    until the front is known: tracemalloc read peaks of 4.1 MiB at dim
+    1, 5.6 MiB at dim 2 and 10.0 MiB at dim 3 (CPython 3.11, bound 30).
     """
     if g.num_vertices > ORACLE_VERTEX_CAP:
         raise BudgetExceededError(

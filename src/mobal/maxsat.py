@@ -48,18 +48,11 @@ summing over X_c gives |X_c| <= 2k.  With at most 2k objectives, at
 most (2k)^2 < m variables could be in V1, a contradiction.
 
 Both the sweep and the 2^m oracle weigh assignments through one clause
-table (`_ClauseTable`).  Each clause's weight vector is packed into a
-single int, objective c in the field at bit c * width, where width is
-one bit more than the bit length of the largest objective total.  A
-field of any sum of clause weights holds at most that objective's total,
-so it never carries into the next field and integer addition of packed
-values is exact vector addition; the spare top bit also lets two packed
-vectors be compared field by field with one subtraction.  The
-satisfied-clause set of an assignment is the union of the sets its two
-variable halves satisfy (Horowitz & Sahni's meet-in-the-middle split,
-J. ACM 21(2), 1974), read from two tables of at most 2^ceil(m/2)
-entries; its packed weight is a sum of lookups, eight clauses at a
-time.  Fields are unpacked only for distinct weights.
+table (`_ClauseTable`), in ints packed by `pareto.Packing` under the
+objective totals, and take fronts packed.  An assignment satisfies the
+clauses its two variable halves do, read from two tables of at most
+2^ceil(m/2) entries (Horowitz & Sahni's split, J. ACM 21(2), 1974); its
+packed weight is a sum of lookups, eight clauses at a time.
 """
 
 from __future__ import annotations
@@ -72,13 +65,7 @@ from operator import add
 from typing import Iterable, Iterator
 
 from .errors import BudgetExceededError, PreconditionError
-from .pareto import (
-    SolutionSet,
-    Weight,
-    even_objectives,
-    nondominated,
-    vec_total,
-)
+from .pareto import Packing, SolutionSet, Weight, even_objectives, vec_total
 
 Assignment = tuple[int, ...]
 
@@ -141,12 +128,8 @@ class _ClauseTable:
     """
 
     def __init__(self, inst: CnfInstance):
-        m, dim = inst.num_vars, inst.dimension
-        # the spare top bit of each field is the guard bit of `within`
-        width = max(vec_total(inst.weights, dim)).bit_length() + 1
-        self.shifts = tuple(range(0, width * dim, width))
-        self.field_mask = (1 << width) - 1
-        self.guards = sum(1 << (s + width - 1) for s in self.shifts)
+        m = inst.num_vars
+        self.packing = Packing(vec_total(inst.weights, inst.dimension))
         # clauses holding literal j+1 / -(j+1)
         self.pos_clauses = [0] * m
         self.neg_clauses = [0] * m
@@ -166,7 +149,7 @@ class _ClauseTable:
         for start in range(0, len(inst.clauses), 8):
             sums = [0]
             for w in inst.weights[start : start + 8]:
-                packed = self.pack(w)
+                packed = self.packing.pack(w)
                 sums += [s + packed for s in sums]
             self.chunks.append(sums)
 
@@ -178,22 +161,6 @@ class _ClauseTable:
                 t | self.pos_clauses[j] for t in table
             ]
         return table
-
-    def pack(self, w: Weight) -> int:
-        return sum(c << s for c, s in zip(w, self.shifts))
-
-    def unpack(self, packed: int) -> Weight:
-        fm = self.field_mask
-        return tuple([(packed >> s) & fm for s in self.shifts])
-
-    def within(self, packed: int, bound: int) -> bool:
-        """Whether every field of `packed` is at most that of `bound`.
-
-        Both must be packed vectors whose fields leave the guard bit
-        clear; a field then subtracts without borrowing from the next,
-        and its guard bit survives exactly when the field is in bounds.
-        """
-        return ((bound | self.guards) - packed) & self.guards == self.guards
 
     def satisfied(self, masks: Iterable[int]) -> list[int]:
         """Satisfied-clause set of each assignment mask."""
@@ -228,10 +195,11 @@ def _v1(table: _ClauseTable, discarded: int, two_k: int, candidates: int) -> int
     rest, *neg_weights = table.weigh(negs)
     # 2k * w > r  <=>  w > r // 2k, so v stays out of V1 iff its
     # negative weight is within the per-objective floors
-    floors = table.pack([r // two_k for r in table.unpack(rest)])
+    packing = table.packing
+    floors = packing.pack([r // two_k for r in packing.unpack(rest)])
     v1 = 0
     for bit, packed in zip(bits, neg_weights):
-        if not table.within(packed, floors):
+        if not packing.within(packed, floors):
             v1 |= bit
     return v1
 
@@ -323,11 +291,11 @@ def maxsat_approx(inst: CnfInstance, *, budget: int | None = None) -> SolutionSe
     by_weight: dict[int, list[int]] = {}
     for mask, packed in zip(order, table.weigh(table.satisfied(order))):
         by_weight.setdefault(packed, []).append(mask)
-    weights = {table.unpack(packed): packed for packed in by_weight}
+    packing = table.packing
     return SolutionSet.build(
-        (tuple((mask >> j) & 1 for j in range(m)), w)
-        for w in nondominated(weights)
-        for mask in by_weight[weights[w]]
+        (tuple((mask >> j) & 1 for j in range(m)), packing.unpack(p))
+        for p in packing.front(by_weight)
+        for mask in by_weight[p]
     )
 
 
@@ -353,10 +321,9 @@ def maxsat_oracle(inst: CnfInstance) -> SolutionSet:
         for j, packed in enumerate(row):
             if packed not in best:
                 best[packed] = (i << inner_bits) | j
-    firsts = {table.unpack(packed): a for packed, a in best.items()}
     return SolutionSet.build(
-        (tuple((firsts[w] >> (m - 1 - j)) & 1 for j in range(m)), w)
-        for w in nondominated(firsts)
+        (tuple((best[p] >> (m - 1 - j)) & 1 for j in range(m)), table.packing.unpack(p))
+        for p in table.packing.front(best)
     )
 
 

@@ -90,30 +90,80 @@ class SolutionSet:
         return tuple(w for _, w in self.entries)
 
 
+class Packing:
+    """Weight vectors packed into single ints, and their Pareto front.
+
+    Objective c sits in the field at bit c * width, width being one bit
+    more than the bit length of the largest per-objective bound.  A field
+    of any sum of vectors within the bounds holds at most its bound, so
+    it never carries into the next: adding packed ints adds vectors.  The
+    spare top bit, the guard bit, lets `within` compare fields with one
+    subtraction: no field borrows from the next, and a guard bit survives
+    exactly when its field is in bounds.  Fronts are taken on packed
+    ints, so only front weights need unpacking.
+    """
+
+    def __init__(self, bounds: Weight):
+        width = max(bounds).bit_length() + 1
+        self.shifts = tuple(range(0, width * len(bounds), width))
+        self.field_mask = (1 << width) - 1
+        self.guards = sum(1 << (s + width - 1) for s in self.shifts)
+
+    def pack(self, w: Iterable[int]) -> int:
+        return sum(c << s for c, s in zip(w, self.shifts))
+
+    def unpack(self, packed: int) -> Weight:
+        return tuple([(packed >> s) & self.field_mask for s in self.shifts])
+
+    def within(self, packed: int, bound: int) -> bool:
+        """Whether every field of `packed` is at most that of `bound`."""
+        return ((bound | self.guards) - packed) & self.guards == self.guards
+
+    def front(self, distinct: Iterable[int]) -> list[int]:
+        """The nondominated members of distinct packed vectors, descending:
+        each sorts after all that dominate it, so `nondominated`'s sweep holds."""
+        ordered = sorted(distinct, reverse=True)
+        if len(self.shifts) <= 2:
+            # a vector survives iff its low field beats all above it
+            fm, best, kept = self.field_mask, -1, []
+            for p in ordered:
+                if p & fm > best:
+                    kept.append(p)
+                    best = p & fm
+            return kept
+        guards = self.guards
+        raised: list[int] = []  # the front so far, guard bits set
+        for p in ordered:
+            for r in raised:
+                if (r - p) & guards == guards:
+                    break
+            else:
+                raised.append(p | guards)
+        return [r ^ guards for r in raised]
+
+
 def nondominated(weights: Iterable[Weight]) -> set[Weight]:
-    """The nondominated members of a collection of weight vectors."""
-    distinct = list(set(weights))
+    """The nondominated members of a collection of weight vectors.  The
+    matching DP and the MaxATSP sweep's pool filter their tuples here:
+    packing their weights (`Packing`) was tried and gained nothing."""
+    distinct = sorted(set(weights), reverse=True)
     if not distinct:
         return set()
     dim = len(distinct[0])
     for w in distinct:
         if len(w) != dim:
             raise DimensionMismatchError("mixed dimensions in weight collection")
+    # Descending lexicographic sweep (Kung, Luccio & Preparata 1975):
+    # whatever dominates w sorts before it, and a dominated dominator is
+    # itself dominated by a front member, so checking the front suffices;
+    # at dim 2 that is the member with the largest second component.
     if dim == 2:
-        # Descending sweep: a vector survives iff its second component
-        # beats everything with a lexicographically larger weight.
-        distinct.sort(reverse=True)
-        front: set[Weight] = set()
-        best: int | None = None
+        front, best = set(), None
         for w in distinct:
             if best is None or w[1] > best:
                 front.add(w)
                 best = w[1]
         return front
-    # Descending lexicographic sweep (Kung, Luccio & Preparata 1975):
-    # whatever dominates w sorts before it, and a dominated dominator is
-    # itself dominated by a front member, so checking the front suffices.
-    distinct.sort(reverse=True)
     kept: list[Weight] = []
     for w in distinct:
         for v in kept:
@@ -190,7 +240,5 @@ def is_alpha_approx_set(
                 pairs.append((i, j))
                 break
         else:
-            return ApproxCertificate(
-                False, alpha, candidates, reference, tuple(pairs), i
-            )
+            return ApproxCertificate(False, alpha, candidates, reference, tuple(pairs), i)
     return ApproxCertificate(True, alpha, candidates, reference, tuple(pairs), None)

@@ -506,9 +506,7 @@ def swept(g: LabeledDigraph, *, backend=None) -> SolutionSet:
     instead of sweeping.  No budget guard."""
     if backend is None:
         backend = ExactMatchingBackend(g)
-    pool = _sweep(g, sweep_sizes(g), backend)
-    front = nondominated(pool.keys())
-    return SolutionSet.build((enc, w) for w in front for enc in pool[w])
+    return _sweep(g, sweep_sizes(g), backend)
 
 
 def odd_wrapper_reference(g: LabeledDigraph) -> SolutionSet:

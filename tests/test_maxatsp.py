@@ -35,6 +35,7 @@ from mobal.matching import ExactMatchingBackend
 from mobal.maxatsp import (
     DEFAULT_MAXATSP_BUDGET,
     _chain_fragments,
+    _front_tours,
     _path_ends,
     _sweep,
     approx_cost_estimate,
@@ -544,6 +545,25 @@ def test_tsp_oracle_matches_full_enumeration():
         full = all_cycles_with_weights(g)
         assert set(tsp_oracle(g).weights()) == set(nondominated(w for _, w in full))
         assert tsp_oracle(g) == pareto_front_witnesses(full)
+
+
+def test_front_tours_whose_totals_reach_a_power_of_two():
+    # objective 0 weighs 1 on every edge, so every tour at n = 4 totals
+    # 4 = 2^2 there: a field sized for one edge's weight would carry it
+    # into the next objective; sized for the total of all edges, it fits
+    rng = SplitMix64(92_000)
+    for dim in (1, 2, 3):
+        for _ in range(4):
+            wm = {
+                (u, v): (1, *(rng.randint(0, 3) for _ in range(dim - 1)))
+                for u in range(4) for v in range(4) if u != v
+            }
+            g = LabeledDigraph.from_weights(4, wm)
+            tours = _front_tours(g)
+            assert all(w[0] == 4 for w in tours)
+            out = SolutionSet.build((t, w) for w, ts in tours.items() for t in ts)
+            assert out == all_tours_front(g)
+            assert tsp_oracle(g) == pareto_front_witnesses(all_cycles_with_weights(g))
 
 
 def test_tsp_oracle_stable_under_relabeling():

@@ -12,6 +12,7 @@ from helpers import (
 )
 from mobal.errors import DimensionMismatchError, PreconditionError
 from mobal.pareto import (
+    Packing,
     SolutionSet,
     cover_ratio,
     covers,
@@ -163,3 +164,45 @@ def test_nondominated_sweep_matches_all_pairs_definition(weights):
         w for w in distinct if not any(naive_dominates(v, w) for v in distinct)
     }
     assert nondominated(weights) == expected
+
+
+def packed_front_corpus():
+    """Seeded distinct weight lists: dims 1-6, 0-200 weights, bounds
+    0/1/2/30.  A coordinate is the bound, 0 or uniform, a third each, so
+    every coordinate ties heavily and fields equal to the bound fill a
+    field right up to its guard bit; in half the lists the top
+    objective is the bound throughout, so the descending order ties in
+    the high field."""
+    rng = SplitMix64(91_000)
+    for dim in range(1, 7):
+        for bound in (0, 1, 2, 30):
+            for count in (0, 1, 2, 20, 200):
+                for top_fixed in (False, True):
+                    weights = set()
+                    for _ in range(count):
+                        w = [(bound, 0, rng.randint(0, bound))[rng.randint(0, 2)] for _ in range(dim)]
+                        if top_fixed:
+                            w[-1] = bound
+                        weights.add(tuple(w))
+                    yield (bound,) * dim, weights
+
+
+def test_packed_front_matches_nondominated():
+    cases = 0
+    for bounds, weights in packed_front_corpus():
+        packing = Packing(bounds)
+        packed = {packing.pack(w) for w in weights}
+        assert len(packed) == len(weights)
+        front = packing.front(packed)
+        assert front == sorted(set(front), reverse=True)
+        assert {packing.unpack(p) for p in front} == nondominated(weights)
+        cases += 1
+    assert cases == 6 * 4 * 5 * 2
+
+
+def test_packed_within_compares_every_field():
+    packing = Packing((2, 2, 2))
+    for a in ((0, 0, 0), (2, 2, 2), (2, 0, 1), (1, 2, 2)):
+        for b in ((0, 0, 0), (2, 2, 2), (2, 1, 1), (1, 2, 0)):
+            expected = all(x <= y for x, y in zip(a, b))
+            assert packing.within(packing.pack(a), packing.pack(b)) == expected
