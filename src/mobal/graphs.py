@@ -10,9 +10,8 @@ that vanish and each head's last vertex, w'(h, z) = w(last[h], z), in
 any path order.  The matching backend reads G/F off G and those ends
 without building it.  Expansion inverts the contraction in one pass on
 a Hamiltonian cycle T of G/F: each edge (h, x) leaving a head becomes
-(last, x), every other edge of T stays (`lift_edges`), and the path
-edges are added back (`lift_tour`), which adds back exactly the
-contracted weight.
+(last, x), every other edge of T stays (`lift_edges`), and adding the
+path edges back adds back exactly the contracted weight.
 
 Edge sets double as solutions in three roles: matchings (no two edges
 share any endpoint), path sets, and Hamiltonian cycles.  They are kept
@@ -24,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import PreconditionError, SearchInvariantError
+from .errors import PreconditionError
 from .pareto import Weight
 
 Edge = tuple[int, int]
@@ -76,11 +75,6 @@ class LabeledDigraph:
     def edges(self) -> tuple[Edge, ...]:
         return tuple(sorted(self.weight_map))
 
-    def edge_set_weight(self, edges: Iterable[Edge]) -> Weight:
-        # every weight has the graph's dimension, checked when it was built
-        weights = map(self.weight_map.__getitem__, edges)
-        return tuple(map(sum, zip(*weights))) or (0,) * self.dimension
-
 
 def is_hamiltonian_cycle(g: LabeledDigraph, edges: Iterable[Edge]) -> bool:
     """One directed cycle visiting every vertex of g exactly once.
@@ -117,18 +111,3 @@ def lift_edges(last: Mapping[int, int], t: Iterable[Edge]) -> tuple[Edge, ...]:
     """
     return tuple([(last.get(u, u), v) for u, v in t])
 
-
-def lift_tour(
-    g: LabeledDigraph, f: Iterable[Edge], lifted: Iterable[Edge]
-) -> tuple[Edge, ...]:
-    """The path set f plus the lifted edges of a tour of g/f, sorted.
-
-    One Hamiltonian check, on the result, raises SearchInvariantError:
-    for a tour of g/f the result is always a Hamiltonian cycle of g, of
-    weight w(f) + w'(tour).
-    """
-    tour = [*f, *lifted]
-    tour.sort()
-    if not is_hamiltonian_cycle(g, tour):
-        raise SearchInvariantError("expansion produced a non-Hamiltonian edge set")
-    return tuple(tour)

@@ -10,18 +10,21 @@ leaves v uncovered or pairs it with some u in S - v through
 
 where ND drops entries whose weight another entry's weight dominates
 (a dominated partial matching stays dominated after the same edges are
-added to it and its dominator).  Witnesses follow one rule: every state
-keeps, per key (weight, edge count), the smallest sorted edge tuple.
-Keying by weight alone would not be exact: inserting one edge into two
-sorted tuples keeps their order when they have equal length, but can
-reverse it when one is a proper prefix of the other.  The root inserts
-no further edge, so it keeps the smallest tuple per weight directly,
-and per front weight that is the canonical witness an exhaustive
-enumeration would pick.  It must compare, not keep the first tuple of
-each weight: with heads it removes a head, not the smallest vertex, so
-a matching extended through that head need not sort first (with tail 5
-and head 4 on six vertices, ((0, 4), (1, 2)) comes before
-((0, 3), (1, 2)); `tests/test_matching.py`).
+added to it and its dominator).  A state key is one int: the packed
+weight (`pareto.Packing`, bounded by the total of G's edges) above a
+field for the edge count, at most n // 2.  An edge's key is its packed
+weight above a count of one, so adding keys adds both; `Packing.front`
+reads the weight bits alone.  Witnesses follow one rule: every state
+keeps, per key, the smallest sorted edge tuple.  Keying by weight alone would not be exact:
+inserting one edge into two sorted tuples keeps their order when they
+have equal length, but can reverse it when one is a proper prefix of
+the other.  The root inserts no further edge, so it keeps the smallest
+tuple per weight directly, and per front weight that is the canonical
+witness an exhaustive enumeration would pick.  It must compare, not
+keep the first tuple of each weight: with heads it removes a head, not
+the smallest vertex, so a matching extended through that head need not
+sort first (with tail 5 and head 4 on six vertices, ((0, 4), (1, 2))
+comes before ((0, 3), (1, 2)); `tests/test_matching.py`).
 
 A backend is built for one reference graph G and answers G/F for path
 sets F of G from F's ends alone: the tails, which vanish, and each head
@@ -37,21 +40,22 @@ state holds h0 alone, and the path sets a sweep visits in a row often
 share h0's path and so those states.  Keyed states are kept only while
 the calls with two or more heads keep (h0, last[h0]), and are dropped
 when either changes; a call with one head removes it at the root and
-makes no keyed state.  An instance must not serve concurrent callers.
+makes no keyed state.  `packed_matchings` answers in packed ints, which
+the MaxATSP sweep adds as they are; `pareto_matchings` unpacks them.
+An instance must not serve concurrent callers.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
-from operator import add
 from typing import Collection, Mapping
 
 from .errors import PreconditionError
 from .graphs import Edge, LabeledDigraph
-from .pareto import SolutionSet, Weight, nondominated
+from .pareto import Packing, SolutionSet, vec_total
 
-# one DP state: (weight, edge count) -> smallest sorted edge tuple
-_State = dict[tuple[Weight, int], tuple[Edge, ...]]
+# one DP state: packed weight << count bits | edge count -> smallest sorted edge tuple
+_State = dict[int, tuple[Edge, ...]]
 
 
 class ExactMatchingBackend:
@@ -64,14 +68,24 @@ class ExactMatchingBackend:
     def __init__(self, reference: LabeledDigraph):
         self.reference = reference
         self._index = {v: i for i, v in enumerate(reference.vertices)}
-        self._memo: dict[int, _State] = {0: {((0,) * reference.dimension, 0): ()}}
+        self.packing = Packing(vec_total(reference.weight_map.values(), reference.dimension))
+        self._cbits = cbits = (len(reference.vertices) // 2).bit_length()
+        pack = self.packing.pack
+        self._edge_keys = {e: (pack(w) << cbits) + 1 for e, w in reference.weight_map.items()}
+        self._memo: dict[int, _State] = {0: {0: ()}}
         # states holding heads, while the smallest head's path is `_scope`
         self._keyed: dict[int, _State] = {}
         self._scope: tuple[int, int] | None = None
 
-    def pareto_matchings(
+    def pareto_matchings(self, tails=(), last=None) -> SolutionSet:
+        """The Pareto matchings of G/F, one smallest witness per front weight."""
+        unpack = self.packing.unpack
+        return SolutionSet.build((m, unpack(p)) for m, p in self.packed_matchings(tails, last))
+
+    def packed_matchings(
         self, tails: Collection[int] = (), last: Mapping[int, int] | None = None
-    ) -> SolutionSet:
+    ) -> list[tuple[tuple[Edge, ...], int]]:
+        """(matching, packed weight) per front weight of G/F, weights descending."""
         last = last or {}
         index = self._index
         labels = self.reference.vertices
@@ -98,27 +112,18 @@ class ExactMatchingBackend:
             if self._scope != (pin, last[pin]):
                 self._scope = (pin, last[pin])
                 self._keyed = {}
-        wm = self.reference.weight_map
-        shared = self._memo
-        keyed = self._keyed
+        edge_key, cbits, front = self._edge_keys, self._cbits, self.packing.front
+        shared, keyed = self._memo, self._keyed
 
-        def candidates(mask: int, code: int, counted: bool) -> dict:
-            """Every key below mask, unfiltered: (weight, edge count) keys,
-            or weights alone when not `counted` (the root)."""
+        def candidates(mask: int, code: int) -> _State:
+            """Every key below mask, unfiltered."""
             # heads first, the smallest last (module docstring)
             pick = (mask & others) or (mask & heads) or mask
             low = pick & -pick
             i = low.bit_length() - 1
             v, row = labels[i], rows[i]
             rest, rest_code = mask ^ low, code - codes[i]
-            sub = solve(rest, rest_code)  # v uncovered
-            if counted:
-                best = dict(sub)
-            else:
-                best = {}
-                for (w, _), enc in sub.items():
-                    if w not in best or enc < best[w]:
-                        best[w] = enc
+            best = dict(solve(rest, rest_code))  # v uncovered
             partners = rest
             while partners:
                 b = partners & -partners
@@ -126,10 +131,9 @@ class ExactMatchingBackend:
                 j = b.bit_length() - 1
                 u = labels[j]
                 sub = solve(rest ^ b, rest_code - codes[j])
-                for e, we in (((v, u), wm[(row, u)]), ((u, v), wm[(rows[j], v)])):
-                    for (w, count), enc in sub.items():
-                        total = tuple(map(add, w, we))
-                        key = (total, count + 1) if counted else total
+                for e, inc in (((v, u), edge_key[(row, u)]), ((u, v), edge_key[(rows[j], v)])):
+                    for key, enc in sub.items():
+                        key += inc
                         k = bisect(enc, e)
                         cand = enc[:k] + (e,) + enc[k:]
                         cur = best.get(key)
@@ -141,12 +145,14 @@ class ExactMatchingBackend:
             memo = keyed if code else shared
             state = memo.get(mask | code)
             if state is None:
-                best = candidates(mask, code, True)
-                front = nondominated(w for w, _ in best)
-                state = {k: enc for k, enc in best.items() if k[0] in front}
+                best = candidates(mask, code)
+                kept = set(front({key >> cbits for key in best}))
+                state = {key: enc for key, enc in best.items() if key >> cbits in kept}
                 memo[mask | code] = state
             return state
 
-        best = candidates(root, root_code, False)
-        # weights are distinct, so weight order is the canonical order
-        return SolutionSet(tuple((best[w], w) for w in sorted(nondominated(best))))
+        # the root keeps the smallest witness per weight, whatever its count
+        witness: dict[int, tuple[Edge, ...]] = {}
+        for key, enc in candidates(root, root_code).items():
+            witness[key >> cbits] = min(enc, witness.get(key >> cbits, enc))
+        return [(witness[p], p) for p in front(witness)]

@@ -5,9 +5,9 @@ rounded up to even, it enumerates every vertex-disjoint path set F of
 0..2k edges when n is even, or of 1..2k+1 edges when n is odd,
 hands its ends to a matching backend for Pareto-optimal matchings of
 the contracted graph G/F, completes each matching deterministically to
-a Hamiltonian cycle, and expands it back through F.  Pooled,
-deduplicated and Pareto-filtered, the emitted cycles 1/2-cover every
-Hamiltonian cycle of the input.
+a Hamiltonian cycle, and weighs its expansion back through F.  The
+expanded cycles of front weights 1/2-cover every Hamiltonian cycle of
+the input.
 
 Even n: every cycle T hides a path set F of at most 2k edges and a
 matching of G/F of weight at least w(T)/2 - w(F), componentwise, and
@@ -33,26 +33,26 @@ its tails, which vanish, and the map from each path's head to its last
 vertex, whose outgoing row the head takes.  The interior vertices of a
 path vanish with it, so their order, and which path holds them, cannot
 be seen in G/F.  Path sets with the same tails and head -> last map
-therefore get the same matching front, the same contracted tours T'
-and the same lifted edges (last(a), b) for each edge (a, b) of T'.
-Only F differs between them: the tour of G is F plus the lifted edges,
-of weight w(F) + w'(T').  The sweep asks the backend once per distinct
-contracted graph and keeps its lifted tours for the later path sets of
-the same size.  Two path sets can share a graph only when |F| >= 3 and
-some vertex is interior (|F| exceeds the number of paths): two edges
-on one path leave their one interior vertex a single place.
+therefore get the same matching front and contracted tours T', which
+lift to the same edges (last(a), b) for each edge (a, b) of T'; only F
+differs, and the tour of G weighs w(F) + w'(T').  The sweep asks the
+backend once per distinct contracted graph and keeps its weighed tours
+for the later path sets of the same size.  Two path sets can share a
+graph only when |F| >= 3 and some vertex is interior (|F| exceeds the
+number of paths): two edges on one path leave their one interior
+vertex a single place.
 
 When n - 2 is one of the sweep's sizes (n <= 2k+2 at even n, n <= 2k+3
-at odd n), the sweep's pool is exactly the set of all (n-1)!
+at odd n), the sweep emits exactly the set of all (n-1)!
 Hamiltonian cycles of G.  Drop any two edges of a tour T; the
 other n - 2 edges form two vertex-disjoint paths covering V, a path set
 F of T that `path_set_candidates` yields.  G/F has two vertices, so its
 only Hamiltonian cycle is the 2-cycle, and `_chain_fragments` turns
 every matching of G/F into it, the empty one included.  The exact
 backend's front is never empty, and lifting the 2-cycle through F
-gives the one tour of G that contains F, which is T.  Every pooled tour
-is a Hamiltonian cycle of G, so the pool holds every tour and nothing
-else, and every tour of each front weight is kept.  So
+gives the one tour of G that contains F, which is T.  Every emitted
+tour is a Hamiltonian cycle of G, so the emissions are every tour and
+nothing else, and every tour of each front weight is kept.  So
 `maxatsp_approx` skips path sets, contraction and the backend and runs
 `_front_tours`, the pass `tsp_oracle` shares: weigh first, witness
 last.  The output is the sweep's, byte for byte.
@@ -62,13 +62,12 @@ from __future__ import annotations
 
 from itertools import permutations
 from math import comb, factorial
-from operator import add
 from typing import Iterable, Iterator
 
 from .errors import BudgetExceededError, PreconditionError, SearchInvariantError
 from .graphs import Edge, LabeledDigraph, is_hamiltonian_cycle, lift_edges
 from .matching import ExactMatchingBackend
-from .pareto import Packing, SolutionSet, Weight, even_objectives, nondominated, vec_total
+from .pareto import Packing, PackedFront, SolutionSet, Weight, even_objectives, vec_total
 
 DEFAULT_MAXATSP_BUDGET = 10**6
 # `tsp_oracle` enumerates all (n - 1)! tours
@@ -169,15 +168,11 @@ def approx_cost_estimate(num_vertices: int, two_k: int) -> int:
 
 
 def maxatsp_approx(g: LabeledDigraph, *, budget: int | None = None) -> SolutionSet:
-    """Contract-match-extend-expand sweep over all small path sets.
-
-    The output 1/2-covers every Hamiltonian cycle of g.  Path sets have
-    0..2k edges for an even vertex count and 1..2k+1 for an odd one;
-    the module docstring proves the guarantee for both.  When n - 2 is
-    one of those sizes the sweep would emit every tour, so the tours of
-    front weights come from `_front_tours` instead (module docstring).
-    `approx_cost_estimate` is the only size guard.
-    """
+    """Contract-match-extend-expand sweep over all small path sets, whose
+    output 1/2-covers every Hamiltonian cycle of g (module docstring).
+    When n - 2 is a path-set size the sweep would emit every tour, so the
+    tours of front weights come from `_front_tours` instead.
+    `approx_cost_estimate` is the only size guard."""
     if g.num_vertices < 2:
         raise PreconditionError("need at least two vertices")
     if budget is None:
@@ -191,7 +186,7 @@ def maxatsp_approx(g: LabeledDigraph, *, budget: int | None = None) -> SolutionS
             f"budget {budget} ({g.num_vertices} vertices, {two_k} objectives)"
         )
     if g.num_vertices - 2 in counts:
-        # the sweep would pool every tour (module docstring)
+        # the sweep would emit every tour (module docstring)
         return SolutionSet.build((t, w) for w, ts in _front_tours(g).items() for t in ts)
     # one backend, built for g, answers every path set from its ends
     # and shares DP states between them (`mobal.matching`)
@@ -202,12 +197,17 @@ def _sweep(
     g: LabeledDigraph, sizes: Iterable[int], backend: ExactMatchingBackend
 ) -> SolutionSet:
     """Every tour of each front weight that the sweep over path sets of the
-    given sizes emits, one backend call per distinct contracted graph.  Tours
-    are joined as in `lift_tour`, whose check runs on output tours alone."""
-    pool: dict[Weight, set[Cycle]] = {}
-    # (lifted edges, w'(T')) of every tour T' of each contracted graph
-    # that a later path set of the same size can share (module docstring)
-    shared: dict[tuple, list[tuple[tuple[Edge, ...], Weight]]] = {}
+    given sizes emits, one backend call per distinct contracted graph.
+    Tours are weighed in the backend's `packing`, which bounds every tour
+    of g, as w(F) + w'(M) plus the lifted connecting edges.  An online
+    front keeps (F, last, T') while no other weight dominates its own, so
+    only the final front's tours are lifted, sorted and checked."""
+    packing = backend.packing
+    weight_of = {e: packing.pack(w) for e, w in g.weight_map.items()}
+    front = PackedFront(packing)
+    # (w'(T'), T') of every tour T' of each contracted graph that a later
+    # path set of the same size can share (module docstring)
+    shared: dict[tuple, list[tuple[int, list[Edge]]]] = {}
     size = -1
     for f in path_set_candidates(g, sizes):
         if len(f) != size:
@@ -221,19 +221,23 @@ def _sweep(
         if tours is None:
             verts = [x for x in g.vertices if x not in tails]  # those of G/F
             tours = []
-            for m_enc, _ in backend.pareto_matchings(tails, last):
-                lifted = lift_edges(last, _chain_fragments(verts, m_enc))
-                tours.append((lifted, g.edge_set_weight(lifted)))
+            for m_enc, p in backend.packed_matchings(tails, last):
+                cycle = _chain_fragments(verts, m_enc)
+                p += sum([weight_of[(last.get(u, u), v)] for u, v in cycle[len(m_enc):]])
+                tours.append((p, cycle))
             if key is not None:
                 shared[key] = tours
-        f_weight = g.edge_set_weight(f)
-        for lifted, w in tours:
-            tour = tuple(sorted((*f, *lifted)))
-            pool.setdefault(tuple(map(add, f_weight, w)), set()).add(tour)
-    front = [(t, w) for w in nondominated(pool) for t in pool[w]]
-    if not all(is_hamiltonian_cycle(g, t) for t, _ in front):
+        f_weight = sum(map(weight_of.__getitem__, f))
+        for p, cycle in tours:
+            front.offer(f_weight + p, (f, last, cycle))
+    out = [
+        (tuple(sorted((*f, *lift_edges(last, cycle)))), packing.unpack(p))
+        for p, kept in front.items.items()
+        for f, last, cycle in kept
+    ]
+    if not all(is_hamiltonian_cycle(g, t) for t, _ in out):
         raise SearchInvariantError("expansion produced a non-Hamiltonian edge set")
-    return SolutionSet.build(front)
+    return SolutionSet.build(out)
 
 
 def _path_ends(f: Iterable[Edge]) -> tuple[frozenset[int], dict[int, int]]:
@@ -257,11 +261,9 @@ def _front_tours(g: LabeledDigraph) -> dict[Weight, list[Cycle]]:
     as sorted edge tuples keyed by that weight.
 
     Each of the (n - 1)! orders of the vertices after the first is
-    weighed along its cycle as a sum of edge weights packed by
-    `pareto.Packing`, bounded by the total of all edges, which no tour
-    exceeds.  Only front weights are unpacked and only their orders
-    become edge tuples; every order is held until the front is known.
-    """
+    weighed along its cycle in ints packed by `pareto.Packing`, bounded
+    by the total of all edges.  Only front weights are unpacked and only
+    their orders become edge tuples; every order is held until then."""
     if g.num_vertices < 2:
         raise PreconditionError("need at least two vertices")
     start, *rest = g.vertices

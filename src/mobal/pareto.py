@@ -9,9 +9,9 @@ by floating point: the cover test ``alpha * opt <= out`` is evaluated as
 
 from __future__ import annotations
 
+from bisect import bisect, bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import ge
 from typing import Any, Iterable, Iterator
 
 from .errors import DimensionMismatchError, PreconditionError
@@ -100,7 +100,8 @@ class Packing:
     spare top bit, the guard bit, lets `within` compare fields with one
     subtraction: no field borrows from the next, and a guard bit survives
     exactly when its field is in bounds.  Fronts are taken on packed
-    ints, so only front weights need unpacking.
+    ints, so only front weights need unpacking.  Both MaxSAT passes, the
+    matching DP and both MaxATSP passes weigh this way.
     """
 
     def __init__(self, bounds: Weight):
@@ -120,8 +121,9 @@ class Packing:
         return ((bound | self.guards) - packed) & self.guards == self.guards
 
     def front(self, distinct: Iterable[int]) -> list[int]:
-        """The nondominated members of distinct packed vectors, descending:
-        each sorts after all that dominate it, so `nondominated`'s sweep holds."""
+        """The nondominated members of distinct packed vectors, descending.
+        Kung, Luccio & Preparata (1975): whatever dominates p sorts before
+        it, and a front member dominates any dominated dominator."""
         ordered = sorted(distinct, reverse=True)
         if len(self.shifts) <= 2:
             # a vector survives iff its low field beats all above it
@@ -142,36 +144,47 @@ class Packing:
         return [r ^ guards for r in raised]
 
 
-def nondominated(weights: Iterable[Weight]) -> set[Weight]:
-    """The nondominated members of a collection of weight vectors.  The
-    matching DP and the MaxATSP sweep's pool filter their tuples here:
-    packing their weights (`Packing`) was tried and gained nothing."""
-    distinct = sorted(set(weights), reverse=True)
-    if not distinct:
-        return set()
-    dim = len(distinct[0])
-    for w in distinct:
-        if len(w) != dim:
-            raise DimensionMismatchError("mixed dimensions in weight collection")
-    # Descending lexicographic sweep (Kung, Luccio & Preparata 1975):
-    # whatever dominates w sorts before it, and a dominated dominator is
-    # itself dominated by a front member, so checking the front suffices;
-    # at dim 2 that is the member with the largest second component.
-    if dim == 2:
-        front, best = set(), None
-        for w in distinct:
-            if best is None or w[1] > best:
-                front.add(w)
-                best = w[1]
-        return front
-    kept: list[Weight] = []
-    for w in distinct:
-        for v in kept:
-            if all(map(ge, v, w)):
-                break
+class PackedFront:
+    """The front of packed weights offered one at a time, with the items of
+    each front weight; a weight's items go once another one dominates it.
+    At two objectives or fewer the front is a staircase of ascending ints,
+    so of descending low fields: p is dominated iff the first member at or
+    above p's high field has a low field at least p's, and p dominates a
+    run of members just below it.  At three or more, each member is
+    compared through guard bits, as in `within`."""
+
+    def __init__(self, packing: Packing):
+        self.packing = packing
+        self.items: dict[int, list] = {}  # front weight -> its items
+        self._stairs: list[int] = []  # front weights ascending, at dim <= 2
+
+    def offer(self, p: int, item: Any) -> None:
+        """Keep item under weight p unless a member dominates p."""
+        items = self.items
+        if p in items:  # a tie: equal weights never dominate each other
+            items[p].append(item)
+            return
+        packing = self.packing
+        if len(packing.shifts) <= 2:
+            stairs, fm = self._stairs, packing.field_mask
+            lo = p & fm
+            i = bisect_left(stairs, p - lo)
+            if i < len(stairs) and stairs[i] & fm >= lo:
+                return
+            j = k = bisect(stairs, p)
+            while k and stairs[k - 1] & fm <= lo:
+                k -= 1
+            for q in stairs[k:j]:
+                del items[q]
+            stairs[k:j] = [p]
         else:
-            kept.append(w)
-    return set(kept)
+            guards = packing.guards
+            if any(((q | guards) - p) & guards == guards for q in items):
+                return
+            raised = p | guards
+            for q in [q for q in items if (raised - q) & guards == guards]:
+                del items[q]
+        items[p] = [item]
 
 
 def covers(candidate: Weight, reference: Weight, alpha: Fraction) -> bool:

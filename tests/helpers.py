@@ -6,9 +6,11 @@ against the library's internals, so the cross-checks stay meaningful.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
-from typing import Any, Iterable, Mapping
+from operator import add, ge
+from typing import Any, Collection, Iterable, Mapping
 
 from mobal.balancing import (
     BalanceResult,
@@ -16,13 +18,12 @@ from mobal.balancing import (
     IntervalFamily,
     balance_combinatorial,
 )
-from mobal.errors import PreconditionError
+from mobal.errors import DimensionMismatchError, PreconditionError, SearchInvariantError
 from mobal.graphs import (
     Edge,
     LabeledDigraph,
     is_hamiltonian_cycle,
     lift_edges,
-    lift_tour,
 )
 from mobal.instances import GeneratorSpec, generate
 from mobal.matching import ExactMatchingBackend
@@ -39,11 +40,42 @@ from mobal.pareto import (
     SolutionSet,
     Weight,
     even_objectives,
-    nondominated,
     vec_sub,
     vec_total,
 )
 from mobal.rng import SplitMix64
+
+
+def nondominated(weights: Iterable[Weight]) -> set[Weight]:
+    """The nondominated members of a collection of weight vectors, as
+    weight tuples.  The library filters packed ints (`Packing.front`);
+    this tuple filter serves the test-side references."""
+    distinct = sorted(set(weights), reverse=True)
+    if not distinct:
+        return set()
+    dim = len(distinct[0])
+    for w in distinct:
+        if len(w) != dim:
+            raise DimensionMismatchError("mixed dimensions in weight collection")
+    # Descending lexicographic sweep (Kung, Luccio & Preparata 1975):
+    # whatever dominates w sorts before it, and a dominated dominator is
+    # itself dominated by a front member, so checking the front suffices;
+    # at dim 2 that is the member with the largest second component.
+    if dim == 2:
+        front, best = set(), None
+        for w in distinct:
+            if best is None or w[1] > best:
+                front.add(w)
+                best = w[1]
+        return front
+    kept: list[Weight] = []
+    for w in distinct:
+        for v in kept:
+            if all(map(ge, v, w)):
+                break
+        else:
+            kept.append(w)
+    return set(kept)
 
 
 def pareto_filter(s: SolutionSet) -> SolutionSet:
@@ -97,6 +129,12 @@ def assignment_weight(inst: CnfInstance, assignment: Assignment) -> Weight:
         ),
         inst.dimension,
     )
+
+
+def edge_set_weight(g: LabeledDigraph, edges: Iterable[Edge]) -> Weight:
+    """The componentwise sum of the weights of some edges of g."""
+    weights = map(g.weight_map.__getitem__, edges)
+    return tuple(map(sum, zip(*weights))) or (0,) * g.dimension
 
 
 def is_matching(edges: Iterable[Edge]) -> bool:
@@ -181,6 +219,22 @@ def contract_ends(g: LabeledDigraph, tails, last) -> LabeledDigraph:
     )
     object.__setattr__(h, "dimension", g.dimension)
     return h
+
+
+def lift_tour(
+    g: LabeledDigraph, f: Iterable[Edge], lifted: Iterable[Edge]
+) -> tuple[Edge, ...]:
+    """The path set f plus the lifted edges of a tour of g/f, sorted.
+
+    One Hamiltonian check, on the result, raises SearchInvariantError:
+    for a tour of g/f the result is always a Hamiltonian cycle of g, of
+    weight w(f) + w'(tour).  The sweep joins its output tours this way.
+    """
+    tour = [*f, *lifted]
+    tour.sort()
+    if not is_hamiltonian_cycle(g, tour):
+        raise SearchInvariantError("expansion produced a non-Hamiltonian edge set")
+    return tuple(tour)
 
 
 def contract_path_set(g: LabeledDigraph, f) -> LabeledDigraph:
@@ -445,7 +499,7 @@ def matchings_by_subset_filter(g: LabeledDigraph, max_edges: int | None = None):
     for size in range(cap + 1):
         for combo in combinations(edges, size):
             if is_matching(combo):
-                found.append((tuple(sorted(combo)), g.edge_set_weight(combo)))
+                found.append((tuple(sorted(combo)), edge_set_weight(g, combo)))
     return found
 
 
@@ -494,6 +548,109 @@ def enumerated_pareto_matchings(g: LabeledDigraph) -> SolutionSet:
     return SolutionSet.build((best[w], w) for w in front)
 
 
+# one DP state: (weight, edge count) -> smallest sorted edge tuple
+_TupleState = dict[tuple[Weight, int], tuple[Edge, ...]]
+
+
+class ReferenceMatchingBackend:
+    """The matching DP as it stood with tuple keys: each state maps
+    (weight tuple, edge count) to its smallest sorted edge tuple, and
+    fronts are taken by `nondominated`.  Reference for the packed-key
+    `ExactMatchingBackend`, which must answer every call alike, witnesses
+    included.  States persist across calls under the same keyed-scope
+    rule (`mobal.matching`)."""
+
+    def __init__(self, reference: LabeledDigraph):
+        self.reference = reference
+        self._index = {v: i for i, v in enumerate(reference.vertices)}
+        self._memo: dict[int, _TupleState] = {0: {((0,) * reference.dimension, 0): ()}}
+        # states holding heads, while the smallest head's path is `_scope`
+        self._keyed: dict[int, _TupleState] = {}
+        self._scope: tuple[int, int] | None = None
+
+    def pareto_matchings(
+        self, tails: Collection[int] = (), last: Mapping[int, int] | None = None
+    ) -> SolutionSet:
+        last = last or {}
+        index = self._index
+        labels = self.reference.vertices
+        n = len(labels)
+        tails = set(tails)
+        if not index.keys() >= {*tails, *last, *last.values()} or len(tails) == n:
+            raise PreconditionError("path ends must name vertices of the reference and leave one")
+        root = (1 << n) - 1 - sum(1 << index[v] for v in tails)
+        rows = list(labels)  # each vertex's row source, by bit index
+        # a head's row source index plus one, in the head's slot above the
+        # mask's n bits; a state holding heads is keyed by mask | their codes
+        codes = [0] * n
+        width = n.bit_length()
+        for h, end in last.items():
+            i = index[h]
+            rows[i] = end
+            codes[i] = (index[end] + 1) << (n + i * width)
+        root_code = sum(codes)
+        heads = others = sum(1 << index[h] for h in last)
+        if len(last) > 1:
+            # a lone head is removed at the root and makes no keyed state
+            pin = min(last)
+            others -= 1 << index[pin]
+            if self._scope != (pin, last[pin]):
+                self._scope = (pin, last[pin])
+                self._keyed = {}
+        wm = self.reference.weight_map
+        shared = self._memo
+        keyed = self._keyed
+
+        def candidates(mask: int, code: int, counted: bool) -> dict:
+            """Every key below mask, unfiltered: (weight, edge count) keys,
+            or weights alone when not `counted` (the root)."""
+            # heads first, the smallest last (module docstring)
+            pick = (mask & others) or (mask & heads) or mask
+            low = pick & -pick
+            i = low.bit_length() - 1
+            v, row = labels[i], rows[i]
+            rest, rest_code = mask ^ low, code - codes[i]
+            sub = solve(rest, rest_code)  # v uncovered
+            if counted:
+                best = dict(sub)
+            else:
+                best = {}
+                for (w, _), enc in sub.items():
+                    if w not in best or enc < best[w]:
+                        best[w] = enc
+            partners = rest
+            while partners:
+                b = partners & -partners
+                partners ^= b
+                j = b.bit_length() - 1
+                u = labels[j]
+                sub = solve(rest ^ b, rest_code - codes[j])
+                for e, we in (((v, u), wm[(row, u)]), ((u, v), wm[(rows[j], v)])):
+                    for (w, count), enc in sub.items():
+                        total = tuple(map(add, w, we))
+                        key = (total, count + 1) if counted else total
+                        k = bisect(enc, e)
+                        cand = enc[:k] + (e,) + enc[k:]
+                        cur = best.get(key)
+                        if cur is None or cand < cur:
+                            best[key] = cand
+            return best
+
+        def solve(mask: int, code: int) -> _TupleState:
+            memo = keyed if code else shared
+            state = memo.get(mask | code)
+            if state is None:
+                best = candidates(mask, code, True)
+                front = nondominated(w for w, _ in best)
+                state = {k: enc for k, enc in best.items() if k[0] in front}
+                memo[mask | code] = state
+            return state
+
+        best = candidates(root, root_code, False)
+        # weights are distinct, so weight order is the canonical order
+        return SolutionSet(tuple((best[w], w) for w in sorted(nondominated(best))))
+
+
 def sweep_sizes(g: LabeledDigraph) -> range:
     """The path-set sizes of the sweep: 0..2k at even n, 1..2k+1 at odd n."""
     odd = g.num_vertices % 2
@@ -538,7 +695,7 @@ def odd_wrapper_reference(g: LabeledDigraph) -> SolutionSet:
         for t_enc, _ in inner:
             assert is_hamiltonian_cycle(h, t_enc)
             t = lift_tour(g, f, lift_edges(last, t_enc))
-            pool.setdefault(g.edge_set_weight(t), set()).add(t)
+            pool.setdefault(edge_set_weight(g, t), set()).add(t)
     front = nondominated(pool.keys())
     return SolutionSet.build((enc, w) for w in front for enc in pool[w])
 
@@ -564,7 +721,7 @@ def reference_sweep(g: LabeledDigraph, *, asked: list | None = None) -> Solution
             t_prime = _chain_fragments(h.vertices, m_enc)
             assert is_hamiltonian_cycle(h, t_prime)
             t = lift_tour(g, f, lift_edges(last, t_prime))
-            pool.setdefault(g.edge_set_weight(t), set()).add(t)
+            pool.setdefault(edge_set_weight(g, t), set()).add(t)
     front = nondominated(pool.keys())
     return SolutionSet.build((enc, w) for w in front for enc in pool[w])
 
@@ -704,7 +861,7 @@ def all_cycles_with_weights(g: LabeledDigraph):
     out = []
     for perm in permutations(g.vertices[1:]):
         t = tuple(sorted(cycle_edges((start,) + perm)))
-        out.append((t, g.edge_set_weight(t)))
+        out.append((t, edge_set_weight(g, t)))
     return out
 
 
@@ -838,7 +995,7 @@ def matching_claim_witness(g: LabeledDigraph, cycle: Iterable[Edge]) -> ClaimWit
         s_edges=tuple(sorted(s_edges)),
         matching=tuple(sorted(mprime)),
         contracted=contracted,
-        cycle_weight=g.edge_set_weight(cycle),
-        f_weight=g.edge_set_weight(f_edges),
-        matching_weight=contracted.edge_set_weight(mprime),
+        cycle_weight=edge_set_weight(g, cycle),
+        f_weight=edge_set_weight(g, f_edges),
+        matching_weight=edge_set_weight(contracted, mprime),
     )

@@ -1,10 +1,13 @@
 import pytest
 
 from helpers import (
+    ReferenceMatchingBackend,
     contract_ends,
+    edge_set_weight,
     enumerated_pareto_matchings,
     is_matching,
     matchings_by_subset_filter,
+    nondominated,
     pareto_filter,
     pareto_front_witnesses,
     path_ends,
@@ -16,7 +19,7 @@ from mobal.graphs import LabeledDigraph
 from mobal.instances import GeneratorSpec, generate
 from mobal.matching import ExactMatchingBackend
 from mobal.maxatsp import maxatsp_approx, path_set_candidates
-from mobal.pareto import SolutionSet, nondominated
+from mobal.pareto import SolutionSet
 from mobal.rng import SplitMix64
 
 
@@ -56,7 +59,7 @@ def test_backend_agrees_with_subset_filter_enumerator():
             assert entry in filtered.entries
         for sol, w in ours:
             assert is_matching(sol)
-            assert g.edge_set_weight(sol) == w
+            assert edge_set_weight(g, sol) == w
 
 
 def test_vertex_cap():
@@ -234,3 +237,41 @@ def test_path_ends_answers_match_enumeration_in_sweep_order_and_reverse():
         assert [backend.pareto_matchings(*e) for e in reversed(ends)] == expected[::-1]
         checked += len(ends)
     assert checked == 4 * (6 + 49 + 380) * 4 + 4 * 331 * 2 + 3331 * 2 + 4872 + 1233
+
+
+def packed_dp_corpus():
+    """Seeded graphs of both parities for the packed-key DP: n in 2..5 over
+    dims 1-4 and weight bounds 0/1/30 (bound 0 leaves each weight field a
+    lone guard bit, so a count that spills shows at once), plus n = 6 at
+    dims 1-2 on every bound, one case each at dims 3-4, and the n = 8
+    graph of the `atsp-n8` setting."""
+    cases = [(n, dim, bound) for n in range(2, 6) for dim in (1, 2, 3, 4) for bound in (0, 1, 30)]
+    cases += [(6, dim, bound) for dim in (1, 2) for bound in (0, 1, 30)]
+    cases += [(6, 3, 0), (6, 4, 1), (8, 2, 30)]
+    for n, dim, bound in cases:
+        yield generate(
+            GeneratorSpec(
+                kind="graph", seed=56_000 + 100 * n + 10 * dim + bound,
+                vertices=n, dim=dim, bound=bound,
+            )
+        )
+
+
+def test_packed_dp_matches_tuple_keyed_reference():
+    # the packed-key DP and the tuple-keyed DP it replaced, each one
+    # backend per graph, answer every path set of the sweep in sweep
+    # order alike, fronts and witnesses, and the packed answer comes in
+    # descending packed order
+    checked = 0
+    for g in packed_dp_corpus():
+        packed, reference = ExactMatchingBackend(g), ReferenceMatchingBackend(g)
+        unpack = packed.packing.unpack
+        for f in path_set_candidates(g, sweep_sizes(g)):
+            tails, last = path_ends(f)
+            answer = packed.packed_matchings(tails, last)
+            assert [p for _, p in answer] == sorted({p for _, p in answer}, reverse=True)
+            expected = reference.pareto_matchings(tails, last)
+            assert SolutionSet.build((m, unpack(p)) for m, p in answer) == expected
+            assert packed.pareto_matchings(tails, last) == expected
+            checked += 1
+    assert checked == 3 * (1 + 6 + 49 + 380) * 4 + 3 * 331 * 2 + 2 * 3331 + 1233

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -12,11 +13,13 @@ from helpers import (
     contract_edge_set,
     contract_ends,
     contract_path_set,
+    edge_set_weight,
     first_of_each_contracted_graph,
     is_matching,
     is_vertex_disjoint_paths,
     matching_claim_witness,
     matchings_by_subset_filter,
+    nondominated,
     odd_wrapper_reference,
     pareto_filter,
     pareto_front_witnesses,
@@ -47,7 +50,6 @@ from mobal.pareto import (
     SolutionSet,
     even_objectives,
     is_alpha_approx_set,
-    nondominated,
 )
 from mobal.rng import SplitMix64
 
@@ -78,7 +80,7 @@ def test_half_cover_four_vertices():
         assert cert.ok
         for sol, w in maxatsp_approx(g):
             assert is_hamiltonian_cycle(g, sol)
-            assert g.edge_set_weight(sol) == w
+            assert edge_set_weight(g, sol) == w
 
 
 def test_half_cover_six_vertices():
@@ -113,9 +115,9 @@ def test_custom_backend_plugs_in(monkeypatch):
     calls = []
 
     class CountingBackend(ExactMatchingBackend):
-        def pareto_matchings(self, tails=(), last=None):
+        def packed_matchings(self, tails=(), last=None):
             calls.append(len(tails))
-            return super().pareto_matchings(tails, last)
+            return super().packed_matchings(tails, last)
 
     # six vertices at two objectives: n - 2 = 4 exceeds the largest
     # path-set size 2, so the sweep runs
@@ -142,22 +144,29 @@ def test_custom_backend_plugs_in(monkeypatch):
 class RecordingBackend:
     """Keeps the path-set ends of g asked about and every answer of
     `backend`, or of a new exact backend per call, built on the
-    contracted graph (no shared memo), when `backend` is None."""
+    contracted graph (no shared memo), when `backend` is None.  Answers
+    are packed in g's packing, as the sweep adds them to g's weights,
+    and recorded unpacked."""
 
     def __init__(self, g, backend=None):
         self.g = g
         self.backend = backend
+        self.packing = (backend or ExactMatchingBackend(g)).packing
         self.ends = []
         self.answers = []
 
-    def pareto_matchings(self, tails=(), last=None):
+    def packed_matchings(self, tails=(), last=None):
         if self.backend is None:
-            h = contract_ends(self.g, tails, last or {})
-            out = ExactMatchingBackend(h).pareto_matchings()
+            fresh = ExactMatchingBackend(contract_ends(self.g, tails, last or {}))
+            # the contracted graph's own packing has other field widths
+            out = [
+                (m, self.packing.pack(fresh.packing.unpack(p)))
+                for m, p in fresh.packed_matchings()
+            ]
         else:
-            out = self.backend.pareto_matchings(tails, last)
+            out = self.backend.packed_matchings(tails, last)
         self.ends.append((tails, last))
-        self.answers.append(out)
+        self.answers.append(SolutionSet.build((m, self.packing.unpack(p)) for m, p in out))
         return out
 
 
@@ -209,8 +218,8 @@ def test_keyed_states_stay_scoped():
     live = []
 
     class ScopeWatch(ExactMatchingBackend):
-        def pareto_matchings(self, tails=(), last=None):
-            out = super().pareto_matchings(tails, last)
+        def packed_matchings(self, tails=(), last=None):
+            out = super().packed_matchings(tails, last)
             live.append(len(self._keyed))
             return out
 
@@ -271,6 +280,47 @@ def test_sweep_matches_reference_where_ties_are_many():
         for bound in (0, 1):
             g = graph(77_000 + 10 * dim + bound, vertices=6, dim=dim, bound=bound)
             assert swept(g) == reference_sweep(g)
+
+
+def tie_heavy_sweep_corpus():
+    """Seeded graphs at weight bounds 0/1/2, where many emitted tours tie
+    or sit on a front member's field: n in 3..5 over dims 1-4, n = 6 at
+    dims 1-2, and n = 8 at dim 2 on bound 1."""
+    cases = [(n, dim, bound) for n in (3, 4, 5) for dim in (1, 2, 3, 4) for bound in (0, 1, 2)]
+    cases += [(6, dim, bound) for dim in (1, 2) for bound in (0, 1, 2)]
+    cases += [(8, 2, 1)]
+    for n, dim, bound in cases:
+        yield generate(
+            GeneratorSpec(
+                kind="graph", seed=57_000 + 100 * n + 10 * dim + bound,
+                vertices=n, dim=dim, bound=bound,
+            )
+        )
+
+
+def test_online_front_sweep_matches_pooling_reference():
+    # the sweep keeps an online packed front and lifts only its tours;
+    # the reference pools every lifted tour and filters at the end, so
+    # fronts and every tied witness must agree at both parities
+    checked = 0
+    for g in tie_heavy_sweep_corpus():
+        assert swept(g) == reference_sweep(g)
+        checked += 1
+    assert checked == 3 * 4 * 3 + 2 * 3 + 1
+
+
+def test_sweep_memory_peak_stays_below_one_mebibyte():
+    # the online front holds (F, last, T') for front weights alone; a pool
+    # of every emitted tour peaked at 2.3-2.6 MiB on this graph
+    g = graph(0, vertices=8)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        maxatsp_approx(g)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def every_tour_corpus():
@@ -350,7 +400,7 @@ def test_backend_calls_equal_distinct_contracted_graphs(monkeypatch):
     }
     for (n, dim), (path_sets, calls) in expected.items():
         g = graph(78_000 + n, vertices=n, dim=dim)
-        silent = SilentBackend()
+        silent = SilentBackend(g)
         ends_read.clear()
         sizes = sweep_sizes(g)
         _sweep(g, sizes, silent)
@@ -363,12 +413,13 @@ class SilentBackend:
     """Records the tail count of each path set asked about and finds no
     matching, so a sweep costs only its path sets and their ends."""
 
-    def __init__(self):
+    def __init__(self, g):
+        self.packing = ExactMatchingBackend(g).packing
         self.sizes = []
 
-    def pareto_matchings(self, tails=(), last=None):
+    def packed_matchings(self, tails=(), last=None):
         self.sizes.append(len(tails))
-        return SolutionSet.build(())
+        return []
 
 
 def test_cost_estimate_bounds_the_sweep():
@@ -615,7 +666,7 @@ def test_claim_witness_constructive_on_random_cycles():
         s_minus_f = tuple(
             a - b
             for a, b in zip(
-                g.edge_set_weight(wit.s_edges), g.edge_set_weight(wit.f_edges)
+                edge_set_weight(g, wit.s_edges), edge_set_weight(g, wit.f_edges)
             )
         )
         assert wit.matching_weight == s_minus_f
@@ -648,13 +699,13 @@ def test_claim_existence_by_enumeration():
     for i in range(4):
         g = graph(72_000 + i, vertices=6, bound=9)
         t = random_cycle(g, rng)
-        wt = g.edge_set_weight(t)
+        wt = edge_set_weight(g, t)
         found = False
         for size in (0, 1, 2):
             for f in combinations(t, size):
                 if not is_vertex_disjoint_paths(f):
                     continue
-                wf = g.edge_set_weight(f)
+                wf = edge_set_weight(g, f)
                 for m_enc, wm in matchings_by_subset_filter(contract_path_set(g, f)):
                     if all(
                         2 * a >= b - 2 * c for a, b, c in zip(wm, wt, wf)

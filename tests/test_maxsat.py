@@ -11,6 +11,7 @@ from helpers import (
     brute_force_assignment_front,
     clause_bucket,
     naive_assignment_weight,
+    nondominated,
     pareto_filter,
     pareto_front_witnesses,
     reference_emit_masks,
@@ -35,7 +36,6 @@ from mobal.pareto import (
     SolutionSet,
     even_objectives,
     is_alpha_approx_set,
-    nondominated,
 )
 
 

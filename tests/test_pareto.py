@@ -7,17 +7,18 @@ from hypothesis import strategies as st
 from helpers import (
     naive_dominates,
     naive_pareto_entries,
+    nondominated,
     pareto_filter,
     pareto_front_witnesses,
 )
 from mobal.errors import DimensionMismatchError, PreconditionError
 from mobal.pareto import (
+    PackedFront,
     Packing,
     SolutionSet,
     cover_ratio,
     covers,
     is_alpha_approx_set,
-    nondominated,
 )
 from mobal.rng import SplitMix64
 
@@ -29,7 +30,8 @@ small_weight_lists = st.integers(3, 4).flatmap(
 
 
 def test_dominates_examples():
-    # dominance is strict and componentwise; `nondominated` is its one home
+    # dominance is strict and componentwise; the tests' `nondominated`
+    # defines it for tuples, as `Packing.front` does for packed ints
     assert nondominated([(3, 2), (3, 2)]) == {(3, 2)}
     assert nondominated([(4, 2), (3, 2)]) == {(4, 2)}
     assert nondominated([(4, 1), (3, 2)]) == {(4, 1), (3, 2)}
@@ -206,3 +208,24 @@ def test_packed_within_compares_every_field():
         for b in ((0, 0, 0), (2, 2, 2), (2, 1, 1), (1, 2, 0)):
             expected = all(x <= y for x, y in zip(a, b))
             assert packing.within(packing.pack(a), packing.pack(b)) == expected
+
+
+def test_online_front_keeps_every_item_of_each_front_weight():
+    # weights offered one at a time, each twice, sorted, reversed and
+    # shuffled: the items kept are exactly those of the weights on the
+    # offline front, in arrival order, and nothing else
+    rng = SplitMix64(93_000)
+    cases = 0
+    for bounds, weights in packed_front_corpus():
+        packing = Packing(bounds)
+        offers = [packing.pack(w) for w in sorted(weights)] * 2
+        shuffled = list(offers)
+        rng.shuffle(shuffled)
+        for order in (offers, offers[::-1], shuffled):
+            front = PackedFront(packing)
+            for i, p in enumerate(order):
+                front.offer(p, i)
+            kept = packing.front(set(order))
+            assert front.items == {p: [i for i, q in enumerate(order) if q == p] for p in kept}
+            cases += 1
+    assert cases == 3 * 6 * 4 * 5 * 2
