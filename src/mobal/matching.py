@@ -8,23 +8,23 @@ leaves v uncovered or pairs it with some u in S - v through
     f(S) = ND( f(S - v) union { w(e) + f(S - v - u) : u in S - v,
                                        e in {(v, u), (u, v)} } )
 
-where ND drops entries whose weight another entry's weight dominates
-(a dominated partial matching stays dominated after the same edges are
-added to it and its dominator).  A state key is one int: the packed
-weight (`pareto.Packing`, bounded by the total of G's edges) above a
-field for the edge count, at most n // 2.  An edge's key is its packed
-weight above a count of one, so adding keys adds both; `Packing.front`
-reads the weight bits alone.  Witnesses follow one rule: every state
-keeps, per key, the smallest sorted edge tuple.  Keying by weight alone would not be exact:
-inserting one edge into two sorted tuples keeps their order when they
-have equal length, but can reverse it when one is a proper prefix of
-the other.  The root inserts no further edge, so it keeps the smallest
-tuple per weight directly, and per front weight that is the canonical
-witness an exhaustive enumeration would pick.  It must compare, not
-keep the first tuple of each weight: with heads it removes a head, not
-the smallest vertex, so a matching extended through that head need not
-sort first (with tail 5 and head 4 on six vertices, ((0, 4), (1, 2))
-comes before ((0, 3), (1, 2)); `tests/test_matching.py`).
+where ND drops entries whose weight another entry's weight dominates (a
+dominated partial matching stays dominated after the same edges are
+added to it and its dominator).  A state key is one int, the packed
+weight (`pareto.Packing`, bounded by the total of G's edges) above the
+edge count (at most n // 2); an edge's key has a count of one, so adding
+keys adds both, and `Packing.front` reads the weight bits alone.
+Witnesses follow one rule: every state keeps, per key, the smallest
+sorted edge tuple.  Keying by weight alone would not be exact: inserting
+one edge into two sorted tuples keeps their order when they have equal
+length, but can reverse it when one is a proper prefix of the other.
+The root inserts no further edge, so it keeps the smallest tuple per
+weight directly, and per front weight that is the canonical witness an
+exhaustive enumeration would pick.  It must compare, not keep the first
+tuple of each weight: with heads it removes a head, not the smallest
+vertex, so a matching extended through that head need not sort first
+(with tail 5 and head 4 on six vertices, ((0, 4), (1, 2)) comes before
+((0, 3), (1, 2)); `tests/test_matching.py`).
 
 A backend is built for one reference graph G and answers G/F for path
 sets F of G from F's ends alone: the tails, which vanish, and each head

@@ -179,10 +179,10 @@ class PackedFront:
             stairs[k:j] = [p]
         else:
             guards = packing.guards
-            if any(((q | guards) - p) & guards == guards for q in items):
-                return
-            raised = p | guards
-            for q in [q for q in items if (raised - q) & guards == guards]:
+            for q in items:
+                if ((q | guards) - p) & guards == guards:
+                    return
+            for q in [q for q in items if ((p | guards) - q) & guards == guards]:
                 del items[q]
         items[p] = [item]
 
