@@ -7,10 +7,10 @@ sum(x_i + y_i) in every component simultaneously.  Three variants:
 
 * paired        -- 0 <= x_i, y_i <= z; half-open intervals {a..b-1};
                    two-sided error of at most 2n*z around half the total.
-* integer       -- signed x_i with -z <= x_i <= z; the partition
-                   imbalance sum_in(x) - sum_out(x) stays within 4n*z.
-                   Realized by the substitution x' = z + x, y' = z - x
-                   followed by the paired search.
+* integer       -- signed x_i with -z <= x_i <= z; the signed sum
+                   sum_in(x) - sum_out(x) = 2 sum_in(x) - sum(x) stays
+                   within 4n*z: the paired scan's doubled check
+                   2S - T with y = 0.
 * combinatorial -- arbitrary nonnegative x_i, y_i; at most n closed,
                    disjoint, nonempty intervals plus the boundary
                    correction sum_j y_{b_j}; one-sided bound of half the
@@ -19,15 +19,16 @@ sum(x_i + y_i) in every component simultaneously.  Three variants:
 A satisfying family exists for every input meeting the preconditions, so
 each search scans endpoint tuples in lexicographic order and returns the
 first hit; running off the end of the scan indicates a defect and raises
-SearchInvariantError.  All sums use Python integers, so componentwise
-totals of m*z cannot overflow.
+SearchInvariantError.  Each scan reads one doubled prefix of x - y per
+component, one lookup per cut point.  All sums use Python integers, so
+componentwise totals of m*z cannot overflow.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
-from operator import gt
+from itertools import accumulate, combinations_with_replacement
+from operator import gt, sub
 from typing import Iterator
 
 from .errors import PreconditionError, SearchInvariantError
@@ -109,13 +110,14 @@ class BalanceResult:
     correction: Weight
 
 
-def _prefix(seq: tuple[Weight, ...], dim: int) -> list[list[int]]:
-    # pre[c][i] = sum of component c over the first i vectors
-    pre = [[0] * (len(seq) + 1) for _ in range(dim)]
-    for i, v in enumerate(seq):
-        for c in range(dim):
-            pre[c][i + 1] = pre[c][i] + v[c]
-    return pre
+def _diff_prefix(inst: BalancingInstance) -> list[list[int]]:
+    """The doubled prefix pre[c][i] = 2 * sum_{i' <= i} (x - y)_{i'}[c],
+    y read as 0 when absent, so pre[c][m] = 2 * (sum x - sum y)[c]."""
+    y = inst.y or ((0,) * inst.dimension,) * inst.m
+    return [
+        [2 * s for s in accumulate(map(sub, xc, yc), initial=0)]
+        for xc, yc in zip(zip(*inst.x), zip(*y))
+    ]
 
 
 def _check_present(inst: BalancingInstance, variant: str) -> None:
@@ -165,57 +167,51 @@ def _sums(
     return in_sum, out_sum, vec_total(ends, dim)
 
 
+def _half_open_scan(inst: BalancingInstance) -> BalanceResult:
+    """First sorted 1 <= a_1 <= b_1 <= ... <= a_n <= b_n <= m, in
+    lexicographic order, with |sum y - sum x + sum_j (pre[b_j - 1] -
+    pre[a_j - 1])| <= 4nz componentwise; without y, out_sum adds up x."""
+    m, n = inst.m, inst.n
+    pre = _diff_prefix(inst)
+    rows = [(p, -p[m] // 2, 4 * n * b) for p, b in zip(pre, inst.z)]
+    cuts = range(0, 2 * n, 2)
+    # each cut point t[j] is one below its index, so pre[t[j]] is pre[a - 1]
+    for t in combinations_with_replacement(range(m), 2 * n):
+        for p, acc, lim in rows:
+            for j in cuts:
+                acc += p[t[j + 1]] - p[t[j]]
+            if abs(acc) > lim:
+                break
+        else:
+            intervals = tuple((t[j] + 1, t[j + 1] + 1) for j in cuts)
+            family = IntervalFamily(intervals, m)
+            return BalanceResult(family, *_sums(inst.x, inst.y or inst.x, intervals, False))
+    raise SearchInvariantError(
+        "half-open balancing scan exhausted although a family must exist"
+    )
+
+
 def balance_paired(inst: BalancingInstance) -> BalanceResult:
     """First half-open family whose mixed sum is within 2n*z of half the total.
 
-    Scans all 1 <= a_1 <= b_1 <= ... <= a_n <= b_n <= m in lexicographic
-    order.  The bound is checked in doubled integers: with S the mixed
-    sum and T the grand total, -4nz <= 2S - T <= 4nz componentwise.
+    Checked in doubled integers: with S the mixed sum and T the grand
+    total, 2S - T = sum y - sum x + sum_j (pre[b_j - 1] - pre[a_j - 1])
+    on the doubled x - y prefix, and |2S - T| <= 4nz componentwise.
     """
     _require(inst, PAIRED)
-    m, n, dim = inst.m, inst.n, inst.dimension
-    pre_x = _prefix(inst.x, dim)
-    pre_y = _prefix(inst.y, dim)
-    total = [pre_x[c][m] + pre_y[c][m] for c in range(dim)]
-    total_y = [pre_y[c][m] for c in range(dim)]
-    lim = [4 * n * inst.z[c] for c in range(dim)]
-
-    for t in combinations_with_replacement(range(1, m + 1), 2 * n):
-        ok = True
-        for c in range(dim):
-            px, py = pre_x[c], pre_y[c]
-            acc = total_y[c]
-            for j in range(0, 2 * n, 2):
-                a, b = t[j], t[j + 1]
-                acc += px[b - 1] - px[a - 1] - py[b - 1] + py[a - 1]
-            d = 2 * acc - total[c]
-            if d < -lim[c] or d > lim[c]:
-                ok = False
-                break
-        if ok:
-            intervals = tuple((t[j], t[j + 1]) for j in range(0, 2 * n, 2))
-            family = IntervalFamily(intervals, m)
-            return BalanceResult(family, *_sums(inst.x, inst.y, intervals, False))
-    raise SearchInvariantError(
-        "paired balancing scan exhausted although a family must exist"
-    )
+    return _half_open_scan(inst)
 
 
 def balance_integer(x: tuple[Weight, ...], z: Weight) -> BalanceResult:
-    """Signed balancing through the shift x' = z + x, y' = z - x.
+    """First half-open family whose signed sum in - out is within 4n*z.
 
-    The returned family keeps the half-open convention; in_sum/out_sum
-    are the sums of the original signed x inside and outside, and their
-    difference stays within 4n*z componentwise.
+    The paired scan with y = 0: on the doubled prefix of x, in - out =
+    2 sum_I x - sum x = sum_j (pre[b_j - 1] - pre[a_j - 1]) - sum x.
+    in_sum/out_sum are the sums of x inside and outside the family.
     """
-    _require(BalancingInstance(x=x, z=z), INTEGER)
-    shifted = BalancingInstance(
-        x=tuple(vec_add(z, v) for v in x),
-        y=tuple(tuple(b - c for c, b in zip(v, z)) for v in x),
-        z=vec_add(z, z),
-    )
-    paired = balance_paired(shifted)
-    return BalanceResult(paired.family, *_sums(x, x, paired.family.intervals, False))
+    inst = BalancingInstance(x=x, z=z)
+    _require(inst, INTEGER)
+    return _half_open_scan(inst)
 
 
 def balance_combinatorial(inst: BalancingInstance) -> BalanceResult:
@@ -224,34 +220,31 @@ def balance_combinatorial(inst: BalancingInstance) -> BalanceResult:
     Finds the smallest interval count n' in {0..min(n, m)} and, within
     it, the lexicographically first endpoint tuple such that
     sum_j y_{b_j} + sum_{i in I} x_i + sum_{i not in I} y_i is at least
-    half the grand total, componentwise.  The families
+    half the grand total, componentwise: doubled, minus the total, that
+    is sum y - sum x + sum_j (ends[b_j] - pre[a_j - 1]) >= 0 on the
+    doubled x - y prefix and its boundary row.  The families
     1 <= a_1 <= b_1 < a_2 <= ... <= b_n' <= m are the sorted 2n'-tuples
     over 1..m-n'+1 with interval j (counted from 0) moved up by j, in
     the same order.
     """
     _require(inst, COMBINATORIAL)
-    m, n, dim = inst.m, inst.n, inst.dimension
-    pre_x = _prefix(inst.x, dim)
-    pre_y = _prefix(inst.y, dim)
-    total = [pre_x[c][m] + pre_y[c][m] for c in range(dim)]
-    total_y = [pre_y[c][m] for c in range(dim)]
-
+    m, n = inst.m, inst.n
+    pre = _diff_prefix(inst)
+    # the boundary row ends[b] = pre[b] + 2 y_b = pre[b - 1] + 2 x_b
+    ends = (
+        [0, *(p + 2 * a for p, a in zip(pc, xc))] for pc, xc in zip(pre, zip(*inst.x))
+    )
+    rows = [(p, e, -p[m] // 2) for p, e in zip(pre, ends)]
     for nprime in range(0, min(n, m) + 1):
+        cuts = range(nprime)
         for t in combinations_with_replacement(range(1, m - nprime + 2), 2 * nprime):
-            ok = True
-            for c in range(dim):
-                px, py = pre_x[c], pre_y[c]
-                acc = total_y[c]
-                for j in range(nprime):
-                    a, b = t[2 * j] + j, t[2 * j + 1] + j
-                    # closed interval contribution plus the y_b correction,
-                    # which turns py[b] into py[b - 1]
-                    acc += px[b] - px[a - 1] - py[b - 1] + py[a - 1]
-                if 2 * acc < total[c]:
-                    ok = False
+            for p, e, acc in rows:
+                for j in cuts:
+                    acc += e[t[2 * j + 1] + j] - p[t[2 * j] + j - 1]
+                if acc < 0:
                     break
-            if ok:
-                intervals = tuple((t[2 * j] + j, t[2 * j + 1] + j) for j in range(nprime))
+            else:
+                intervals = tuple((t[2 * j] + j, t[2 * j + 1] + j) for j in cuts)
                 family = IntervalFamily(intervals, m)
                 return BalanceResult(family, *_sums(inst.x, inst.y, intervals, True))
     raise SearchInvariantError(

@@ -464,6 +464,16 @@ def separated_tuples(m: int, count: int):
     yield from rec(1)
 
 
+def necklace_blocks(n: int, m: int) -> BalancingInstance:
+    """The necklace-splitting lower bound for paired balancing: x_i = e_c
+    on block c of length m/2n, y = 0 and z = 1.  Every family of fewer
+    than n intervals leaves some objective out of balance."""
+    dim = 2 * n
+    unit = [tuple(int(c == d) for d in range(dim)) for c in range(dim)]
+    x = tuple(unit[i * dim // m] for i in range(m))
+    return BalancingInstance(x=x, y=((0,) * dim,) * m, z=(1,) * dim)
+
+
 def reference_balance_combinatorial(inst: BalancingInstance) -> BalanceResult:
     """`balance_combinatorial` before sorted cut-point tuples: the first
     family from `separated_tuples`, n' ascending, whose corrected mixed

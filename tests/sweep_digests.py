@@ -1,13 +1,18 @@
-"""Pinned digests of `maxatsp_approx` on graphs larger than Tier-1 sweeps.
+"""Pinned digests of sweeps and scans on inputs larger than Tier-1 sizes.
 
     PYTHONPATH=src python tests/sweep_digests.py          # print them
     PYTHONPATH=src python tests/sweep_digests.py --check  # compare with the file
 
-Each line of tests/data/sweep_digests.txt names a seeded graph (bound 30)
-and the sha256 of `repr(maxatsp_approx(g, budget=10**9).entries)`, which
-holds every front weight and every tied tour in canonical order.  The
-three graphs run the sweep at odd n, at n = 9 and at three objectives,
-about 10 s in all.
+Each line of tests/data/sweep_digests.txt names one run and the sha256
+of its output's repr:
+* `maxatsp_approx(g, budget=10**9).entries` on seeded graphs (bound 30)
+  at odd n, at n = 9 and at three objectives;
+* `maxsat_approx(inst).entries` on seeded CNFs (2m clauses, bound 20):
+  the full cube at m = (2k)^2 + 1 and the walk at the largest m the
+  default budget admits at two objectives;
+* `balance_paired` and `balance_integer` on the n = 2, m = 64 necklace
+  block instance, the balancing scan's deepest search.
+About 12 s in all.
 """
 
 from __future__ import annotations
@@ -16,21 +21,39 @@ import hashlib
 import sys
 from pathlib import Path
 
+from helpers import necklace_blocks
+from mobal.balancing import balance_integer, balance_paired
 from mobal.instances import GeneratorSpec, generate
 from mobal.maxatsp import maxatsp_approx
+from mobal.maxsat import maxsat_approx
 
 PINNED = Path(__file__).resolve().parent / "data" / "sweep_digests.txt"
 # (vertices, dim, seed)
 GRAPHS = ((7, 2, 3), (9, 2, 3), (8, 3, 0))
+# (variables, dim, seed)
+CNFS = ((17, 4, 3), (20, 2, 3))
+# (n, m)
+BLOCKS = ((2, 64),)
+
+
+def _outputs():
+    for n, dim, seed in GRAPHS:
+        g = generate(GeneratorSpec(kind="graph", seed=seed, vertices=n, dim=dim, bound=30))
+        yield f"n={n} dim={dim} seed={seed}", maxatsp_approx(g, budget=10**9).entries
+    for m, dim, seed in CNFS:
+        spec = GeneratorSpec(kind="cnf", seed=seed, m=m, clauses=2 * m, dim=dim, bound=20)
+        yield f"maxsat m={m} dim={dim} seed={seed}", maxsat_approx(generate(spec)).entries
+    for n, m in BLOCKS:
+        inst = necklace_blocks(n, m)
+        yield f"blocks n={n} m={m} paired", balance_paired(inst)
+        yield f"blocks n={n} m={m} integer", balance_integer(inst.x, inst.z)
 
 
 def digest_lines() -> list[str]:
     lines = []
-    for n, dim, seed in GRAPHS:
-        g = generate(GeneratorSpec(kind="graph", seed=seed, vertices=n, dim=dim, bound=30))
-        out = maxatsp_approx(g, budget=10**9)
-        digest = hashlib.sha256(repr(out.entries).encode("ascii")).hexdigest()
-        lines.append(f"n={n} dim={dim} seed={seed} sha256:{digest}")
+    for label, out in _outputs():
+        digest = hashlib.sha256(repr(out).encode("ascii")).hexdigest()
+        lines.append(f"{label} sha256:{digest}")
     return lines
 
 

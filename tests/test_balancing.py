@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_balance_combinatorial, separated_tuples
+from helpers import necklace_blocks, reference_balance_combinatorial, separated_tuples
 from mobal.balancing import (
     BalanceResult,
     BalancingInstance,
@@ -48,6 +48,28 @@ def combinatorial_corpus(count, seed0=12_000, max_m=14, bound=50):
         )
 
 
+def lopsided_corpus(seed0, signed=False):
+    # x from [0, z] against y from [0, z // 4], swapped on every other
+    # instance (x alone, as x - y, when signed): the sums lean so far off
+    # balance that the empty family fails and the first hit has a cut inside
+    for i, (n, m, bound) in enumerate(
+        (n, m, bound) for n, m in ((1, 12), (1, 16), (2, 20), (2, 24), (3, 28), (3, 32))
+        for bound in (1, 2, 4, 50)
+    ):
+        rng = SplitMix64(seed0 + i)
+        lean, dim = (-1) ** i, 2 * n
+        big, small = (
+            tuple(tuple(rng.randint(0, hi) for _ in range(dim)) for _ in range(m))
+            for hi in (bound, bound // 4)
+        )
+        z = (bound,) * dim
+        if signed:
+            x = tuple(tuple(lean * (a - b) for a, b in zip(u, v)) for u, v in zip(big, small))
+            yield BalancingInstance(x=x, z=z)
+        else:
+            yield BalancingInstance(*((big, small) if lean > 0 else (small, big)), z=z)
+
+
 # -- paired -------------------------------------------------------------------
 
 
@@ -85,12 +107,14 @@ def test_paired_corpus_success_and_recomputation():
             assert abs(2 * mixed[c] - total[c]) <= 4 * inst.n * inst.z[c]
 
 
-def _paired_full_scan_first(inst):
-    # independent exhaustive re-scan over all interval tuples
+def _paired_full_scan_first(inst, count=None):
+    # independent exhaustive re-scan over all tuples of `count` intervals
+    # (n when None) against the instance's own bound 4nz
     dim, m, n = inst.dimension, inst.m, inst.n
+    count = n if count is None else count
     total = [sum(v[c] for v in inst.x) + sum(v[c] for v in inst.y) for c in range(dim)]
-    for t in combinations_with_replacement(range(1, m + 1), 2 * n):
-        pairs = tuple((t[j], t[j + 1]) for j in range(0, 2 * n, 2))
+    for t in combinations_with_replacement(range(1, m + 1), 2 * count):
+        pairs = tuple((t[j], t[j + 1]) for j in range(0, 2 * count, 2))
         ok = True
         for c in range(dim):
             acc = 0
@@ -107,10 +131,37 @@ def _paired_full_scan_first(inst):
     return None
 
 
+def _half_open_sums(x, y, pairs):
+    # x summed over the half-open intervals, y over the rest, index by index
+    dim = len(x[0])
+    in_sum, out_sum = [0] * dim, [0] * dim
+    for i in range(1, len(x) + 1):
+        inside = any(a <= i < b for a, b in pairs)
+        src, tgt = (x, in_sum) if inside else (y, out_sum)
+        for c in range(dim):
+            tgt[c] += src[i - 1][c]
+    return tuple(in_sum), tuple(out_sum)
+
+
 def test_paired_returns_lexicographically_first_tuple():
-    for idx, inst in enumerate(paired_corpus(60, seed0=13_000, max_m=10)):
+    instances = list(paired_corpus(60, seed0=13_000, max_m=10))
+    # tight bounds 0-2, where sums tie with the bound, at one to three intervals
+    instances += [
+        generate(
+            GeneratorSpec(
+                kind="balance-paired", seed=13_100 + s, m=1 + (5 * s) % (9 if n < 3 else 7),
+                n=n, bound=s % 3,
+            )
+        )
+        for n in (1, 2, 3)
+        for s in range(12)
+    ]
+    instances += lopsided_corpus(13_200)
+    for inst in instances:
         res = balance_paired(inst)
-        assert res.family.intervals == _paired_full_scan_first(inst)
+        first = _paired_full_scan_first(inst)
+        assert res.family.intervals == first
+        assert (res.in_sum, res.out_sum) == _half_open_sums(inst.x, inst.y, first)
 
 
 def test_paired_deterministic():
@@ -163,6 +214,17 @@ def test_integer_alternating_cancellation():
     assert verify_balance(BalancingInstance(x=x, z=z), res, "integer")
 
 
+def _shifted(inst):
+    # the paired instance x' = z + x, y' = z - x, z' = 2z, whose first
+    # family is the first signed family of x within 4nz
+    dim = inst.dimension
+    return BalancingInstance(
+        x=tuple(tuple(inst.z[c] + v[c] for c in range(dim)) for v in inst.x),
+        y=tuple(tuple(inst.z[c] - v[c] for c in range(dim)) for v in inst.x),
+        z=tuple(2 * b for b in inst.z),
+    )
+
+
 def test_integer_corpus_within_bound_and_first():
     for idx, inst in enumerate(integer_corpus(200)):
         res = balance_integer(inst.x, inst.z)
@@ -184,6 +246,22 @@ def test_integer_corpus_within_bound_and_first():
                     satisfying.append((a, b))
         assert satisfying, "a satisfying single-interval family must exist"
         assert res.family.intervals == (satisfying[0],)
+    # two and three intervals, on tight and loose bounds, against the
+    # exhaustive paired scan of the shifted instance
+    instances = [
+        generate(
+            GeneratorSpec(
+                kind="balance-integer", seed=11_500 + i, m=1 + (5 * i) % (9 if n < 3 else 7),
+                n=n, bound=(0, 1, 2, 50)[(i // 2) % 4],
+            )
+        )
+        for i, n in enumerate([2, 3] * 18)
+    ]
+    for inst in instances + list(lopsided_corpus(11_600, signed=True)):
+        res = balance_integer(inst.x, inst.z)
+        first = _paired_full_scan_first(_shifted(inst))
+        assert res.family.intervals == first
+        assert (res.in_sum, res.out_sum) == _half_open_sums(inst.x, inst.x, first)
 
 
 def test_integer_substitution_feeds_closed_interval_bound():
@@ -211,6 +289,18 @@ def test_integer_substitution_feeds_closed_interval_bound():
 def test_integer_precondition_violation():
     with pytest.raises(PreconditionError):
         balance_integer(((5, 0),), (3, 2))
+
+
+@pytest.mark.parametrize(
+    "n, m, expected", [(1, 64, ((15, 47),)), (2, 40, ((2, 12), (22, 32)))]
+)
+def test_necklace_blocks_need_n_intervals(n, m, expected):
+    # x_i = e_c on block c, y = 0, z = 1: fewer than n intervals cannot
+    # balance, since one interval meeting blocks 0 and 3 covers 1 and 2 whole
+    inst = necklace_blocks(n, m)
+    for res in (balance_paired(inst), balance_integer(inst.x, inst.z)):
+        assert res.family.intervals == expected  # n nonempty intervals
+    assert _paired_full_scan_first(inst, n - 1) is None
 
 
 # -- combinatorial ------------------------------------------------------------
@@ -366,6 +456,11 @@ def test_separated_tuple_generator_against_brute_force():
 
 def test_combinatorial_matches_separated_tuple_search():
     instances = list(combinatorial_corpus(60, seed0=12_500))
+    instances += [
+        inst
+        for bound in (0, 1, 2)
+        for inst in combinatorial_corpus(20, seed0=12_700 + 100 * bound, max_m=10, bound=bound)
+    ]
     # m < n, m = 1, and spreads over n = 1..3
     for i, (m, n) in enumerate([(1, 1), (1, 3), (2, 3), (3, 2), (4, 3), (9, 3), (12, 2)]):
         instances += [
