@@ -121,6 +121,9 @@ def _diff_prefix(inst: BalancingInstance) -> list[list[int]]:
 
 
 def _check_present(inst: BalancingInstance, variant: str) -> None:
+    """Refuse a variant CARRIES lacks, or an instance lacking its sequences."""
+    if variant not in CARRIES:
+        raise PreconditionError(f"unknown variant {variant!r}")
     for name in CARRIES[variant]:
         if getattr(inst, name) is None:
             raise PreconditionError(f"{variant} balancing needs {name}")
@@ -284,6 +287,7 @@ def balance_deviation(
     in - out against 4nz, and combinatorial gives the slack
     2(correction + in + out) - T, with bound None: it must be >= 0.
     """
+    _check_present(inst, variant)
     dim = inst.dimension
     if variant == INTEGER:
         dev = vec_sub(result.in_sum, result.out_sum)
@@ -304,15 +308,12 @@ def verify_balance(inst: BalancingInstance, result: BalanceResult, variant: str)
     family raises; stale result sums or a violated inequality return
     False.
     """
-    if variant not in VARIANTS:
-        raise PreconditionError(f"unknown variant {variant!r}")
-    _check_present(inst, variant)
+    dev, bound = balance_deviation(inst, result, variant)  # refuses a bad variant
     _check_family_shape(result.family, inst.m, inst.n, variant)
     y = inst.x if variant == INTEGER else inst.y
     sums = _sums(inst.x, y, result.family.intervals, variant == COMBINATORIAL)
     if sums != (result.in_sum, result.out_sum, result.correction):
         return False
-    dev, bound = balance_deviation(inst, result, variant)
     if bound is None:
         return all(d >= 0 for d in dev)
     return all(abs(d) <= b for d, b in zip(dev, bound))

@@ -53,6 +53,7 @@ from .pareto import ApproxCertificate, SolutionSet, is_alpha_approx_set
 EXIT_OK = 0
 EXIT_CERT_FAILED = 1
 EXIT_USAGE = 2
+HALF = Fraction(1, 2)  # --alpha left unset
 
 
 @dataclass
@@ -94,28 +95,32 @@ def _fmt_weights(s: SolutionSet) -> str:
     return ";".join(_fmt_vec(w) for w in s.weights())
 
 
-def _parse_alpha(text: str | None) -> Fraction:
-    if text is None:
-        return Fraction(1, 2)
+def _alpha(text: str) -> Fraction:
     try:
         alpha = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise PreconditionError(f"--alpha: cannot parse fraction {text!r}")
+        raise argparse.ArgumentTypeError(f"cannot parse fraction {text!r}") from None
     if not 0 < alpha <= 1:
-        raise PreconditionError(f"--alpha must be in (0, 1], got {alpha}")
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {alpha}")
     return alpha
 
 
-def _parse_budget(text: str | None) -> int | None:
-    if text is None:
-        return None
+def _nonnegative(text: str) -> int:
     try:
-        budget = int(text)
+        value = int(text)
     except ValueError:
-        raise PreconditionError(f"--budget: cannot parse integer {text!r}")
-    if budget < 0:
-        raise PreconditionError(f"--budget must be >= 0, got {budget}")
-    return budget
+        raise argparse.ArgumentTypeError(f"cannot parse integer {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _seed(text: str) -> int:
+    """SplitMix64 would alias a seed at or past 2^64 to one below."""
+    value = _nonnegative(text)
+    if value >= SEED_LIMIT:
+        raise argparse.ArgumentTypeError(f"must be below 2^64, got {value}")
+    return value
 
 
 def _add_certificate(report: RunReport, cert: ApproxCertificate) -> None:
@@ -174,22 +179,14 @@ _BALANCERS = {
 }
 
 
-def _solve(solver: _Solver, inst, budget: int | None, alpha: Fraction | None):
-    """The approximation and, unless alpha is None, its certificate.  The
-    oracle runs first: it refuses an instance over its cap before any work."""
-    if alpha is None:
-        return solver.approx(inst, budget=budget), None
+def _solve(solver: _Solver, inst, args, certify: bool = True):
+    """The approximation under --budget and, if `certify`, its certificate at
+    --alpha; the oracle runs first, to refuse an instance over its cap early."""
+    if not certify:
+        return solver.approx(inst, budget=args.budget), None
     reference = solver.oracle(inst)
-    out = solver.approx(inst, budget=budget)
-    return out, is_alpha_approx_set(out, reference, alpha)
-
-
-def _check_seeds(seed: int, count: int = 1) -> None:
-    """SplitMix64 would alias a seed outside [0, 2^64) to one inside."""
-    if not 0 <= seed < SEED_LIMIT:
-        raise PreconditionError(f"--seed must be in [0, 2^64), got {seed}")
-    if seed + count > SEED_LIMIT:
-        raise PreconditionError(f"--seed {seed} with --count {count} runs past 2^64 - 1")
+    out = solver.approx(inst, budget=args.budget)
+    return out, is_alpha_approx_set(out, reference, args.alpha or HALF)
 
 
 def _refuse_for_balance(args, *flags: str) -> None:
@@ -228,7 +225,6 @@ def _imbalance_ratio(dev, bound) -> Fraction:
 
 
 def _cmd_gen(args) -> RunReport:
-    _check_seeds(args.seed)
     report = RunReport("gen", "splitmix64-generator")
     spec = _generator_spec(report, args, ("kind", "seed"))
     text = serialize(args.kind, generate(spec))
@@ -297,11 +293,6 @@ def _cmd_balance(args) -> RunReport:
 
 def _cmd_solve(args) -> RunReport:
     """`maxsat` and `maxatsp`: the approximation, or the oracle's front."""
-    # checked before any work: the oracle alone can take seconds
-    if args.oracle and args.certify:
-        raise PreconditionError("--certify and --oracle are mutually exclusive")
-    alpha = _parse_alpha(args.alpha)
-    budget = _parse_budget(args.budget)
     solver = _SOLVERS[args.kind]
     report = RunReport(
         args.subcommand, solver.oracle_algorithm if args.oracle else solver.algorithm
@@ -314,7 +305,7 @@ def _cmd_solve(args) -> RunReport:
     if args.oracle:
         out, cert = solver.oracle(inst), None
     else:
-        out, cert = _solve(solver, inst, budget, alpha if args.certify else None)
+        out, cert = _solve(solver, inst, args, args.certify)
     report.add("output_size", len(out))
     report.add("output_weights", _fmt_weights(out) or "-")
     report.note("output", f"{len(out)} Pareto candidate(s)")
@@ -324,8 +315,6 @@ def _cmd_solve(args) -> RunReport:
 
 
 def _cmd_certify(args) -> RunReport:
-    alpha = _parse_alpha(args.alpha)
-    budget = _parse_budget(args.budget)
     text = _read_instance(args.infile)
     kind = detect_kind(text)
     if kind == "balance":
@@ -339,18 +328,17 @@ def _cmd_certify(args) -> RunReport:
     report = RunReport("certify", solver.algorithm)
     inst = solver.parse(text)
     report.add("instance", "sha256:" + digest(text))
-    out, cert = _solve(solver, inst, budget, alpha)
+    out, cert = _solve(solver, inst, args)
     report.add("output_size", len(out))
     _add_certificate(report, cert)
     return report
 
 
 def _cmd_bench(args) -> RunReport:
-    alpha = _parse_alpha(args.alpha)
-    budget = _parse_budget(args.budget)
-    if args.count < 0:
-        raise PreconditionError(f"--count must be >= 0, got {args.count}")
-    _check_seeds(args.seed, args.count)
+    if args.seed + args.count > SEED_LIMIT:
+        raise PreconditionError(
+            f"--seed {args.seed} with --count {args.count} runs past 2^64 - 1"
+        )
     variant = BALANCE_KINDS.get(args.kind)
     if variant:
         _refuse_for_balance(args, "budget", "alpha")
@@ -367,7 +355,7 @@ def _cmd_bench(args) -> RunReport:
             ratio = _imbalance_ratio(*balance_deviation(instance, result, variant))
             worst_ratio = max(worst_ratio, ratio)
         else:
-            _, cert = _solve(_SOLVERS[args.kind], instance, budget, alpha)
+            _, cert = _solve(_SOLVERS[args.kind], instance, args)
             passed += cert.ok
             for r in cert.cover_ratios():
                 if r is not None:
@@ -379,6 +367,7 @@ def _cmd_bench(args) -> RunReport:
         report.note("verified", f"{passed}/{args.count}")
         report.note("worst ratio", f"{worst_ratio} of the proven bound (no tightness claim)")
     else:
+        alpha = args.alpha or HALF
         report.add("alpha", alpha)
         report.add("certified", passed)
         report.add("cover_min", _fmt_ratio(cover_min))
@@ -408,8 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common(p):
-        p.add_argument("--budget", default=None, help="operation budget override")
-        p.add_argument("--alpha", default=None, help="exact cover fraction p/q (default 1/2)")
+        p.add_argument("--budget", type=_nonnegative, help="operation budget override")
+        p.add_argument("--alpha", type=_alpha, help="exact cover fraction p/q (default 1/2)")
 
     def shape_flags(p, **defaults):
         p.add_argument("--kind", required=True, choices=KINDS)
@@ -418,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a seeded instance file")
     shape_flags(p)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_gen)
 
@@ -434,8 +423,9 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(command, help=f"approximate or enumerate {noun}")
         p.add_argument("--in", dest="infile", required=True)
-        p.add_argument("--oracle", action="store_true", help="exact Pareto front instead")
-        p.add_argument("--certify", action="store_true", help="compare against the oracle")
+        mode = p.add_mutually_exclusive_group()
+        mode.add_argument("--oracle", action="store_true", help="exact Pareto front instead")
+        mode.add_argument("--certify", action="store_true", help="compare against the oracle")
         common(p)
         p.set_defaults(handler=_cmd_solve, kind=kind)
 
@@ -446,8 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="seeded sweep with aggregate report")
     shape_flags(p, m=6, clauses=8)
-    p.add_argument("--count", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--count", type=_nonnegative, default=20)
+    p.add_argument("--seed", type=_seed, default=0)
     common(p)
     p.set_defaults(handler=_cmd_bench)
 

@@ -29,12 +29,21 @@ from .pareto import Weight
 Edge = tuple[int, int]
 
 
+def edge_fault(e: Edge, w: Weight, dimension: int) -> str | None:
+    """Why edge e's weight w does not fit a graph of `dimension` objectives,
+    or None; `LabeledDigraph` and the graph parser check every edge with it."""
+    if len(w) != dimension:
+        return f"edge {e} weight has wrong dimension"
+    if min(w) < 0:
+        return f"edge {e} weight {w} is negative"
+
+
 @dataclass(frozen=True)
 class LabeledDigraph:
     """Complete loop-free digraph with a nonnegative weight vector per edge.
 
-    Vertices are arbitrary distinct ints (contraction keeps original
-    labels); freshly built graphs use 0..n-1.
+    Vertices are at least two distinct ints, so that a tour exists
+    (contraction keeps original labels); freshly built graphs use 0..n-1.
     """
 
     vertices: tuple[int, ...]
@@ -43,8 +52,10 @@ class LabeledDigraph:
 
     def __post_init__(self):
         verts = tuple(sorted(self.vertices))
-        if len(set(verts)) != len(verts) or not verts:
-            raise PreconditionError("vertices must be distinct and nonempty")
+        if len(set(verts)) != len(verts):
+            raise PreconditionError("vertices must be distinct")
+        if len(verts) < 2:
+            raise PreconditionError("need at least two vertices")
         object.__setattr__(self, "vertices", verts)
         expected = {(u, v) for u in verts for v in verts if u != v}
         if set(self.weight_map) != expected:
@@ -54,16 +65,12 @@ class LabeledDigraph:
         if self.dimension < 1:
             raise PreconditionError("dimension must be >= 1")
         for e, w in self.weight_map.items():
-            if len(w) != self.dimension:
-                raise PreconditionError(f"edge {e} weight has wrong dimension")
-            if any(c < 0 for c in w):
-                raise PreconditionError(f"edge {e} weight {w} is negative")
+            if fault := edge_fault(e, w, self.dimension):
+                raise PreconditionError(fault)
 
     @classmethod
     def from_weights(cls, n: int, weights: Mapping[Edge, Weight]) -> "LabeledDigraph":
         """Graph on vertices 0..n-1; `weights` maps every ordered pair."""
-        if n < 2:
-            raise PreconditionError("need at least two vertices")
         # an empty map gives dimension 0 and fails the coverage check
         some = next(iter(weights.values()), ())
         return cls(tuple(range(n)), {e: tuple(w) for e, w in weights.items()}, len(some))
@@ -86,7 +93,7 @@ def is_hamiltonian_cycle(g: LabeledDigraph, edges: Iterable[Edge]) -> bool:
     """
     edge_list = list(edges)
     n = g.num_vertices
-    if len(edge_list) != n or n < 2:
+    if len(edge_list) != n:
         return False
     if not all(e in g.weight_map for e in edge_list):
         return False

@@ -31,14 +31,14 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from .balancing import CARRIES, INTEGER, VARIANTS, BalancingInstance, precondition_faults
+from .balancing import CARRIES, INTEGER, BalancingInstance, _check_present, precondition_faults
 from .errors import BudgetExceededError, InstanceFormatError, PreconditionError
-from .graphs import LabeledDigraph
-from .maxsat import CnfInstance
+from .graphs import LabeledDigraph, edge_fault
+from .maxsat import CnfInstance, clause_fault
 from .pareto import Weight
 from .rng import SplitMix64
 
-BALANCE_KINDS = {f"balance-{variant}": variant for variant in VARIANTS}
+BALANCE_KINDS = {f"balance-{variant}": variant for variant in CARRIES}
 
 MAX_SEQUENCE = 64
 MAX_VARS = 20
@@ -183,13 +183,10 @@ def _keyval(token: str, key: str, lineno: int) -> int:
 
 
 def serialize_balance(variant: str, inst: BalancingInstance) -> str:
-    if variant not in VARIANTS:
-        raise PreconditionError(f"unknown variant {variant!r}")
+    _check_present(inst, variant)
     rows = list(inst.x)
     for name in CARRIES[variant]:
         value = getattr(inst, name)
-        if value is None:
-            raise PreconditionError(f"{variant} instance must carry {name}")
         rows += value if name == "y" else [value]
     lines = [f"balance {variant} m={inst.m} n={inst.n}"]
     lines += [" ".join(map(str, v)) for v in rows]
@@ -205,7 +202,7 @@ def parse_balance(text: str) -> tuple[str, BalancingInstance]:
     if len(tokens) != 4 or tokens[0] != "balance":
         raise InstanceFormatError("header must be 'balance <variant> m=<m> n=<n>'", lineno)
     variant = tokens[1]
-    if variant not in VARIANTS:
+    if variant not in CARRIES:
         raise InstanceFormatError(f"unknown variant {variant!r}", lineno)
     m = _keyval(tokens[2], "m", lineno)
     n = _keyval(tokens[3], "n", lineno)
@@ -278,12 +275,8 @@ def parse_cnf(text: str) -> CnfInstance:
             lits = values[dim:-1]
             if 0 in lits:  # the length check leaves at least one literal
                 raise InstanceFormatError("clause needs nonzero literals before the 0", no)
-            ci = len(clause_lines)
-            for lit in lits:
-                if abs(lit) > header[1]:
-                    raise InstanceFormatError(f"clause {ci} has bad literal {lit}", no)
-            if any(c < 0 for c in weight):
-                raise InstanceFormatError(f"weight {ci} = {weight} is negative", no)
+            if fault := clause_fault(len(clause_lines), lits, weight, header[1], dim):
+                raise InstanceFormatError(fault, no)
             clause_lines.append((no, frozenset(lits), weight))
             continue
         raise InstanceFormatError(f"unrecognized line {line!r}", no)
@@ -344,8 +337,8 @@ def parse_graph(text: str) -> LabeledDigraph:
         if (u, v) in wm:
             raise InstanceFormatError(f"duplicate edge ({u}, {v})", no)
         w = tuple(values[2:])
-        if any(c < 0 for c in w):
-            raise InstanceFormatError(f"edge ({u}, {v}) weight {w} is negative", no)
+        if fault := edge_fault((u, v), w, dim):
+            raise InstanceFormatError(fault, no)
         wm[(u, v)] = w
     return LabeledDigraph(tuple(range(n)), wm, dim)
 
@@ -366,6 +359,8 @@ def detect_kind(text: str) -> str:
 
 def serialize(spec_kind: str, instance) -> str:
     """Canonical text of an instance of a generator kind."""
+    if spec_kind not in KIND_FIELDS:
+        raise PreconditionError(f"unknown generator kind {spec_kind!r}")
     if spec_kind in BALANCE_KINDS:
         return serialize_balance(BALANCE_KINDS[spec_kind], instance)
     if spec_kind == "cnf":

@@ -77,6 +77,8 @@ class ExactMatchingBackend:
         self._keyed: dict[int, _State] = {}
         self._scope: tuple[int, int] | None = None
 
+    # only tests call this, but perfbench times the backend through each class
+    # here that defines it, and every `--trace 1` run reads that span
     def pareto_matchings(self, tails=(), last=None) -> SolutionSet:
         """The Pareto matchings of G/F, one smallest witness per front weight."""
         unpack = self.packing.unpack

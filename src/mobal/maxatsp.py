@@ -64,7 +64,7 @@ from itertools import permutations
 from math import comb, factorial
 from typing import Iterable, Iterator
 
-from .errors import BudgetExceededError, PreconditionError, SearchInvariantError
+from .errors import BudgetExceededError, SearchInvariantError
 from .graphs import Edge, LabeledDigraph, is_hamiltonian_cycle, lift_edges
 from .matching import ExactMatchingBackend
 from .pareto import Packing, PackedFront, SolutionSet, Weight, even_objectives, vec_total
@@ -173,8 +173,6 @@ def maxatsp_approx(g: LabeledDigraph, *, budget: int | None = None) -> SolutionS
     When n - 2 is a path-set size the sweep would emit every tour, so the
     tours of front weights come from `_front_tours` instead.
     `approx_cost_estimate` is the only size guard."""
-    if g.num_vertices < 2:
-        raise PreconditionError("need at least two vertices")
     if budget is None:
         budget = DEFAULT_MAXATSP_BUDGET
     two_k = even_objectives(g.dimension)
@@ -264,8 +262,6 @@ def _front_tours(g: LabeledDigraph) -> dict[Weight, list[Cycle]]:
     weighed along its cycle in ints packed by `pareto.Packing`, bounded
     by the total of all edges.  Only front weights are unpacked and only
     their orders become edge tuples; every order is held until then."""
-    if g.num_vertices < 2:
-        raise PreconditionError("need at least two vertices")
     start, *rest = g.vertices
     packing = Packing(vec_total(g.weight_map.values(), g.dimension))
     weight_of = {e: packing.pack(w) for e, w in g.weight_map.items()}.__getitem__

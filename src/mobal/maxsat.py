@@ -74,6 +74,21 @@ DEFAULT_MAXSAT_BUDGET = 10**9
 ORACLE_VAR_CAP = 20
 
 
+def clause_fault(ci: int, clause, weight: Weight, num_vars: int, dim: int) -> str | None:
+    """Why clause ci and its weight do not fit a formula over num_vars
+    variables with dim objectives, or None; `CnfInstance` and the CNF
+    parser check every clause with it."""
+    if not clause:
+        return f"clause {ci} is empty"
+    for lit in clause:
+        if lit == 0 or abs(lit) > num_vars:
+            return f"clause {ci} has bad literal {lit}"
+    if len(weight) != dim:
+        return f"weight {ci} has mixed dimension"
+    if min(weight) < 0:
+        return f"weight {ci} = {weight} is negative"
+
+
 @dataclass(frozen=True)
 class CnfInstance:
     """CNF formula with one weight vector per clause.
@@ -94,20 +109,12 @@ class CnfInstance:
             raise PreconditionError("need at least one clause")
         if len(self.clauses) != len(self.weights):
             raise PreconditionError("one weight vector per clause required")
-        for ci, clause in enumerate(self.clauses):
-            if not clause:
-                raise PreconditionError(f"clause {ci} is empty")
-            for lit in clause:
-                if lit == 0 or abs(lit) > self.num_vars:
-                    raise PreconditionError(f"clause {ci} has bad literal {lit}")
         dim = len(self.weights[0])
         if dim < 1:
             raise PreconditionError("weights need at least one objective")
-        for ci, w in enumerate(self.weights):
-            if len(w) != dim:
-                raise PreconditionError(f"weight {ci} has mixed dimension")
-            if any(c < 0 for c in w):
-                raise PreconditionError(f"weight {ci} = {w} is negative")
+        for ci, (clause, w) in enumerate(zip(self.clauses, self.weights)):
+            if fault := clause_fault(ci, clause, w, self.num_vars, dim):
+                raise PreconditionError(fault)
 
     @property
     def dimension(self) -> int:
@@ -338,6 +345,7 @@ def _bit_reversed(bits: int) -> list[int]:
 __all__ = [
     "Assignment",
     "CnfInstance",
+    "clause_fault",
     "maxsat_approx",
     "maxsat_oracle",
     "maxsat_scan_estimate",

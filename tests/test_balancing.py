@@ -11,12 +11,14 @@ from mobal.balancing import (
     BalancingInstance,
     IntervalFamily,
     balance_combinatorial,
+    balance_deviation,
     balance_integer,
     balance_paired,
+    precondition_faults,
     verify_balance,
 )
 from mobal.errors import PreconditionError
-from mobal.instances import GeneratorSpec, generate
+from mobal.instances import GeneratorSpec, generate, serialize_balance
 from mobal.rng import SplitMix64
 
 
@@ -367,6 +369,20 @@ def test_verify_rejects_malformed_family():
         verify_balance(inst, bad, "paired")
     with pytest.raises(PreconditionError):
         verify_balance(inst, res, "nonsense")
+
+
+def test_every_variant_entry_point_refuses_an_unknown_variant():
+    # CARRIES names the variants, and `_check_present` refuses the rest
+    inst = BalancingInstance(x=((1, 1),) * 3, y=((1, 1),) * 3, z=(1, 1))
+    res = balance_paired(inst)
+    for call in (
+        lambda: list(precondition_faults(inst, "nonsense")),
+        lambda: balance_deviation(inst, res, "nonsense"),
+        lambda: verify_balance(inst, res, "nonsense"),
+        lambda: serialize_balance("nonsense", inst),
+    ):
+        with pytest.raises(PreconditionError, match="unknown variant 'nonsense'"):
+            call()
 
 
 @pytest.mark.parametrize(

@@ -92,8 +92,14 @@ def test_unknown_flag_exit_two(capsys, tmp_path):
     code, out, err = run(capsys, "maxatsp", "--in", str(path), "--bogus", "1")
     assert code == 2 and out == ""
     assert err == "error: unrecognized arguments: --bogus 1\n"
-    code, out, _ = run(capsys, "maxatsp", "-h")
-    assert code == 0 and "usage:" in out
+
+
+@pytest.mark.parametrize("command", ["gen", "balance", "maxsat", "maxatsp", "certify", "bench"])
+def test_every_subcommand_prints_its_help(capsys, command):
+    # help renders every flag's type and the --oracle/--certify group
+    code, out, err = run(capsys, command, "-h")
+    assert code == 0 and err == ""
+    assert out.startswith(f"usage: mobal {command}")
 
 
 def test_missing_file_exit_two(capsys):

@@ -115,6 +115,12 @@ def test_one_pass_contraction_matches_edge_by_edge():
                 # `size` edges of a Hamiltonian cycle: one to four paths
                 cycle = random_cycle(g, rng)
                 q = tuple(cycle[i] for i in rng.sample(0, n - 1, size))
+                if n - size < 2:
+                    # one vertex holds no tour, so the graph model refuses it
+                    with pytest.raises(PreconditionError, match="need at least two vertices"):
+                        contract_edge_by_edge(g, path_decomposition(q))
+                    checked += 1
+                    continue
                 want = contract_edge_by_edge(g, path_decomposition(q))
                 assert contract_path_set(g, q) == want
                 # the sweep's own ends, read without a decomposition
@@ -240,6 +246,19 @@ def test_role_predicates():
 def test_from_weights_refuses_an_empty_map():
     with pytest.raises(PreconditionError, match="all ordered pairs"):
         LabeledDigraph.from_weights(3, {})
+
+
+def test_graph_model_refuses_each_bad_edge_weight():
+    # the model checks every edge with `edge_fault`, as the parser checks
+    # every edge line, so a graph built in code meets the same rules
+    for weights, fault in (
+        ({(0, 1): (1, -2), (1, 0): (3, 4)}, "edge (0, 1) weight (1, -2) is negative"),
+        ({(0, 1): (1, 2), (1, 0): (3,)}, "edge (1, 0) weight has wrong dimension"),
+    ):
+        with pytest.raises(PreconditionError) as err:
+            LabeledDigraph((0, 1), weights, 2)
+        assert str(err.value) == fault
+    assert LabeledDigraph((0, 1), {(0, 1): (1, 2), (1, 0): (3, 4)}, 2).num_vertices == 2
 
 
 def test_relabel_preserves_weight_multiset():

@@ -17,6 +17,7 @@ from mobal.instances import (
     parse_balance,
     parse_cnf,
     parse_graph,
+    serialize,
     serialize_balance,
     serialize_cnf,
     serialize_graph,
@@ -136,6 +137,14 @@ def test_graph_round_trips():
         assert serialize_graph(parse_graph(text)) == text
 
 
+def test_serialize_refuses_an_unknown_kind():
+    # a kind KIND_FIELDS does not name is refused, not written as a graph
+    for kind in ("graph", "cnf"):
+        instance = generate(GeneratorSpec(kind=kind, seed=1))
+        with pytest.raises(PreconditionError, match="unknown generator kind 'nonsense'"):
+            serialize("nonsense", instance)
+
+
 @given(st.integers(0, 2**63), st.integers(1, 6), st.integers(1, 2))
 @settings(max_examples=25, deadline=None)
 def test_round_trip_property(seed, m, n):
@@ -178,7 +187,7 @@ def test_variant_table_drives_generator_serializer_searches_and_parser(variant):
     result = _BALANCERS[variant](inst)
     for name in CARRIES[variant]:
         lacking = replace(inst, **{name: None})
-        with pytest.raises(PreconditionError, match=f"{variant} instance must carry {name}"):
+        with pytest.raises(PreconditionError, match=f"{variant} balancing needs {name}"):
             serialize_balance(variant, lacking)
         with pytest.raises(PreconditionError, match=f"{variant} balancing needs {name}"):
             _BALANCERS[variant](lacking)

@@ -98,11 +98,12 @@ def test_requires_even_vertex_count():
 
 
 def test_single_vertex_refused():
+    # the graph model holds the two-vertex floor, so neither the sweep nor
+    # the oracle's tour pass can be handed a graph without a tour
     with pytest.raises(PreconditionError, match="need at least two vertices"):
-        maxatsp_approx(LabeledDigraph((0,), {}, 1))
-    # the oracle's tour pass refuses too, not a KeyError on a loop (0, 0)
+        LabeledDigraph((0,), {}, 1)
     with pytest.raises(PreconditionError, match="need at least two vertices"):
-        tsp_oracle(LabeledDigraph((0,), {}, 1))
+        LabeledDigraph.from_weights(1, {})
 
 
 def test_budget_guard():
