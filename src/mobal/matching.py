@@ -92,9 +92,13 @@ class ExactMatchingBackend:
         index = self._index
         labels = self.reference.vertices
         n = len(labels)
-        tails = set(tails)
-        if not index.keys() >= {*tails, *last, *last.values()} or len(tails) == n:
-            raise PreconditionError("path ends must name vertices of the reference and leave one")
+        tails, ends = set(tails), set(last.values())
+        named = index.keys() >= {*tails, *last} and len(tails) < n
+        if not (named and ends <= tails and len(ends) == len(last) and tails.isdisjoint(last)):
+            raise PreconditionError(
+                "path ends must name vertices of the reference and leave one; each head"
+                " must be kept and end its path at a tail of its own"
+            )
         root = (1 << n) - 1 - sum(1 << index[v] for v in tails)
         rows = list(labels)  # each vertex's row source, by bit index
         # a head's row source index plus one, in the head's slot above the

@@ -23,7 +23,7 @@ Deduplicated and Pareto-filtered, the emitted assignments contain a
 1/2-approximate Pareto set of the instance.
 
 The V0 sets are walked depth-first over bitmasks, in lexicographic
-order of their sorted variable tuples; a child V0 + {x} discards its
+order of their sorted bit tuples; a child V0 + {x} discards its
 parent's clauses plus those holding -x.  V1 can only shrink along a
 walk: a larger V0 leaves G smaller, so every objective of w(G[-v]) is
 non-increasing, and w(H - G) larger, so every objective of the floor
@@ -49,10 +49,13 @@ most (2k)^2 < m variables could be in V1, a contradiction.
 
 Both the sweep and the 2^m oracle weigh assignments through one clause
 table (`_ClauseTable`), in ints packed by `pareto.Packing` under the
-objective totals, and take fronts packed.  An assignment satisfies the
-clauses its two variable halves do, read from two tables of at most
-2^ceil(m/2) entries (Horowitz & Sahni's split, J. ACM 21(2), 1974); its
-packed weight is a sum of lookups, eight clauses at a time.
+objective totals, and take fronts packed.  A mask holds variable j at
+bit m - j, so its integer order is its assignment tuple's order; the
+walk and the intervals work on bits, and V' read in reverse has the
+same unions of k intervals.  An assignment satisfies the clauses its
+two variable halves do, read from two tables of at most 2^ceil(m/2)
+entries (Horowitz & Sahni's split, J. ACM 21(2), 1974); its packed
+weight is a sum of lookups, eight clauses at a time.
 """
 
 from __future__ import annotations
@@ -128,24 +131,25 @@ class CnfInstance:
 class _ClauseTable:
     """Packed clause weights and satisfied-clause tables of one instance.
 
-    Assignments are masks with bit j-1 holding variable j; clause sets
-    are ints with bit i holding clause i.  The low `low_bits` variables
-    index `lo`, the others index `hi`, and an assignment a satisfies the
-    clause set ``lo[a & low_mask] | hi[a >> low_bits]``.
+    Assignments are masks with variable j at bit m - j, so integer order
+    is tuple order; clause sets are ints with bit i holding clause i.
+    The low `low_bits` bits (the last variables) index `lo`, the others
+    index `hi`, and an assignment a satisfies the clause set
+    ``lo[a & low_mask] | hi[a >> low_bits]``.
     """
 
     def __init__(self, inst: CnfInstance):
         m = inst.num_vars
         self.packing = Packing(vec_total(inst.weights, inst.dimension))
-        # clauses holding literal j+1 / -(j+1)
+        # clauses holding the variable of bit b, unnegated / negated
         self.pos_clauses = [0] * m
         self.neg_clauses = [0] * m
         for ci, clause in enumerate(inst.clauses):
             for lit in clause:
                 if lit > 0:
-                    self.pos_clauses[lit - 1] |= 1 << ci
+                    self.pos_clauses[m - lit] |= 1 << ci
                 else:
-                    self.neg_clauses[-lit - 1] |= 1 << ci
+                    self.neg_clauses[m + lit] |= 1 << ci
         self.all_clauses = (1 << len(inst.clauses)) - 1
         self.low_bits = m // 2
         self.low_mask = (1 << self.low_bits) - 1
@@ -213,8 +217,8 @@ def _v1(table: _ClauseTable, discarded: int, two_k: int, candidates: int) -> int
 
 def _walk(table: _ClauseTable, m: int, two_k: int) -> Iterator[tuple[int, int]]:
     """(V0 mask, V1 mask) for every V0 of at most min((2k)^2, m) variables,
-    depth-first in lexicographic order of V0's sorted tuple; a child
-    V0 + {x}, x above V0's largest variable, tests only its parent's V1
+    depth-first in lexicographic order of V0's sorted bit tuple; a child
+    V0 + {x}, bit x above V0's largest bit, tests only its parent's V1
     minus x (see the module docstring)."""
     cap = min(two_k * two_k, m)
     neg_clauses = table.neg_clauses
@@ -298,12 +302,7 @@ def maxsat_approx(inst: CnfInstance, *, budget: int | None = None) -> SolutionSe
     by_weight: dict[int, list[int]] = {}
     for mask, packed in zip(order, table.weigh(table.satisfied(order))):
         by_weight.setdefault(packed, []).append(mask)
-    packing = table.packing
-    return SolutionSet.build(
-        (tuple((mask >> j) & 1 for j in range(m)), packing.unpack(p))
-        for p in packing.front(by_weight)
-        for mask in by_weight[p]
-    )
+    return _front_solutions(table, m, by_weight)
 
 
 def maxsat_oracle(inst: CnfInstance) -> SolutionSet:
@@ -316,30 +315,24 @@ def maxsat_oracle(inst: CnfInstance) -> SolutionSet:
     if m > ORACLE_VAR_CAP:
         raise BudgetExceededError(f"oracle refuses {m} variables (cap {ORACLE_VAR_CAP})")
     table = inst._table
-    # Variable 1 comes first in tuple order but sits at bit 0 of a mask,
-    # so walking each half in bit-reversed index order, the first half
-    # outside, visits the assignment tuples in ascending order.
-    inner_bits = m - table.low_bits
-    outer = [table.lo[x] for x in _bit_reversed(table.low_bits)]
-    inner = [table.hi[y] for y in _bit_reversed(inner_bits)]
-    best: dict[int, int] = {}
-    for i, sat in enumerate(outer):
-        row = table.weigh([sat | s for s in inner])
-        for j, packed in enumerate(row):
+    best: dict[int, list[int]] = {}
+    # masks in ascending order, so the first per weight is the smallest tuple
+    for i, sat in enumerate(table.hi):
+        row = table.weigh([sat | s for s in table.lo])
+        for mask, packed in enumerate(row, i << table.low_bits):
             if packed not in best:
-                best[packed] = (i << inner_bits) | j
+                best[packed] = [mask]
+    return _front_solutions(table, m, best)
+
+
+def _front_solutions(table: _ClauseTable, m: int, by_weight: dict[int, list[int]]) -> SolutionSet:
+    """The masks of each front weight as assignments, variable j at bit m - j."""
+    packing = table.packing
     return SolutionSet.build(
-        (tuple((best[p] >> (m - 1 - j)) & 1 for j in range(m)), table.packing.unpack(p))
-        for p in table.packing.front(best)
+        (tuple((mask >> (m - 1 - j)) & 1 for j in range(m)), packing.unpack(p))
+        for p in packing.front(by_weight)
+        for mask in by_weight[p]
     )
-
-
-def _bit_reversed(bits: int) -> list[int]:
-    """range(2^bits) with each index's bits read in reverse."""
-    order = [0]
-    for _ in range(bits):
-        order = [2 * r for r in order] + [2 * r + 1 for r in order]
-    return order
 
 
 __all__ = [

@@ -243,7 +243,10 @@ def is_alpha_approx_set(
 
     Failure is reported in the certificate, not raised.
     """
-    alpha = Fraction(alpha)
+    try:
+        alpha = Fraction(alpha)
+    except (ValueError, ZeroDivisionError):
+        raise PreconditionError(f"cannot parse alpha {alpha!r}") from None
     if not 0 < alpha <= 1:
         raise PreconditionError(f"alpha must be in (0, 1], got {alpha}")
     pairs: list[tuple[int, int]] = []

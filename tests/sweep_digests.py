@@ -9,10 +9,11 @@ of its output's repr:
   at odd n, at n = 9 and at three objectives;
 * `maxsat_approx(inst).entries` on seeded CNFs (2m clauses, bound 20):
   the full cube at m = (2k)^2 + 1 and the walk at the largest m the
-  default budget admits at two objectives;
+  default budget admits at two objectives, and `maxsat_oracle(inst).entries`
+  on the same CNFs;
 * `balance_paired` and `balance_integer` on the n = 2, m = 64 necklace
   block instance, the balancing scan's deepest search.
-About 12 s in all.
+About 13 s in all.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from helpers import necklace_blocks
 from mobal.balancing import balance_integer, balance_paired
 from mobal.instances import GeneratorSpec, generate
 from mobal.maxatsp import maxatsp_approx
-from mobal.maxsat import maxsat_approx
+from mobal.maxsat import maxsat_approx, maxsat_oracle
 
 PINNED = Path(__file__).resolve().parent / "data" / "sweep_digests.txt"
 # (vertices, dim, seed)
@@ -42,7 +43,9 @@ def _outputs():
         yield f"n={n} dim={dim} seed={seed}", maxatsp_approx(g, budget=10**9).entries
     for m, dim, seed in CNFS:
         spec = GeneratorSpec(kind="cnf", seed=seed, m=m, clauses=2 * m, dim=dim, bound=20)
-        yield f"maxsat m={m} dim={dim} seed={seed}", maxsat_approx(generate(spec)).entries
+        inst = generate(spec)
+        yield f"maxsat m={m} dim={dim} seed={seed}", maxsat_approx(inst).entries
+        yield f"oracle m={m} dim={dim} seed={seed}", maxsat_oracle(inst).entries
     for n, m in BLOCKS:
         inst = necklace_blocks(n, m)
         yield f"blocks n={n} m={m} paired", balance_paired(inst)

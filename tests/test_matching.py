@@ -178,7 +178,8 @@ def test_reused_backend_matches_enumeration_with_witnesses():
 
 
 def test_backend_refuses_new_vertex_or_dimension():
-    # ends may name only vertices of the reference, and must leave one
+    # ends may name only vertices of the reference and must leave one;
+    # each head's last vertex is a tail of its own, and no head is a tail
     small = generate(GeneratorSpec(kind="graph", seed=3, vertices=4, dim=2, bound=5))
     backend = ExactMatchingBackend(small)
     assert backend.pareto_matchings() == enumerated_pareto_matchings(small)
@@ -186,7 +187,12 @@ def test_backend_refuses_new_vertex_or_dimension():
     assert backend.pareto_matchings({1, 3}, {0: 1, 2: 3}) is not None
     assert backend._keyed
     memo, keyed = dict(backend._memo), dict(backend._keyed)
-    for ends in (({4}, {}), ({1}, {0: 7}), ({1}, {9: 1}), ({0, 1, 2, 3}, {})):
+    refused = [({4}, {}), ({1}, {0: 7}), ({1}, {9: 1}), ({0, 1, 2, 3}, {})]
+    # a head that is a tail, a last vertex that is no tail (another vertex,
+    # none at all, or the head itself), and two heads sharing a last vertex
+    refused += [({1}, {1: 2}), ({1}, {0: 2}), (set(), {0: 1}), ({1}, {0: 0})]
+    refused.append(({1, 2}, {0: 1, 3: 1}))
+    for ends in refused:
         with pytest.raises(PreconditionError):
             backend.pareto_matchings(*ends)
     # the refusals wrote no state, and the backend still answers exactly

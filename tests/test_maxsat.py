@@ -45,20 +45,27 @@ def cnf(num_vars, *clauses_with_weights):
     return CnfInstance(num_vars, clauses, weights)
 
 
-def bits(variables):
-    """Mask with bit v-1 set for each variable v."""
-    return sum(1 << (v - 1) for v in variables)
+def bits(m, variables):
+    """Mask over m variables with variable v at bit m - v, as the sweep
+    and the oracle encode assignments."""
+    return sum(1 << (m - v) for v in variables)
 
 
-def variables(mask):
-    """The sorted variables whose bits the mask sets."""
-    return tuple(j + 1 for j in range(mask.bit_length()) if mask >> j & 1)
+def variables(m, mask):
+    """The sorted variables whose bits the mask over m variables sets."""
+    return tuple(v for v in range(1, m + 1) if mask >> (m - v) & 1)
+
+
+def reference_mask(m, mask):
+    """The mask in the encoding of the references in `helpers`, variable
+    v at bit v - 1."""
+    return sum(1 << (v - 1) for v in variables(m, mask))
 
 
 def walked_v1(inst, v0=()):
     """The V1 mask the walk derives for the zero-forced set v0."""
-    table, two_k = inst._table, even_objectives(inst.dimension)
-    return dict(_walk(table, inst.num_vars, two_k))[bits(v0)]
+    m, two_k = inst.num_vars, even_objectives(inst.dimension)
+    return dict(_walk(inst._table, m, two_k))[bits(m, v0)]
 
 
 def corpus(count, seed0=20_000):
@@ -172,7 +179,7 @@ def test_v1_condition_is_some_objective_exceeds():
     # G[-v1] = {(-v1, w=(5,0))}; discarded weight is zero, so objective 1
     # satisfies 2k*5 > 0 and v1 is forced to one
     inst = cnf(2, ({-1}, (5, 0)), ({2}, (1, 1)))
-    assert walked_v1(inst) & bits({1})
+    assert walked_v1(inst) & bits(2, {1})
     # all-objective comparison would fail: component 2 gives 0 > 0 false
     assert not all(2 * w > 0 for w in (5, 0))
 
@@ -182,7 +189,7 @@ def test_v1_not_forced_when_componentwise_small():
     # V0 = {1} discards clause 0, so w(H - G) = (8, 8) and
     # 2k * (1, 1) <= (8, 8) leaves v2 free there
     inst = cnf(2, ({-1}, (8, 8)), ({-2}, (1, 1)))
-    assert walked_v1(inst) == bits({1, 2})
+    assert walked_v1(inst) == bits(2, {1, 2})
     assert walked_v1(inst, (1,)) == 0
 
 
@@ -190,7 +197,7 @@ def test_gprime_definition():
     # clause 0 contains -v1 with v1 in V0: satisfied, out of G.  In G it
     # would make G[-2] = (5, 5) > w(H - G) = 0 and force v2
     inst = cnf(2, ({-1, -2}, (5, 5)), ({2}, (1, 1)))
-    assert walked_v1(inst) == bits({1, 2})
+    assert walked_v1(inst) == bits(2, {1, 2})
     assert walked_v1(inst, (1,)) == 0
 
 
@@ -199,7 +206,7 @@ def test_single_interval_variable_still_admits_empty_interval():
     # combination is one of the k-interval choices and must be emitted
     inst = cnf(1, ({1}, (1, 1)))
     assert walked_v1(inst) == 0  # V' = {1}
-    assert _emit_masks(0, bits({1}), 1) == {0, 1}
+    assert _emit_masks(0, bits(1, {1}), 1) == {0, 1}
 
 
 def test_empty_vprime_emits_forced_assignment():
@@ -368,9 +375,9 @@ def test_packed_sweep_matches_reference():
     for inst in differential_corpus():
         m, two_k = inst.num_vars, even_objectives(inst.dimension)
         for v0, v1 in _walk(inst._table, m, two_k):
-            want_v1, want_vprime = reference_sat_state(inst, variables(v0), two_k)
-            assert v1 == bits(want_v1)
-            assert ((1 << m) - 1) & ~(v0 | v1) == bits(want_vprime)
+            want_v1, want_vprime = reference_sat_state(inst, variables(m, v0), two_k)
+            assert v1 == bits(m, want_v1)
+            assert ((1 << m) - 1) & ~(v0 | v1) == bits(m, want_vprime)
         expected = reference_weigh_and_filter(inst, reference_sweep_masks(inst))
         assert maxsat_approx(inst) == expected
 
@@ -415,7 +422,9 @@ def test_scan_estimate_bounds_emitted_masks():
 
 
 def test_emit_masks_matches_reference():
-    # (V1, V', k) triples as variable tuples
+    # (m, V1, V', k) with V1 and V' as variable tuples; the sweep takes V'
+    # by ascending bit, so by descending variable, and the reference by
+    # ascending variable, and both must emit the same unions of intervals
     cases = []
     for i in range(100):
         # the instances of acceptance criterion 2
@@ -428,14 +437,13 @@ def test_emit_masks_matches_reference():
         m, two_k = inst.num_vars, even_objectives(inst.dimension)
         for v0, v1 in _walk(inst._table, m, two_k):
             vprime = ((1 << m) - 1) & ~(v0 | v1)
-            cases.append((variables(v1), variables(vprime), two_k // 2))
+            cases.append((m, variables(m, v1), variables(m, vprime), two_k // 2))
     # |V'| = 0, 1 and 2 next to forced variables, at one and two intervals
     for vprime in ((), (2,), (2, 4)):
-        cases += [((3,), vprime, 1), ((3,), vprime, 2)]
-    for v1, vprime, half_k in cases:
-        assert _emit_masks(bits(v1), bits(vprime), half_k) == reference_emit_masks(
-            v1, vprime, half_k
-        )
+        cases += [(4, (3,), vprime, 1), (4, (3,), vprime, 2)]
+    for m, v1, vprime, half_k in cases:
+        masks = _emit_masks(bits(m, v1), bits(m, vprime), half_k)
+        assert {reference_mask(m, a) for a in masks} == reference_emit_masks(v1, vprime, half_k)
 
 
 def walk_corpus():
@@ -452,14 +460,16 @@ def walk_corpus():
 
 
 def test_walk_visits_every_v0_in_lexicographic_order():
+    # lexicographic in V0's sorted bit tuple
     for inst in walk_corpus():
         m, two_k = inst.num_vars, even_objectives(inst.dimension)
         cap = min(two_k * two_k, m)
-        v0s = [variables(v0) for v0, _ in _walk(inst._table, m, two_k)]
+        v0s = [
+            tuple(b for b in range(m) if v0 >> b & 1)
+            for v0, _ in _walk(inst._table, m, two_k)
+        ]
         assert len(v0s) == sum(comb(m, s) for s in range(cap + 1))
-        assert v0s == sorted(
-            v0 for s in range(cap + 1) for v0 in combinations(range(1, m + 1), s)
-        )
+        assert v0s == sorted(v0 for s in range(cap + 1) for v0 in combinations(range(m), s))
 
 
 def test_v1_shrinks_along_every_walk_link():
@@ -467,14 +477,15 @@ def test_v1_shrinks_along_every_walk_link():
     # tests every variable outside V0, so equal V1 sets show that no
     # variable outside the parent's V1 would have been forced
     for inst in walk_corpus():
-        two_k = even_objectives(inst.dimension)
+        m, two_k = inst.num_vars, even_objectives(inst.dimension)
         v1_of = {}
-        for v0_mask, v1_mask in _walk(inst._table, inst.num_vars, two_k):
-            v0, v1 = variables(v0_mask), frozenset(variables(v1_mask))
+        for v0_mask, v1_mask in _walk(inst._table, m, two_k):
+            v0, v1 = variables(m, v0_mask), frozenset(variables(m, v1_mask))
             assert v1 == reference_sat_state(inst, v0, two_k)[0]
             v1_of[v0] = v1
             if v0:
-                *parent, x = v0
+                # a child adds a bit above its parent's, so a smaller variable
+                x, *parent = v0
                 assert v1 <= v1_of[tuple(parent)] - {x}
 
 
@@ -523,7 +534,8 @@ def test_walk_runs_at_square_plus_three():
     differ = 0
     for inst in two_objective_corpus(7):
         out = maxsat_approx(inst)
-        assert out == reference_weigh_and_filter(inst, set().union(*walked_masks(inst)))
+        walked = {reference_mask(7, a) for a in set().union(*walked_masks(inst))}
+        assert out == reference_weigh_and_filter(inst, walked)
         differ += out != reference_weigh_and_filter(inst, range(1 << 7))
     assert differ == 42
 

@@ -134,7 +134,7 @@ def test_certificate_failure_value():
 
 def test_alpha_out_of_range():
     s = _solset([(1, 1)])
-    for bad in (Fraction(0), Fraction(3, 2), Fraction(-1, 2)):
+    for bad in (Fraction(0), Fraction(3, 2), Fraction(-1, 2), "abc", "1/0"):
         with pytest.raises(PreconditionError):
             is_alpha_approx_set(s, s, bad)
 
