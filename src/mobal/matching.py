@@ -18,13 +18,14 @@ Witnesses follow one rule: every state keeps, per key, the smallest
 sorted edge tuple.  Keying by weight alone would not be exact: inserting
 one edge into two sorted tuples keeps their order when they have equal
 length, but can reverse it when one is a proper prefix of the other.
-The root inserts no further edge, so it keeps the smallest tuple per
-weight directly, and per front weight that is the canonical witness an
-exhaustive enumeration would pick.  It must compare, not keep the first
-tuple of each weight: with heads it removes a head, not the smallest
-vertex, so a matching extended through that head need not sort first
-(with tail 5 and head 4 on six vertices, ((0, 4), (1, 2)) comes before
-((0, 3), (1, 2)); `tests/test_matching.py`).
+The root inserts no further edge, so it takes the front of its weights
+first and builds, per front weight and whatever its count, the smallest
+tuple alone: the canonical witness an exhaustive enumeration would
+pick.  It must compare, not keep the first tuple of each weight: with
+heads it removes a head, not the smallest vertex, so a matching
+extended through that head need not sort first (with tail 5 and head 4
+on six vertices, ((0, 4), (1, 2)) comes before ((0, 3), (1, 2));
+`tests/test_matching.py`).
 
 A backend is built for one reference graph G and answers G/F for path
 sets F of G from F's ends alone: the tails, which vanish, and each head
@@ -121,15 +122,15 @@ class ExactMatchingBackend:
         edge_key, cbits, front = self._edge_keys, self._cbits, self.packing.front
         shared, keyed = self._memo, self._keyed
 
-        def candidates(mask: int, code: int) -> _State:
-            """Every key below mask, unfiltered."""
+        def moves(mask: int, code: int) -> tuple[_State, list[tuple[Edge, int, _State]]]:
+            """f(mask - v), and (e, key, f(mask - v - u)) per edge e of v and u."""
             # heads first, the smallest last (module docstring)
             pick = (mask & others) or (mask & heads) or mask
             low = pick & -pick
             i = low.bit_length() - 1
             v, row = labels[i], rows[i]
             rest, rest_code = mask ^ low, code - codes[i]
-            best = dict(solve(rest, rest_code))  # v uncovered
+            uncovered, covered = solve(rest, rest_code), []
             partners = rest
             while partners:
                 b = partners & -partners
@@ -137,7 +138,16 @@ class ExactMatchingBackend:
                 j = b.bit_length() - 1
                 u = labels[j]
                 sub = solve(rest ^ b, rest_code - codes[j])
-                for e, inc in (((v, u), edge_key[(row, u)]), ((u, v), edge_key[(rows[j], v)])):
+                covered += ((v, u), edge_key[(row, u)], sub), ((u, v), edge_key[(rows[j], v)], sub)
+            return uncovered, covered
+
+        def solve(mask: int, code: int) -> _State:
+            memo = keyed if code else shared
+            state = memo.get(mask | code)
+            if state is None:
+                uncovered, covered = moves(mask, code)
+                best = dict(uncovered)
+                for e, inc, sub in covered:
                     for key, enc in sub.items():
                         key += inc
                         k = bisect(enc, e)
@@ -145,20 +155,25 @@ class ExactMatchingBackend:
                         cur = best.get(key)
                         if cur is None or cand < cur:
                             best[key] = cand
-            return best
-
-        def solve(mask: int, code: int) -> _State:
-            memo = keyed if code else shared
-            state = memo.get(mask | code)
-            if state is None:
-                best = candidates(mask, code)
                 kept = set(front({key >> cbits for key in best}))
                 state = {key: enc for key, enc in best.items() if key >> cbits in kept}
                 memo[mask | code] = state
             return state
 
-        # the root keeps the smallest witness per weight, whatever its count
+        # weigh first, witness last (module docstring)
+        uncovered, covered = moves(root, root_code)
+        covered.append((None, 0, uncovered))  # v uncovered: no edge to insert
+        weights = front({(key + inc) >> cbits for _, inc, sub in covered for key in sub})
+        kept = set(weights)
         witness: dict[int, tuple[Edge, ...]] = {}
-        for key, enc in candidates(root, root_code).items():
-            witness[key >> cbits] = min(enc, witness.get(key >> cbits, enc))
-        return [(witness[p], p) for p in front(witness)]
+        for e, inc, sub in covered:
+            for key, enc in sub.items():
+                p = (key + inc) >> cbits
+                if p in kept:
+                    if e:
+                        k = bisect(enc, e)
+                        enc = enc[:k] + (e,) + enc[k:]
+                    cur = witness.get(p)
+                    if cur is None or enc < cur:
+                        witness[p] = enc
+        return [(witness[p], p) for p in weights]

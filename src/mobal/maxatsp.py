@@ -4,10 +4,10 @@ One sweep serves every vertex count n.  With 2k the objective count
 rounded up to even, it enumerates every vertex-disjoint path set F of
 0..2k edges when n is even, or of 1..2k+1 edges when n is odd,
 hands its ends to a matching backend for Pareto-optimal matchings of
-the contracted graph G/F, completes each matching deterministically to
-a Hamiltonian cycle, and weighs its expansion back through F.  The
-expanded cycles of front weights 1/2-cover every Hamiltonian cycle of
-the input.
+the contracted graph G/F, and weighs each matching's deterministic
+completion to a Hamiltonian cycle, expanded back through F.  The cycles
+of the front weights, built for the final front alone, 1/2-cover every
+Hamiltonian cycle of the input.
 
 Even n: every cycle T hides a path set F of at most 2k edges and a
 matching of G/F of weight at least w(T)/2 - w(F), componentwise, and
@@ -36,11 +36,11 @@ be seen in G/F.  Path sets with the same tails and head -> last map
 therefore get the same matching front and contracted tours T', which
 lift to the same edges (last(a), b) for each edge (a, b) of T'; only F
 differs, and the tour of G weighs w(F) + w'(T').  The sweep asks the
-backend once per distinct contracted graph and keeps its weighed tours
-for the later path sets of the same size.  Two path sets can share a
-graph only when |F| >= 3 and some vertex is interior (|F| exceeds the
-number of paths): two edges on one path leave their one interior
-vertex a single place.
+backend once per distinct contracted graph and keeps its weighed
+matchings for the later path sets of the same size.  Two path sets can
+share a graph only when |F| >= 3 and some vertex is interior (|F|
+exceeds the number of paths): two edges on one path leave their one
+interior vertex a single place.
 
 When n - 2 is one of the sweep's sizes (n <= 2k+2 at even n, n <= 2k+3
 at odd n), the sweep emits exactly the set of all (n-1)!
@@ -62,7 +62,7 @@ from __future__ import annotations
 
 from itertools import permutations
 from math import comb, factorial
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, SearchInvariantError
 from .graphs import Edge, LabeledDigraph, is_hamiltonian_cycle, lift_edges
@@ -125,12 +125,10 @@ def path_set_candidates(
 
 
 def _chain_fragments(vertices: Iterable[int], m_edges: Iterable[Edge]) -> list[Edge]:
-    """Edges of the cycle that completes a matching on `vertices`.
-
-    Matching edges and uncovered vertices are fragments; fragments are
-    chained in order of their smallest start vertex and the cycle is
-    closed from the last fragment back to the first.  Any completion
-    preserves the matching's weight since edge weights are nonnegative.
+    """Edges of the cycle that completes a matching on `vertices`: its
+    edges, then an edge (end, start) joining each fragment to the next
+    (`_fragment_pairs`).  Any completion preserves the matching's weight
+    since edge weights are nonnegative.
 
     For a matching of a complete graph on at least two vertices the
     result is a Hamiltonian cycle without a further check: the fragments
@@ -140,13 +138,17 @@ def _chain_fragments(vertices: Iterable[int], m_edges: Iterable[Edge]) -> list[E
     so every connecting edge exists.
     """
     cycle = list(m_edges)
-    covered = {x for e in cycle for x in e}
-    fragments = cycle + [(x, x) for x in vertices if x not in covered]
+    return cycle + [(end, start) for (_, end), (start, _) in _fragment_pairs(vertices, cycle)]
+
+
+def _fragment_pairs(vertices: Iterable[int], m_edges: Sequence[Edge]) -> Iterable[tuple[Edge, Edge]]:
+    """Each fragment of a matching on `vertices`, a matching edge or an
+    uncovered vertex x as (x, x), by start vertex, with the next one; the
+    last fragment's next is the first."""
+    covered = {x for e in m_edges for x in e}
+    fragments = [*m_edges, *[(x, x) for x in vertices if x not in covered]]
     fragments.sort()
-    for (_, end), (nxt, _) in zip(fragments, fragments[1:]):
-        cycle.append((end, nxt))
-    cycle.append((fragments[-1][1], fragments[0][0]))
-    return cycle
+    return zip(fragments, fragments[1:] + fragments[:1])
 
 
 def _path_set_counts(n: int, two_k: int) -> dict[int, int]:
@@ -197,15 +199,16 @@ def _sweep(
     """Every tour of each front weight that the sweep over path sets of the
     given sizes emits, one backend call per distinct contracted graph.
     Tours are weighed in the backend's `packing`, which bounds every tour
-    of g, as w(F) + w'(M) plus the lifted connecting edges.  An online
-    front keeps (F, last, T') while no other weight dominates its own, so
-    only the final front's tours are lifted, sorted and checked."""
+    of g, as w(F) + w'(M) plus the edges completing M to T', weighed
+    from their lifted ends off M's fragments.  An online front keeps
+    (F, last, M) while no other weight dominates its own, so only the
+    final front's matchings are completed, lifted, sorted and checked."""
     packing = backend.packing
     weight_of = {e: packing.pack(w) for e, w in g.weight_map.items()}
     front = PackedFront(packing)
-    # (w'(T'), T') of every tour T' of each contracted graph that a later
+    # (w'(T'), M) of each matching M of a contracted graph that a later
     # path set of the same size can share (module docstring)
-    shared: dict[tuple, list[tuple[int, list[Edge]]]] = {}
+    shared: dict[tuple, list[tuple[int, tuple[Edge, ...]]]] = {}
     size = -1
     for f in path_set_candidates(g, sizes):
         if len(f) != size:
@@ -220,19 +223,19 @@ def _sweep(
             verts = [x for x in g.vertices if x not in tails]  # those of G/F
             tours = []
             for m_enc, p in backend.packed_matchings(tails, last):
-                cycle = _chain_fragments(verts, m_enc)
-                p += sum([weight_of[(last.get(u, u), v)] for u, v in cycle[len(m_enc):]])
-                tours.append((p, cycle))
+                pairs = _fragment_pairs(verts, m_enc)
+                p += sum([weight_of[(last.get(end, end), start)] for (_, end), (start, _) in pairs])
+                tours.append((p, m_enc))
             if key is not None:
                 shared[key] = tours
         f_weight = sum(map(weight_of.__getitem__, f))
-        for p, cycle in tours:
-            front.offer(f_weight + p, (f, last, cycle))
-    out = [
-        (tuple(sorted((*f, *lift_edges(last, cycle)))), packing.unpack(p))
-        for p, kept in front.items.items()
-        for f, last, cycle in kept
-    ]
+        for p, m_enc in tours:
+            front.offer(f_weight + p, (f, last, m_enc))
+    out = []
+    for p, kept in front.items.items():
+        for f, last, m_enc in kept:
+            cycle = _chain_fragments(set(g.vertices).difference(v for _, v in f), m_enc)
+            out.append((tuple(sorted((*f, *lift_edges(last, cycle)))), packing.unpack(p)))
     if not all(is_hamiltonian_cycle(g, t) for t, _ in out):
         raise SearchInvariantError("expansion produced a non-Hamiltonian edge set")
     return SolutionSet.build(out)

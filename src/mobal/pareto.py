@@ -150,13 +150,14 @@ class PackedFront:
     At two objectives or fewer the front is a staircase of ascending ints,
     so of descending low fields: p is dominated iff the first member at or
     above p's high field has a low field at least p's, and p dominates a
-    run of members just below it.  At three or more, each member is
-    compared through guard bits, as in `within`."""
+    run of members just below it.  At three or more, members are compared
+    through guard bits, as in `within`, the last dominator first."""
 
     def __init__(self, packing: Packing):
         self.packing = packing
         self.items: dict[int, list] = {}  # front weight -> its items
         self._stairs: list[int] = []  # front weights ascending, at dim <= 2
+        self._dominator: int | None = None  # at dim >= 3
 
     def offer(self, p: int, item: Any) -> None:
         """Keep item under weight p unless a member dominates p."""
@@ -179,8 +180,12 @@ class PackedFront:
             stairs[k:j] = [p]
         else:
             guards = packing.guards
+            q = self._dominator
+            if q in items and ((q | guards) - p) & guards == guards:
+                return
             for q in items:
                 if ((q | guards) - p) & guards == guards:
+                    self._dominator = q
                     return
             for q in [q for q in items if ((p | guards) - q) & guards == guards]:
                 del items[q]

@@ -229,3 +229,36 @@ def test_online_front_keeps_every_item_of_each_front_weight():
             assert front.items == {p: [i for i, q in enumerate(order) if q == p] for p in kept}
             cases += 1
     assert cases == 3 * 6 * 4 * 5 * 2
+
+
+def test_online_front_outlives_the_member_that_last_dominated():
+    # at dims 3-4 an offer is first compared with the member that last
+    # dominated an offer; each round here offers q, points below q, r
+    # above q, which evicts q, then more points below q, so that member
+    # is often gone when the next offer it dominates arrives (a gone
+    # member's evictor dominates that offer too).  The items kept are
+    # those of the offline front, ties included, in arrival order
+    rng = SplitMix64(94_000)
+    stale = cases = 0
+    for dim in (3, 4):
+        for bound in (2, 5, 30):
+            packing = Packing((bound,) * dim)
+            guards = packing.guards
+            order = []
+            for _ in range(40):
+                q = [rng.randint(0, bound - 1) for _ in range(dim)]
+                r = list(q)
+                r[rng.randint(0, dim - 1)] += 1
+                below = [[rng.randint(0, x) for x in q] for _ in range(4)]
+                order += [packing.pack(w) for w in (q, *below[:2], r, *below[2:])]
+            front = PackedFront(packing)
+            for i, p in enumerate(order):
+                last = front._dominator
+                if last is not None and last not in front.items and p not in front.items:
+                    stale += ((last | guards) - p) & guards == guards
+                front.offer(p, i)
+            kept = packing.front(set(order))
+            assert front.items == {p: [i for i, q in enumerate(order) if q == p] for p in kept}
+            cases += 1
+    assert cases == 2 * 3
+    assert stale >= 20
