@@ -21,21 +21,50 @@ as plain edge collections; canonical encodings are sorted edge tuples.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import permutations
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import PreconditionError
-from .pareto import Weight
+from .pareto import Packing, Weight, vec_total
 
 Edge = tuple[int, int]
 
 
 def edge_fault(e: Edge, w: Weight, dimension: int) -> str | None:
     """Why edge e's weight w does not fit a graph of `dimension` objectives,
-    or None; `LabeledDigraph` and the graph parser check every edge with it."""
+    or None; `LabeledDigraph` checks every edge with it, the parser each line."""
     if len(w) != dimension:
         return f"edge {e} weight has wrong dimension"
     if min(w) < 0:
         return f"edge {e} weight {w} is negative"
+
+
+class EdgeTable:
+    """A graph's edge weights packed by `pareto.Packing`, bounded by the total of
+    all its edges, and its tour front: one weighing for every MaxATSP pass."""
+
+    def __init__(self, g: LabeledDigraph):
+        self.vertices = g.vertices
+        self.packing = pack = Packing(vec_total(g.weight_map.values(), g.dimension))
+        self.weight_of = {e: pack.pack(w) for e, w in g.weight_map.items()}
+
+    @cached_property
+    def tour_front(self) -> Mapping[Weight, tuple[tuple[Edge, ...], ...]]:
+        """Every tour of each front weight as sorted edge tuples, keyed by that weight.
+        All (n - 1)! vertex orders are held until the front is known; only its tours stay."""
+        start, *rest = self.vertices
+        weight_of = self.weight_of.__getitem__
+        by_weight: dict[int, list[tuple[int, ...]]] = {}
+        for order in permutations(rest):
+            packed = sum(map(weight_of, zip((start, *order), (*order, start))))
+            by_weight.setdefault(packed, []).append(order)
+        unpack = self.packing.unpack
+        return MappingProxyType({
+            unpack(p): tuple([tuple(sorted(zip((start, *o), (*o, start)))) for o in by_weight[p]])
+            for p in self.packing.front(by_weight)
+        })
 
 
 @dataclass(frozen=True)
@@ -47,7 +76,7 @@ class LabeledDigraph:
     """
 
     vertices: tuple[int, ...]
-    weight_map: dict[Edge, Weight]
+    weight_map: Mapping[Edge, Weight]  # kept as a read-only copy: `_table` caches its weighing
     dimension: int
 
     def __post_init__(self):
@@ -67,6 +96,14 @@ class LabeledDigraph:
         for e, w in self.weight_map.items():
             if fault := edge_fault(e, w, self.dimension):
                 raise PreconditionError(fault)
+        object.__setattr__(self, "weight_map", MappingProxyType(dict(self.weight_map)))
+
+    @classmethod
+    def _parsed(cls, n: int, wm: dict[Edge, Weight], dim: int) -> LabeledDigraph:
+        """Graph on 0..n-1 from a map the graph parser checked as `__post_init__` would."""
+        g = object.__new__(cls)
+        vars(g).update(vertices=tuple(range(n)), weight_map=MappingProxyType(wm), dimension=dim)
+        return g
 
     @classmethod
     def from_weights(cls, n: int, weights: Mapping[Edge, Weight]) -> "LabeledDigraph":
@@ -81,6 +118,8 @@ class LabeledDigraph:
 
     def edges(self) -> tuple[Edge, ...]:
         return tuple(sorted(self.weight_map))
+
+    _table = cached_property(EdgeTable)
 
 
 def is_hamiltonian_cycle(g: LabeledDigraph, edges: Iterable[Edge]) -> bool:

@@ -330,17 +330,15 @@ def parse_graph(text: str) -> LabeledDigraph:
         )
     wm: dict[tuple[int, int], Weight] = {}
     for no, line in body:
-        values = _ints(line.split(), no, dim + 2)
-        u, v = values[0], values[1]
+        u, v, *w = _ints(line.split(), no, dim + 2)
         if not (0 <= u < n and 0 <= v < n) or u == v:
             raise InstanceFormatError(f"bad edge ({u}, {v}) for n={n}", no)
         if (u, v) in wm:
             raise InstanceFormatError(f"duplicate edge ({u}, {v})", no)
-        w = tuple(values[2:])
+        wm[(u, v)] = w = tuple(w)
         if fault := edge_fault((u, v), w, dim):
             raise InstanceFormatError(fault, no)
-        wm[(u, v)] = w
-    return LabeledDigraph(tuple(range(n)), wm, dim)
+    return LabeledDigraph._parsed(n, wm, dim)
 
 
 def detect_kind(text: str) -> str:

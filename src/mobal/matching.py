@@ -53,7 +53,7 @@ from typing import Collection, Mapping
 
 from .errors import PreconditionError
 from .graphs import Edge, LabeledDigraph
-from .pareto import Packing, SolutionSet, vec_total
+from .pareto import SolutionSet
 
 # one DP state: packed weight << count bits | edge count -> smallest sorted edge tuple
 _State = dict[int, tuple[Edge, ...]]
@@ -69,10 +69,9 @@ class ExactMatchingBackend:
     def __init__(self, reference: LabeledDigraph):
         self.reference = reference
         self._index = {v: i for i, v in enumerate(reference.vertices)}
-        self.packing = Packing(vec_total(reference.weight_map.values(), reference.dimension))
+        self.packing = reference._table.packing  # `mobal.graphs.EdgeTable`
         self._cbits = cbits = (len(reference.vertices) // 2).bit_length()
-        pack = self.packing.pack
-        self._edge_keys = {e: (pack(w) << cbits) + 1 for e, w in reference.weight_map.items()}
+        self._edge_keys = {e: (p << cbits) + 1 for e, p in reference._table.weight_of.items()}
         self._memo: dict[int, _State] = {0: {0: ()}}
         # states holding heads, while the smallest head's path is `_scope`
         self._keyed: dict[int, _State] = {}

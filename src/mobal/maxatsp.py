@@ -53,21 +53,20 @@ backend's front is never empty, and lifting the 2-cycle through F
 gives the one tour of G that contains F, which is T.  Every emitted
 tour is a Hamiltonian cycle of G, so the emissions are every tour and
 nothing else, and every tour of each front weight is kept.  So
-`maxatsp_approx` skips path sets, contraction and the backend and runs
-`_front_tours`, the pass `tsp_oracle` shares: weigh first, witness
-last.  The output is the sweep's, byte for byte.
+`maxatsp_approx` skips path sets, contraction and the backend and reads
+g's tour front, `g._table.tour_front`, which `tsp_oracle` reads too: one
+weigh-first pass per graph.  The output is the sweep's, byte for byte.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
 from math import comb, factorial
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, SearchInvariantError
 from .graphs import Edge, LabeledDigraph, is_hamiltonian_cycle, lift_edges
 from .matching import ExactMatchingBackend
-from .pareto import Packing, PackedFront, SolutionSet, Weight, even_objectives, vec_total
+from .pareto import PackedFront, SolutionSet, even_objectives
 
 DEFAULT_MAXATSP_BUDGET = 10**6
 # `tsp_oracle` enumerates all (n - 1)! tours
@@ -172,9 +171,8 @@ def approx_cost_estimate(num_vertices: int, two_k: int) -> int:
 def maxatsp_approx(g: LabeledDigraph, *, budget: int | None = None) -> SolutionSet:
     """Contract-match-extend-expand sweep over all small path sets, whose
     output 1/2-covers every Hamiltonian cycle of g (module docstring).
-    When n - 2 is a path-set size the sweep would emit every tour, so the
-    tours of front weights come from `_front_tours` instead.
-    `approx_cost_estimate` is the only size guard."""
+    When n - 2 is a path-set size the sweep would emit every tour, so it
+    reads g's tour front instead.  `approx_cost_estimate` is the only size guard."""
     if budget is None:
         budget = DEFAULT_MAXATSP_BUDGET
     two_k = even_objectives(g.dimension)
@@ -186,8 +184,7 @@ def maxatsp_approx(g: LabeledDigraph, *, budget: int | None = None) -> SolutionS
             f"budget {budget} ({g.num_vertices} vertices, {two_k} objectives)"
         )
     if g.num_vertices - 2 in counts:
-        # the sweep would emit every tour (module docstring)
-        return SolutionSet.build((t, w) for w, ts in _front_tours(g).items() for t in ts)
+        return SolutionSet.build((t, w) for w, ts in g._table.tour_front.items() for t in ts)
     # one backend, built for g, answers every path set from its ends
     # and shares DP states between them (`mobal.matching`)
     return _sweep(g, counts, ExactMatchingBackend(g))
@@ -198,13 +195,12 @@ def _sweep(
 ) -> SolutionSet:
     """Every tour of each front weight that the sweep over path sets of the
     given sizes emits, one backend call per distinct contracted graph.
-    Tours are weighed in the backend's `packing`, which bounds every tour
+    Tours are weighed in g's `_table.packing`, which bounds every tour
     of g, as w(F) + w'(M) plus the edges completing M to T', weighed
     from their lifted ends off M's fragments.  An online front keeps
     (F, last, M) while no other weight dominates its own, so only the
     final front's matchings are completed, lifted, sorted and checked."""
-    packing = backend.packing
-    weight_of = {e: packing.pack(w) for e, w in g.weight_map.items()}
+    packing, weight_of = g._table.packing, g._table.weight_of
     front = PackedFront(packing)
     # (w'(T'), M) of each matching M of a contracted graph that a later
     # path set of the same size can share (module docstring)
@@ -257,40 +253,17 @@ def _path_ends(f: Iterable[Edge]) -> tuple[frozenset[int], dict[int, int]]:
     return tails, last
 
 
-def _front_tours(g: LabeledDigraph) -> dict[Weight, list[Cycle]]:
-    """Every Hamiltonian cycle of g of each nondominated tour weight,
-    as sorted edge tuples keyed by that weight.
-
-    Each of the (n - 1)! orders of the vertices after the first is
-    weighed along its cycle in ints packed by `pareto.Packing`, bounded
-    by the total of all edges.  Only front weights are unpacked and only
-    their orders become edge tuples; every order is held until then."""
-    start, *rest = g.vertices
-    packing = Packing(vec_total(g.weight_map.values(), g.dimension))
-    weight_of = {e: packing.pack(w) for e, w in g.weight_map.items()}.__getitem__
-    by_weight: dict[int, list[tuple[int, ...]]] = {}
-    for order in permutations(rest):
-        packed = sum(map(weight_of, zip((start, *order), (*order, start))))
-        by_weight.setdefault(packed, []).append(order)
-    return {
-        packing.unpack(p): [tuple(sorted(zip((start, *o), (*o, start)))) for o in by_weight[p]]
-        for p in packing.front(by_weight)
-    }
-
-
 def tsp_oracle(g: LabeledDigraph) -> SolutionSet:
-    """Exact Pareto front over all (|V| - 1)! Hamiltonian cycles.
-
-    One canonical witness (smallest sorted edge tuple) per nondominated
-    weight.  `_front_tours` holds all 8! vertex orders at the cap, n = 9,
-    until the front is known: tracemalloc read peaks of 4.1 MiB at dim
-    1, 5.6 MiB at dim 2 and 10.0 MiB at dim 3 (CPython 3.11, bound 30).
-    """
+    """Exact Pareto front over all (|V| - 1)! Hamiltonian cycles: the smallest
+    sorted edge tuple of each weight of g's tour front, `g._table.tour_front`,
+    which one pass over the vertex orders builds per graph for this and the
+    every-tour shortcut.  At the cap, n = 9, the pass peaks at 4.3, 5.6 and 10.0
+    MiB at dim 1, 2, 3 (tracemalloc, seed 3, bound 30); only the front stays."""
     if g.num_vertices > ORACLE_VERTEX_CAP:
         raise BudgetExceededError(
             f"cycle oracle refuses {g.num_vertices} vertices (cap {ORACLE_VERTEX_CAP})"
         )
-    return SolutionSet.build((min(ts), w) for w, ts in _front_tours(g).items())
+    return SolutionSet.build((min(ts), w) for w, ts in g._table.tour_front.items())
 
 
 __all__ = [

@@ -78,7 +78,8 @@ class SolutionSet:
                 )
             by_solution[solution] = weight
         ordered = sorted((w, s) for s, w in by_solution.items())
-        return cls(tuple((s, w) for w, s in ordered))
+        # from lists, here and in `weights`: tuple(generator) leaves spares on CPython's free lists
+        return cls(tuple([(s, w) for w, s in ordered]))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -87,7 +88,7 @@ class SolutionSet:
         return iter(self.entries)
 
     def weights(self) -> tuple[Weight, ...]:
-        return tuple(w for _, w in self.entries)
+        return tuple([w for _, w in self.entries])
 
 
 class Packing:

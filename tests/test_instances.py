@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mobal.graphs
+import mobal.instances
 from mobal.balancing import CARRIES, VARIANTS, verify_balance
 from mobal.cli import _BALANCERS
 from mobal.errors import BudgetExceededError, InstanceFormatError, PreconditionError
+from mobal.graphs import LabeledDigraph, edge_fault
 from mobal.instances import (
     BALANCE_KINDS,
     GeneratorSpec,
@@ -135,6 +138,41 @@ def test_graph_round_trips():
         text = serialize_graph(g)
         assert parse_graph(text) == g
         assert serialize_graph(parse_graph(text)) == text
+
+
+def test_graph_weights_are_read_only():
+    # a weight written after validation would skip `edge_fault`: (-40, 3)
+    # on (0, 1) borrows inside the packed tour sums, and the oracle then
+    # lists a tour through (0, 1) at weight (98, 18)
+    g = generate(GeneratorSpec(kind="graph", seed=1, vertices=5, dim=2, bound=5))
+    text = serialize_graph(g)
+    with pytest.raises(TypeError):
+        g.weight_map[(0, 1)] = (-40, 3)
+    with pytest.raises(TypeError):
+        del g.weight_map[(0, 1)]
+    # the model copies the caller's map before it freezes it
+    wm = dict(g.weight_map)
+    h = LabeledDigraph(g.vertices, wm, g.dimension)
+    wm[(0, 1)] = (-40, 3)
+    parsed = parse_graph(text)
+    assert g == h == parsed and h.weight_map == g.weight_map != wm
+    with pytest.raises(TypeError):
+        parsed.weight_map[(0, 1)] = (-40, 3)
+    assert serialize_graph(g) == serialize_graph(h) == serialize_graph(parsed) == text
+
+
+def test_parse_graph_checks_each_edge_once(monkeypatch):
+    g = generate(GeneratorSpec(kind="graph", seed=1, vertices=6, dim=3))
+    checked = []
+
+    def counting(e, w, dimension):
+        checked.append(e)
+        return edge_fault(e, w, dimension)
+
+    monkeypatch.setattr(mobal.instances, "edge_fault", counting)
+    monkeypatch.setattr(mobal.graphs, "edge_fault", counting)
+    assert parse_graph(serialize_graph(g)) == g
+    assert sorted(checked) == list(g.edges())
 
 
 def test_serialize_refuses_an_unknown_kind():

@@ -1,9 +1,10 @@
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
+import mobal.graphs
 import mobal.maxatsp
 from helpers import (
     all_cycles_with_weights,
@@ -38,7 +39,6 @@ from mobal.matching import ExactMatchingBackend
 from mobal.maxatsp import (
     DEFAULT_MAXATSP_BUDGET,
     _chain_fragments,
-    _front_tours,
     _path_ends,
     _sweep,
     approx_cost_estimate,
@@ -607,11 +607,55 @@ def test_front_tours_whose_totals_reach_a_power_of_two():
                 for u in range(4) for v in range(4) if u != v
             }
             g = LabeledDigraph.from_weights(4, wm)
-            tours = _front_tours(g)
+            tours = g._table.tour_front
             assert all(w[0] == 4 for w in tours)
             out = SolutionSet.build((t, w) for w, ts in tours.items() for t in ts)
             assert out == all_tours_front(g)
             assert tsp_oracle(g) == pareto_front_witnesses(all_cycles_with_weights(g))
+
+
+def test_shortcut_and_oracle_weigh_each_graph_once(monkeypatch):
+    # the vertex count after the first, at each pass over the vertex
+    # orders that builds a graph's tour front
+    passes = []
+
+    def counting(rest):
+        passes.append(len(rest))
+        return permutations(rest)
+
+    monkeypatch.setattr(mobal.graphs, "permutations", counting)
+    # n = 6 at three objectives takes the every-tour shortcut
+    g = graph(96_000, vertices=6, dim=3, bound=1)
+    assert g.num_vertices - 2 in sweep_sizes(g)
+    out = maxatsp_approx(g)
+    orc = tsp_oracle(g)
+    assert passes == [5]
+    assert out == all_tours_front(g)
+    assert orc == pareto_front_witnesses(all_cycles_with_weights(g))
+    # the oracle builds a graph's front once, however often it is asked
+    h = graph(96_001, vertices=8, dim=2)
+    assert h.num_vertices - 2 not in sweep_sizes(h)
+    assert tsp_oracle(h) == tsp_oracle(h)
+    assert passes == [5, 7]
+    # the sweep never asks for the front
+    s = graph(96_002, vertices=6, dim=1)
+    maxatsp_approx(s)
+    assert passes == [5, 7]
+    tsp_oracle(s)
+    assert passes == [5, 7, 5]
+
+
+def test_each_graph_reads_its_own_tour_front():
+    # graphs of one shape, each dropped once weighed, so that the next
+    # one built takes its memory and its id: a front kept for any graph
+    # but the one asked would show
+    maps = [graph(97_000 + seed, vertices=5, dim=2, bound=3).weight_map for seed in range(8)]
+    vertices = tuple(range(5))
+    for wm in maps:
+        g = LabeledDigraph(vertices, wm, 2)
+        want = all_tours_front(g), pareto_front_witnesses(all_cycles_with_weights(g))
+        assert (maxatsp_approx(g), tsp_oracle(g)) == want
+        del g
 
 
 def test_tsp_oracle_stable_under_relabeling():

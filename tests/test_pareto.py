@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -114,6 +115,21 @@ def test_solution_set_rejects_conflicting_weights():
 def test_solution_set_canonical_order():
     s = SolutionSet.build([("b", (2, 1)), ("a", (1, 2)), ("a", (1, 2))])
     assert s.entries == (("a", (1, 2)), ("b", (2, 1)))
+
+
+def test_solution_sets_leave_no_spare_tuples_behind():
+    # CPython builds tuple(generator) in 10 slots and resizes it; freed, a
+    # resized tuple joins the free list of its own size, which keeps up to
+    # 2000.  Built so, each set of 15 entries and its weights left two spare
+    # 15-slot tuples behind, until the list held 2000 of them (0.35 MB).
+    pairs = [((i,), (i, 15 - i)) for i in range(15)]
+    SolutionSet.build(pairs).weights()
+    tracemalloc.start()
+    for _ in range(2000):
+        SolutionSet.build(pairs).weights()
+    held = tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
+    assert held < 20_000
 
 
 def test_certificate_identity():
