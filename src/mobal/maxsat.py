@@ -60,6 +60,7 @@ weight is a sum of lookups, eight clauses at a time.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations_with_replacement
@@ -280,9 +281,9 @@ def maxsat_approx(inst: CnfInstance, *, budget: int | None = None) -> SolutionSe
     two_k = even_objectives(inst.dimension)
     estimate = maxsat_scan_estimate(m, two_k)
     if estimate > budget:
-        limit = 0
-        while maxsat_scan_estimate(limit + 1, two_k) <= budget:
-            limit += 1
+        # m does not fit and the estimate grows with the variable count,
+        # so bisecting 1..m-1 finds the largest count that fits
+        limit = bisect(range(1, m), budget, key=lambda v: maxsat_scan_estimate(v, two_k))
         raise BudgetExceededError(
             f"scan of ~{estimate} assignments exceeds budget {budget}; "
             f"at most {limit} variables fit this budget at {two_k} objectives"

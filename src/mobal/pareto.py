@@ -9,7 +9,6 @@ by floating point: the cover test ``alpha * opt <= out`` is evaluated as
 
 from __future__ import annotations
 
-from bisect import bisect, bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable, Iterator
@@ -148,17 +147,15 @@ class Packing:
 class PackedFront:
     """The front of packed weights offered one at a time, with the items of
     each front weight; a weight's items go once another one dominates it.
-    At two objectives or fewer the front is a staircase of ascending ints,
-    so of descending low fields: p is dominated iff the first member at or
-    above p's high field has a low field at least p's, and p dominates a
-    run of members just below it.  At three or more, members are compared
-    through guard bits, as in `within`, the last dominator first."""
+    At any objective count an offer is compared with the members through
+    guard bits, as in `within`: first with the member that last dominated
+    an offer, then with all of them.  An offer none dominates evicts the
+    members it dominates."""
 
     def __init__(self, packing: Packing):
         self.packing = packing
         self.items: dict[int, list] = {}  # front weight -> its items
-        self._stairs: list[int] = []  # front weights ascending, at dim <= 2
-        self._dominator: int | None = None  # at dim >= 3
+        self._dominator: int | None = None  # the member that last dominated
 
     def offer(self, p: int, item: Any) -> None:
         """Keep item under weight p unless a member dominates p."""
@@ -166,30 +163,16 @@ class PackedFront:
         if p in items:  # a tie: equal weights never dominate each other
             items[p].append(item)
             return
-        packing = self.packing
-        if len(packing.shifts) <= 2:
-            stairs, fm = self._stairs, packing.field_mask
-            lo = p & fm
-            i = bisect_left(stairs, p - lo)
-            if i < len(stairs) and stairs[i] & fm >= lo:
+        guards = self.packing.guards
+        q = self._dominator
+        if q in items and ((q | guards) - p) & guards == guards:
+            return
+        for q in items:
+            if ((q | guards) - p) & guards == guards:
+                self._dominator = q
                 return
-            j = k = bisect(stairs, p)
-            while k and stairs[k - 1] & fm <= lo:
-                k -= 1
-            for q in stairs[k:j]:
-                del items[q]
-            stairs[k:j] = [p]
-        else:
-            guards = packing.guards
-            q = self._dominator
-            if q in items and ((q | guards) - p) & guards == guards:
-                return
-            for q in items:
-                if ((q | guards) - p) & guards == guards:
-                    self._dominator = q
-                    return
-            for q in [q for q in items if ((p | guards) - q) & guards == guards]:
-                del items[q]
+        for q in [q for q in items if ((p | guards) - q) & guards == guards]:
+            del items[q]
         items[p] = [item]
 
 

@@ -25,7 +25,6 @@ from mobal.graphs import (
     is_hamiltonian_cycle,
     lift_edges,
 )
-from mobal.instances import GeneratorSpec, generate
 from mobal.matching import ExactMatchingBackend
 from mobal.maxatsp import (
     Cycle,
@@ -888,20 +887,6 @@ def random_path_set(g: LabeledDigraph, rng: SplitMix64, max_edges: int | None = 
     size = rng.randint(0, cap)
     picked = rng.sample(0, len(cycle) - 1, size)
     return tuple(sorted(cycle[i] for i in picked))
-
-
-def cnf_corpus(count, *, seed0, m, clauses, dim, bound):
-    for i in range(count):
-        yield generate(
-            GeneratorSpec(kind="cnf", seed=seed0 + i, m=m, clauses=clauses, dim=dim, bound=bound)
-        )
-
-
-def graph_corpus(count, *, seed0, vertices, dim, bound):
-    for i in range(count):
-        yield generate(
-            GeneratorSpec(kind="graph", seed=seed0 + i, vertices=vertices, dim=dim, bound=bound)
-        )
 
 
 # -- the matching claim harness ----------------------------------------------

@@ -4,7 +4,7 @@
     python tests/perfbench_digests.py --check  # compare with the file
 
 Runs `perfbench/run.py` for every workload at seeds 1 and 2, one second
-each, untraced: eight runs, about 15 s in all.  With --check a run
+each, untraced: eight runs, about 11 s in all.  With --check a run
 fails when its JSON result line does not read `correct` true and
 `failed` 0, or when the output digest it prints differs from its line
 in tests/data/perfbench_digests.txt or has none there; the script exits

@@ -297,7 +297,7 @@ def tie_heavy_sweep_corpus():
 def test_sweep_matches_reference_where_ties_are_many():
     # many tours share a weight, so every witness choice is exercised,
     # and many share a field with a front member, which the online
-    # front's staircase and guard-bit tests must tell apart; the
+    # front's tie check and guard-bit tests must tell apart; the
     # reference pools every lifted tour and filters at the end
     checked = 0
     for g in tie_heavy_sweep_corpus():

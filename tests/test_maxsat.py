@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import chain, combinations, product
 from math import comb
@@ -222,6 +223,40 @@ def test_budget_guard_names_limit():
     with pytest.raises(BudgetExceededError) as err:
         maxsat_approx(inst, budget=10)
     assert "variables" in str(err.value)
+
+
+def stated_limit(inst, budget):
+    with pytest.raises(BudgetExceededError) as err:
+        maxsat_approx(inst, budget=budget)
+    return int(re.search(r"at most (\d+) variables", str(err.value)).group(1))
+
+
+def test_budget_limit_matches_a_linear_walk():
+    # the refusal names the largest variable count whose estimate fits;
+    # a walk up from 0 finds the same one, on instances just past it
+    # and far past it
+    for dim in range(1, 9):
+        two_k = even_objectives(dim)
+        for budget in (0, 1, 10**3, 10**6, 10**9):
+            walked = 0
+            while maxsat_scan_estimate(walked + 1, two_k) <= budget:
+                walked += 1
+            for m in (walked + 1, walked + 7, 10**9):
+                assert stated_limit(cnf(m, ({1}, (1,) * dim)), budget) == walked
+
+
+def test_budget_limit_takes_few_estimates(monkeypatch):
+    # a walk up from 0 would take thousands of estimates here
+    calls = 0
+
+    def counted(num_vars, two_k):
+        nonlocal calls
+        calls += 1
+        return maxsat_scan_estimate(num_vars, two_k)
+
+    monkeypatch.setattr("mobal.maxsat.maxsat_scan_estimate", counted)
+    stated_limit(cnf(10**9, ({1}, (1, 1, 1, 1))), 10**60)
+    assert 0 < calls <= 100
 
 
 def test_zero_weight_clause_keeps_certificate():

@@ -248,15 +248,17 @@ def test_online_front_keeps_every_item_of_each_front_weight():
 
 
 def test_online_front_outlives_the_member_that_last_dominated():
-    # at dims 3-4 an offer is first compared with the member that last
+    # at every dim an offer is first compared with the member that last
     # dominated an offer; each round here offers q, points below q, r
     # above q, which evicts q, then more points below q, so that member
     # is often gone when the next offer it dominates arrives (a gone
     # member's evictor dominates that offer too).  The items kept are
     # those of the offline front, ties included, in arrival order
     rng = SplitMix64(94_000)
-    stale = cases = 0
-    for dim in (3, 4):
+    dims = (1, 2, 3, 4)
+    stale = dict.fromkeys(dims, 0)
+    cases = 0
+    for dim in dims:
         for bound in (2, 5, 30):
             packing = Packing((bound,) * dim)
             guards = packing.guards
@@ -271,10 +273,10 @@ def test_online_front_outlives_the_member_that_last_dominated():
             for i, p in enumerate(order):
                 last = front._dominator
                 if last is not None and last not in front.items and p not in front.items:
-                    stale += ((last | guards) - p) & guards == guards
+                    stale[dim] += ((last | guards) - p) & guards == guards
                 front.offer(p, i)
             kept = packing.front(set(order))
             assert front.items == {p: [i for i, q in enumerate(order) if q == p] for p in kept}
             cases += 1
-    assert cases == 2 * 3
-    assert stale >= 20
+    assert cases == 4 * 3
+    assert sum(stale.values()) >= 20 and min(stale.values()) >= 5
